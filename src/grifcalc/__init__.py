@@ -24,7 +24,7 @@ from .errors import (DegenerateDenominator, DegreeMismatch, DivisionByZero,
 from .hodge import (CIData, HodgeVector, ci_prim_hodge, euler_characteristic,
                     hypersurface_prim_hodge, jacobian_vanishing_check)
 from .invariant import (TripleData, delta_nu, independence_rank, iso_det,
-                        iso_matrix, distinguished_triple, rho_check, sixfold_ring)
+                        iso_matrix, distinguished_triple, rho_check)
 from .jacobian import (GradedBasis, HomogeneousPolynomial, HypersurfaceRing,
                        LinearMap, TensorSum, determinant, mult_map,
                        pairing_matrix, rank_kernel)
@@ -48,7 +48,7 @@ __all__ = [
     "CIData", "HodgeVector", "ci_prim_hodge", "euler_characteristic",
     "hypersurface_prim_hodge", "jacobian_vanishing_check",
     "TripleData", "delta_nu", "independence_rank", "iso_det", "iso_matrix",
-    "distinguished_triple", "rho_check", "sixfold_ring",
+    "distinguished_triple", "rho_check",
     "GradedBasis", "HomogeneousPolynomial", "HypersurfaceRing", "LinearMap",
     "TensorSum", "determinant", "mult_map", "pairing_matrix", "rank_kernel",
     "Certificate", "RankOneGenerator", "SpanReport", "StandardTensor",

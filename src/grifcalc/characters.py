@@ -14,9 +14,9 @@ orbit member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .errors import InvalidCharacter, NotReducedMonomial
 from .jacobian import HomogeneousPolynomial, monomial_string
@@ -50,16 +50,10 @@ class Character(object):
         return len(self.entries)
 
     def scale(self, t):
-        if t % self.d == 0 or _gcd(t, self.d) != 1:
+        if t % self.d == 0 or math.gcd(t, self.d) != 1:
             raise InvalidCharacter("scaling factor %d is not a unit mod %d"
                                    % (t, self.d))
         return Character(self.d, tuple((t * a) % self.d for a in self.entries))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def monomial_character(exps, d):
@@ -109,7 +103,7 @@ class GaloisOrbit(object):
 
 def galois_orbit(char):
     seen = sorted({char.scale(t) for t in range(1, char.d)
-                   if _gcd(t, char.d) == 1})
+                   if math.gcd(t, char.d) == 1})
     return GaloisOrbit(tuple(seen))
 
 
@@ -203,7 +197,7 @@ def _orbit_symbols(orbit):
     symbols = []
     for c in orbit.members:
         t = next(t for t in range(1, c.d)
-                 if _gcd(t, c.d) == 1 and base_char.scale(t) == c)
+                 if math.gcd(t, c.d) == 1 and base_char.scale(t) == c)
         symbols.append(base if t == 1 else "%sx%d" % (base, t))
     return tuple(symbols)
 

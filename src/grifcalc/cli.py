@@ -17,13 +17,13 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
 from ._version import __version__
 from .cache import Cache
-from .characters import (Character, enumerate_type, galois_orbit,
-                         orbit_partition, rational_class)
+from .characters import enumerate_type, orbit_partition, rational_class
 from .errors import GrifcalcError
 from .hodge import CIData, ci_prim_hodge, euler_characteristic, \
     hypersurface_prim_hodge
@@ -32,8 +32,8 @@ from .invariant import (delta_nu, independence_rank, iso_det, iso_matrix,
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
 from .linalg import DEFAULT_PRIME
-from .mulkernel import span_equals_kernel
-from .report import DETERMINANT_FACTORED, ReportOptions, full_report
+from .report import (DEFAULT_PAIRS, DETERMINANT_FACTORED, ReportOptions,
+                     _invariant_tensor, full_report, kermu_payload)
 from .scalar import parse as parse_scalar, scalar_to_string
 
 
@@ -209,7 +209,7 @@ def _build_parser():
                      metavar="GROUP", help="skip checks by id or group")
     rep.add_argument("--stable", action="store_true",
                      help="zero out timings for reproducible output")
-    rep.add_argument("--pairs", type=_pair_list, default=None)
+    rep.add_argument("--pairs", type=_pair_list, default=DEFAULT_PAIRS)
 
     return top
 
@@ -331,7 +331,6 @@ def _cmd_nl(args):
             out = scalar_to_string(det)
         return 0, _dump({"det": out}) if args.json else out
     # deltanu
-    from .report import _invariant_tensor
     value = delta_nu(triple, _invariant_tensor())
     out = scalar_to_string(value)
     return 0, _dump({"value": out}) if args.json else out
@@ -340,17 +339,10 @@ def _cmd_nl(args):
 def _cmd_kermu(args):
     nvars = getattr(args, "vars")
     mode = "span_rank" if args.method == "span" else "standardize"
-    exact = args.exact or nvars <= 7
-    prime = None if (exact or mode == "standardize") else args.modp
-    # --cache beats GRIFCALC_CACHE beats .grifcalc-cache/
-    cache = Cache(args.cache)
-    params = {"nvars": nvars, "mode": mode, "exact": exact, "prime": prime}
-    payload = cache.get("kermu." + mode, params)
     start = time.perf_counter()
-    if payload is None:
-        payload = span_equals_kernel(nvars, mode=mode, prime=prime,
-                                     exact=exact).to_json()
-        cache.put("kermu." + mode, params, payload)
+    # --cache beats GRIFCALC_CACHE beats .grifcalc-cache/
+    payload = kermu_payload(nvars, mode, args.exact, args.modp,
+                            Cache(args.cache))
     elapsed = round(time.perf_counter() - start, 6)
     verdict = bool(payload["verdict"])
     out = dict(payload)
@@ -369,17 +361,15 @@ def _cmd_kermu(args):
 
 
 def _cmd_report(args):
-    cache = Cache(args.cache)
     options = ReportOptions(
         kermu_vars=args.kermu_vars,
-        pairs=args.pairs if args.pairs is not None else
-        tuple((Fraction(a), Fraction(1)) for a in range(1, 9)),
+        pairs=args.pairs,
         seed=args.seed,
         modp=args.modp,
         exact=args.exact,
         skip=tuple(args.skip),
         stable=args.stable,
-        cache=cache,
+        cache=Cache(args.cache),
     )
     doc = full_report(options)
     code = 1 if doc.failed else 0
@@ -426,8 +416,11 @@ def run_command(argv):
 
 
 def main(argv=None):
-    import sys
     code, output = run_command(sys.argv[1:] if argv is None else argv)
     if output:
         print(output)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -29,10 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalar import Scalar
-
-ZERO = Scalar.from_fraction(0)
-ONE = Scalar.from_fraction(1)
+from .scalar import ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True)

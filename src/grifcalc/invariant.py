@@ -20,36 +20,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateDenominator,
-    DegreeMismatch,
-    NotInKernel,
-    NotIsomorphism,
-)
+from .errors import DegenerateDenominator, DegreeMismatch, NotIsomorphism
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
-    LinearMap,
-    TensorSum,
     determinant,
     mult_map,
     pairing_matrix,
     rank_kernel,
 )
-from .linalg import SCALAR_FIELD, FRACTION_FIELD, solve
-from .scalar import Scalar
+from .linalg import SCALAR_FIELD, FRACTION_FIELD, rank_and_kernel, solve
+from .mulkernel import tensor_in_kernel
+from .scalar import ONE, ZERO, Scalar
 
 NVARS = 8
-
-_RING = None
-
-
-def sixfold_ring():
-    """The Jacobian ring of the Fermat cubic in 8 variables (shared)."""
-    global _RING
-    if _RING is None:
-        _RING = HypersurfaceRing.fermat(3, NVARS)
-    return _RING
 
 
 def _mono(indices, coeff=1):
@@ -103,7 +87,7 @@ def distinguished_triple(a=None, b=None, e_denominator="B"):
 
 def iso_matrix(triple):
     """Pairing matrix of P*e on R^1 x R^1 (8 x 8, symmetric)."""
-    ring = sixfold_ring()
+    ring = HypersurfaceRing.fermat(3, NVARS)
     pe = ring.normal_form(triple.p * triple.e)
     return pairing_matrix(ring, pe, 1, 1)
 
@@ -120,7 +104,7 @@ def rho_check(triple, seed=0):
 
     Full rank at one specialization certifies full symbolic rank.
     """
-    ring = sixfold_ring()
+    ring = HypersurfaceRing.fermat(3, NVARS)
     params = set()
     for c in triple.e.terms.values():
         params.update(c.params)
@@ -145,16 +129,12 @@ def delta_nu(triple, w):
     Raises NotInKernel when the multiplication map does not kill w, and
     NotIsomorphism when the pairing matrix of the triple is singular.
     """
-    ring = sixfold_ring()
+    ring = HypersurfaceRing.fermat(3, NVARS)
     if w.is_zero():
-        return Scalar.from_fraction(0)
+        return ZERO
     if w.nvars != NVARS or w.left_degree != 3 or w.right_degree != 3:
         raise DegreeMismatch("delta_nu expects degree (3, 3) tensors over 8 variables")
-    image = HomogeneousPolynomial.zero(NVARS, 6)
-    for c, l, r in w.summands:
-        image = image + ring.normal_form(l * r).scale(c)
-    if not image.is_zero():
-        raise NotInKernel("multiplication map does not vanish on the tensor")
+    tensor_in_kernel(ring, w)
     m, det = iso_det(triple)
     if det.is_zero():
         raise NotIsomorphism("pairing matrix is singular for this triple")
@@ -162,7 +142,7 @@ def delta_nu(triple, w):
     n = m.ncols
     basis1 = ring.quotient_basis(1).basis
     soc = ring.socle_monomial()
-    total = Scalar.from_fraction(0)
+    total = ZERO
     for c, q, r in w.summands:
         u = ring.normal_form(triple.p * r)
         rhs = []
@@ -191,7 +171,7 @@ def independence_rank(pairs):
         if a == 0 and b == 0:
             raise DegenerateDenominator("pair %d is (0, 0)" % i)
         values.append((a * b) / (a + b * h))
-    common = Scalar.from_fraction(1)
+    common = ONE
     for v in values:
         common = common * Scalar(v.den)
     # cleared[i] = v_i * prod_j den_j, a polynomial in h up to a rational scale
@@ -212,7 +192,6 @@ def independence_rank(pairs):
             for exps, coeff in poly.terms.items():
                 rows.setdefault(exps[0], {})[i] = coeff / scale
     row_list = [rows[d] for d in sorted(rows)]
-    from .linalg import rank_and_kernel
     rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
     relations = []
     for vec in kern:

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeMismatch, NotReducedMonomial, ParameterInModP
+from .errors import DegreeMismatch, NotReducedMonomial
 from .linalg import (
     DEFAULT_PRIME,
     FRACTION_FIELD,
@@ -29,14 +29,8 @@ from .linalg import (
     rank_and_kernel,
     scalar_mod_p,
 )
-from .scalar import Scalar, parse as parse_scalar, render as render_scalar
-
-ZERO = Scalar.from_fraction(0)
-ONE = Scalar.from_fraction(1)
-
-
-def monomial_degree(exps):
-    return sum(exps)
+from .scalar import (ONE, ZERO, Scalar, parse as parse_scalar,
+                     scalar_to_string)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +223,7 @@ class HomogeneousPolynomial:
         chunks = []
         for e, c in self.sorted_terms():
             mono = monomial_string(e)
-            cs = render_scalar(c)
+            cs = scalar_to_string(c)
             neg = cs.startswith("-") and "+" not in cs and "-" not in cs[1:]
             if neg:
                 sign, cs = "-", cs[1:]
@@ -257,7 +251,7 @@ class HomogeneousPolynomial:
         return {
             "nvars": self.nvars,
             "degree": self.degree,
-            "terms": [{"exps": list(e), "coeff": render_scalar(c)}
+            "terms": [{"exps": list(e), "coeff": scalar_to_string(c)}
                       for e, c in self.sorted_terms()],
         }
 
@@ -277,6 +271,15 @@ def _as_scalar(x):
     if isinstance(x, Scalar):
         return x
     return Scalar.from_fraction(x)
+
+
+def _fermat_terms(d, nvars):
+    terms = {}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = d
+        terms[tuple(e)] = ONE
+    return terms
 
 
 class GradedBasis:
@@ -323,21 +326,14 @@ class HypersurfaceRing:
 
     @staticmethod
     def _is_fermat(p):
-        want = {}
-        for i in range(p.nvars):
-            e = [0] * p.nvars
-            e[i] = p.degree
-            want[tuple(e)] = ONE
-        return p.terms == want
+        return p.terms == _fermat_terms(p.degree, p.nvars)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def fermat(cls, d, nvars):
-        terms = {}
-        for i in range(nvars):
-            e = [0] * nvars
-            e[i] = d
-            terms[tuple(e)] = ONE
-        return cls(HomogeneousPolynomial(nvars, d, terms))
+        """The Jacobian ring of sum x_i^d, one shared instance per (d, nvars)
+        so that its graded slices are built once per process."""
+        return cls(HomogeneousPolynomial(nvars, d, _fermat_terms(d, nvars)))
 
     def quotient_basis(self, k):
         gb = self._slices.get(k)
@@ -483,7 +479,7 @@ class LinearMap:
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "entries": [[i, j, render_scalar(v)] for (i, j), v in items],
+            "entries": [[i, j, scalar_to_string(v)] for (i, j), v in items],
         }
 
     @classmethod

@@ -10,15 +10,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParameterInModP
-from .scalar import Scalar
+from .errors import OutOfRange, ParameterInModP, PoleAtSpecialization
+from .scalar import ONE, ZERO
 
 DEFAULT_PRIME = 2 ** 31 - 1
 
+# Miller-Rabin with these bases is exact for every n below the limit
+# (Sorensen and Webster 2015); the bases 2..37 alone are only exact below
+# 3.2e23.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality test for 0 <= n < _PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class ScalarField:
-    zero = Scalar.from_fraction(0)
-    one = Scalar.from_fraction(1)
+    zero = ZERO
+    one = ONE
 
     @staticmethod
     def add(a, b):
@@ -78,8 +108,9 @@ class ModPField:
     """Prime field GF(p) on Python ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        if not (p < _PRIME_LIMIT and _is_prime(p)):
+            raise OutOfRange("modulus %d is not a prime below %d"
+                             % (p, _PRIME_LIMIT))
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -112,7 +143,7 @@ def fraction_mod_p(x, p):
     num = x.numerator % p
     den = x.denominator % p
     if den == 0:
-        raise ZeroDivisionError("denominator divisible by %d" % p)
+        raise PoleAtSpecialization("denominator divisible by %d" % p)
     return (num * pow(den, p - 2, p)) % p
 
 
@@ -149,6 +180,48 @@ def _pick_pivot(active, col_count):
     return best
 
 
+def _eliminate(rows, field):
+    """Markowitz forward elimination over the field.
+
+    Yields (row_index, pivot_col, pivot_value, pivot_row) for each pivot
+    in turn, row_index counting the input rows.  After a pivot is yielded,
+    every remaining row r with an entry in pivot_col is updated as
+    r -= (r[pivot_col] / pivot_value) * pivot_row; rows that become empty
+    drop out.  Pivot rows are never scaled, and yielded rows are not
+    touched again.
+    """
+    active = {i: r for i, r in enumerate(_clean_rows(rows, field)) if r}
+    col_count = {}
+    for row in active.values():
+        for c in row:
+            col_count[c] = col_count.get(c, 0) + 1
+    while active:
+        ri, pc = _pick_pivot(active, col_count)
+        prow = active.pop(ri)
+        for c in prow:
+            col_count[c] -= 1
+        pv = prow[pc]
+        yield ri, pc, pv, prow
+        for rj in list(active):
+            row = active[rj]
+            coef = row.get(pc)
+            if coef is None:
+                continue
+            factor = field.div(coef, pv)
+            for c, v in prow.items():
+                w = field.sub(row.get(c, field.zero), field.mul(factor, v))
+                if field.is_zero(w):
+                    if c in row:
+                        del row[c]
+                        col_count[c] -= 1
+                else:
+                    if c not in row:
+                        col_count[c] = col_count.get(c, 0) + 1
+                    row[c] = w
+            if not row:
+                del active[rj]
+
+
 def rref(rows, field):
     """Reduced row echelon form of sparse rows over the field.
 
@@ -156,45 +229,11 @@ def rref(rows, field):
     row_dict has 1 at its pivot column and support only on non-pivot columns
     elsewhere.  Input rows are not modified.
     """
-    active = {i: dict(r) for i, r in enumerate(_clean_rows(rows, field)) if r}
     done = []
-    col_count = {}
-    for row in active.values():
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
-
-    def scale_row(row, factor):
-        return {c: field.mul(v, factor) for c, v in row.items()}
-
-    def axpy(row, coef, prow):
-        # row -= coef * prow, maintaining col_count for active rows
-        for c, v in prow.items():
-            w = field.sub(row.get(c, field.zero), field.mul(coef, v))
-            if field.is_zero(w):
-                if c in row:
-                    del row[c]
-                    col_count[c] -= 1
-            else:
-                if c not in row:
-                    col_count[c] = col_count.get(c, 0) + 1
-                row[c] = w
-
-    while active:
-        ri, pc = _pick_pivot(active, col_count)
-        prow = active.pop(ri)
-        for c in prow:
-            col_count[c] -= 1
-        inv = field.div(field.one, prow[pc])
-        prow = scale_row(prow, inv)
-        for rj in list(active):
-            row = active[rj]
-            coef = row.get(pc)
-            if coef is None:
-                continue
-            axpy(row, coef, prow)
-            if not row:
-                del active[rj]
-        for (qc, qrow) in done:
+    for _, pc, pv, prow in _eliminate(rows, field):
+        inv = field.div(field.one, pv)
+        prow = {c: field.mul(v, inv) for c, v in prow.items()}
+        for _, qrow in done:
             coef = qrow.get(pc)
             if coef is not None:
                 for c, v in prow.items():
@@ -238,48 +277,15 @@ def rank_and_kernel(rows, ncols, field):
 
 
 def determinant(rows, n, field):
-    """Determinant of an n x n sparse matrix via fraction-free-style
-    elimination over the field (exact divisions, deterministic pivots)."""
-    active = {i: dict(r) for i, r in enumerate(_clean_rows(rows, field))}
+    """Determinant of an n x n sparse matrix: the product of the pivots of
+    the Markowitz elimination times the sign of the pivot permutation."""
     if len(rows) != n:
         raise ValueError("matrix is not square")
-    if any(not r for r in active.values()):
-        return field.zero
-    col_count = {}
-    for row in active.values():
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
     det = field.one
     perm = []
-    while active:
-        picked = _pick_pivot(active, col_count)
-        if picked is None:
-            return field.zero
-        ri, pc = picked
-        prow = active.pop(ri)
-        for c in prow:
-            col_count[c] -= 1
-        pv = prow[pc]
+    for ri, pc, pv, _ in _eliminate(rows, field):
         det = field.mul(det, pv)
         perm.append((ri, pc))
-        for rj in list(active):
-            row = active[rj]
-            coef = row.get(pc)
-            if coef is None:
-                continue
-            factor = field.div(coef, pv)
-            for c, v in prow.items():
-                w = field.sub(row.get(c, field.zero), field.mul(factor, v))
-                if field.is_zero(w):
-                    if c in row:
-                        del row[c]
-                        col_count[c] -= 1
-                else:
-                    if c not in row:
-                        col_count[c] = col_count.get(c, 0) + 1
-                    row[c] = w
-            if not row:
-                return field.zero
     if len(perm) != n:
         return field.zero
     # sign of the permutation row index -> pivot column, by inversion count

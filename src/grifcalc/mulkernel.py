@@ -21,7 +21,7 @@ an explicit certificate of rank-one moves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DegreeMismatch, NotInKernel, OutOfRange
@@ -37,24 +37,13 @@ from .linalg import (
     RowReducer,
     rank_and_kernel,
 )
-from .scalar import Scalar
+from .scalar import ONE, Scalar
 
 MIN_NVARS = 4
 MAX_NVARS = 9
 EXACT_NVARS_LIMIT = 7
 
-ONE = Scalar.from_fraction(1)
 MINUS_ONE = Scalar.from_fraction(-1)
-
-_RINGS = {}
-
-
-def cubic_ring(nvars):
-    ring = _RINGS.get(nvars)
-    if ring is None:
-        ring = HypersurfaceRing.fermat(3, nvars)
-        _RINGS[nvars] = ring
-    return ring
 
 
 def _monomial(nvars, indices, coeff=ONE):
@@ -104,7 +93,7 @@ class RankOneGenerator:
         return TensorSum.simple(self.left, self.right)
 
     def in_kernel(self):
-        ring = cubic_ring(self.nvars)
+        ring = HypersurfaceRing.fermat(3, self.nvars)
         return ring.normal_form(self.left * self.right).is_zero()
 
 
@@ -393,24 +382,7 @@ class SpanReport:
     verdict: bool
 
     def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "mode": self.mode,
-            "exact": self.exact,
-            "prime": self.prime,
-            "dim_r3": self.dim_r3,
-            "dim_r6": self.dim_r6,
-            "mu_rank": self.mu_rank,
-            "kernel_dim": self.kernel_dim,
-            "pair_count": self.pair_count,
-            "pair_rank": self.pair_rank,
-            "swap_streamed": self.swap_streamed,
-            "span_rank": self.span_rank,
-            "standardized_vectors": self.standardized_vectors,
-            "certificate_moves": self.certificate_moves,
-            "swap_identity_checked": self.swap_identity_checked,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
@@ -434,6 +406,10 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     if exact and nvars > EXACT_NVARS_LIMIT:
         raise OutOfRange("exact span ranks are limited to nvars <= %d"
                          % EXACT_NVARS_LIMIT)
+    if mode == "span_rank":
+        # a modulus that is not prime fails here, before any elimination
+        p = None if exact else (DEFAULT_PRIME if prime is None else int(prime))
+        field = FRACTION_FIELD if exact else ModPField(p)
     triples = _triples(nvars)
     n3 = len(triples)
     rows, _ = _mu_rows(nvars)
@@ -448,9 +424,6 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     )
 
     if mode == "span_rank":
-        use_exact = bool(exact)
-        p = None if use_exact else (DEFAULT_PRIME if prime is None else int(prime))
-        field = FRACTION_FIELD if use_exact else ModPField(p)
         one = field.one
         reducer = RowReducer(field)
         pair_count = 0
@@ -475,7 +448,7 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
                         vec[col] = cur
                     else:
                         vec.pop(col, None)
-            if not use_exact:
+            if not exact:
                 vec = {c: v % p for c, v in vec.items() if v % p}
             else:
                 vec = {c: Fraction(v) for c, v in vec.items()}
@@ -483,13 +456,13 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
             reducer.add(vec)
         span_rank = reducer.rank
         return SpanReport(
-            exact=use_exact, prime=p,
+            exact=bool(exact), prime=p,
             pair_count=pair_count, pair_rank=pair_rank,
             swap_streamed=swap_streamed, span_rank=span_rank,
             verdict=span_rank == kernel_dim, **base)
 
     # standardize mode: exact by construction
-    ring = cubic_ring(nvars)
+    ring = HypersurfaceRing.fermat(3, nvars)
     ok = True
     moves_total = 0
     count = 0

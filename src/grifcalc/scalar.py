@@ -32,8 +32,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-Rational = Fraction
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -554,11 +552,6 @@ ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)
 
 
-def normalize(num, den):
-    """Canonical scalar num/den; raises ZeroDenominator when den = 0."""
-    return Scalar(num, den)
-
-
 def _monomial_string(params, exps):
     parts = []
     for name, e in zip(params, exps):
@@ -591,10 +584,6 @@ def polynomial_to_string(p):
 
 
 _SAFE_DEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z0-9_]*(\^\d+)?)\Z")
-
-
-def render(s):
-    return scalar_to_string(s)
 
 
 def scalar_to_string(s):
@@ -709,7 +698,7 @@ def parse(text):
     """Parse an expression over integers and parameter symbols to a Scalar.
 
     Grammar: + - * / ^ with the usual precedence, parentheses, nonnegative
-    integer exponents.  Round-trips with render().
+    integer exponents.  Round-trips with scalar_to_string().
     """
     if not isinstance(text, str):
         raise ParseError("expected a string, got %r" % (text,))

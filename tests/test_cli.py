@@ -1,6 +1,10 @@
 """Command-line surface: byte-exact outputs, exit codes, JSON shapes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 from grifcalc.cli import run_command
 
@@ -213,3 +217,33 @@ def test_version():
     code, out = run_command(["--version"])
     assert code == 0
     assert out == "0.1.0"
+
+
+def test_kermu_composite_modulus_is_a_usage_error():
+    for modp in ("4", "6", "9"):
+        start = time.perf_counter()
+        code, out = run_command(["kermu", "verify", "--vars", "8",
+                                 "--modp", modp])
+        assert code == 2
+        assert "not a prime" in out
+        assert time.perf_counter() - start < 1.0
+
+
+def test_kermu_default_modulus_verdict():
+    code, out = run_command(["kermu", "verify", "--vars", "8", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] is True
+    assert data["prime"] == 2147483647
+    assert data["kernel_dim"] == 3108
+
+
+def test_module_entry_point_runs_main():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["grifcalc.cli"].__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "grifcalc.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "0.1.0\n"

@@ -9,8 +9,7 @@ import pytest
 from grifcalc.errors import (DegenerateDenominator, DegreeMismatch,
                              NotInKernel, NotIsomorphism)
 from grifcalc.invariant import (delta_nu, independence_rank, iso_det,
-                                iso_matrix, distinguished_triple, rho_check,
-                                sixfold_ring)
+                                iso_matrix, distinguished_triple, rho_check)
 from grifcalc.jacobian import HomogeneousPolynomial, TensorSum
 from grifcalc.scalar import Scalar, parse, scalar_to_string
 

@@ -1,14 +1,21 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
+from grifcalc.errors import GrifcalcError, OutOfRange
 from grifcalc.linalg import (
     DEFAULT_PRIME,
     FRACTION_FIELD,
     SCALAR_FIELD,
     ModPField,
     RowReducer,
+    _PRIME_LIMIT,
+    _is_prime,
     determinant,
+    fraction_mod_p,
     kernel_basis,
     rank,
     rank_and_kernel,
@@ -165,3 +172,41 @@ def test_kernel_basis_unit_at_free_column():
         cols = sorted(v)
         f = [c for c in cols if v[c] == 1]
         assert f
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    for n in range(5000):
+        assert _is_prime(n) == trial(n), n
+
+
+def test_mod_p_field_rejects_composite_moduli():
+    for p in (DEFAULT_PRIME, 2, 3, 2 ** 61 - 1):
+        assert ModPField(p).p == p
+    strong_pseudoprimes = (
+        561,                          # Carmichael number
+        3215031751,                   # strong pseudoprime to bases 2, 3, 5, 7
+        318665857834031151167461,     # strong pseudoprime to bases 2 .. 37
+    )
+    for p in (0, 1, 4, 6, 9, 2 ** 31 + 1) + strong_pseudoprimes:
+        with pytest.raises(OutOfRange):
+            ModPField(p)
+    with pytest.raises(OutOfRange):
+        ModPField(_PRIME_LIMIT)  # beyond the range the test is exact on
+
+
+def test_composite_modulus_fails_fast_in_span_rank():
+    from grifcalc.mulkernel import span_equals_kernel
+    for p in (4, 6, 9):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange):
+            span_equals_kernel(8, prime=p)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_fraction_mod_p_pole_is_a_domain_error():
+    assert fraction_mod_p(Fraction(1, 7), 5) == 3
+    with pytest.raises(GrifcalcError):
+        fraction_mod_p(Fraction(1, 7), 7)

@@ -7,9 +7,9 @@ import itertools
 import pytest
 
 from grifcalc.errors import DegreeMismatch, NotInKernel, OutOfRange
-from grifcalc.jacobian import TensorSum, monomials_of_degree
+from grifcalc.jacobian import HypersurfaceRing, TensorSum, monomials_of_degree
 from grifcalc.mulkernel import (Certificate, RankOneGenerator, StandardTensor,
-                                cubic_ring, kernel_dimension, mu_apply,
+                                kernel_dimension, mu_apply,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
@@ -32,7 +32,7 @@ def brute_pair_count(nvars):
 
 
 def test_mu_apply_products():
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
     image = mu_apply(ring, w)
     assert not image.is_zero()
@@ -96,7 +96,7 @@ def test_standard_tensor_validation():
 
 
 def test_standardize_already_standard():
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
     std, cert = standardize(ring, w)
     assert list(std) == [StandardTensor(6, (0, 1, 2, 3, 4, 5))]
@@ -106,7 +106,7 @@ def test_standardize_already_standard():
 
 def test_standardize_single_swap():
     # one bubbling step: three certificate moves, standard core preserved
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(_monomial(6, (0, 1, 3)), _monomial(6, (2, 4, 5)))
     std, cert = standardize(ring, w)
     assert list(std) == [StandardTensor(6, (0, 1, 2, 3, 4, 5))]
@@ -118,7 +118,7 @@ def test_standardize_single_swap():
 
 def test_standardize_round_trip():
     # w equals its standard part plus the certificate moves, exactly
-    ring = cubic_ring(7)
+    ring = HypersurfaceRing.fermat(3, 7)
     w = TensorSum.simple(_monomial(7, (2, 5, 6)), _monomial(7, (0, 1, 3)))
     std, cert = standardize(ring, w)
     summands = [(coeff, st.tensor().summands[0][1], st.tensor().summands[0][2])
@@ -129,7 +129,7 @@ def test_standardize_round_trip():
 
 
 def test_standardize_shared_index_is_pure_certificate():
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
     std, cert = standardize(ring, w)
     assert std == {}
@@ -138,7 +138,7 @@ def test_standardize_shared_index_is_pure_certificate():
 
 
 def test_standardize_kernel_membership_criterion():
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     in_kernel = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
     std, _ = standardize(ring, in_kernel)
     assert std == {}
@@ -205,7 +205,7 @@ def test_nvars_range_guards():
 
 
 def test_tensor_in_kernel():
-    ring = cubic_ring(6)
+    ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
     assert tensor_in_kernel(ring, w)
     out = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))

@@ -5,9 +5,13 @@ import json
 import logging
 import os
 
+from grifcalc import report
 from grifcalc.cache import Cache, cache_key, payload_digest
 from grifcalc.cli import run_command
 from grifcalc.report import (CHECK_ORDER, ReportOptions, full_report)
+
+GOLDEN_REPORT = os.path.join(os.path.dirname(__file__), "data",
+                             "report_stable_kermu6.json")
 
 
 def test_cache_round_trip(tmp_path):
@@ -144,3 +148,29 @@ def test_report_detects_dependent_pairs_as_failure():
     assert doc.failed
     code, _ = run_command(["report", "--pairs", "1,1;1,1", "--skip", "kermu"])
     assert code == 1
+
+
+def test_h33_flag_is_computed(monkeypatch):
+    h33 = "hodge.h33-reference-value"
+    others = tuple(c for c in CHECK_ORDER if c != h33)
+
+    def run():
+        doc = full_report(ReportOptions(skip=others))
+        return doc, {c.check_id: c for c in doc.checks}[h33]
+
+    doc, check = run()
+    assert check.status == "flag" and not doc.failed
+    monkeypatch.setattr(report, "H33_REFERENCE", 30)
+    doc, check = run()
+    assert check.status == "fail" and doc.failed
+    assert check.details["difference"] == 41
+
+
+def test_stable_report_matches_golden_bytes(tmp_path):
+    # captured from the release before the elimination and ring-cache
+    # refactor; any byte change in the stable report is a regression
+    code, out = run_command(["report", "--json", "--stable", "--kermu-vars",
+                             "6", "--cache", str(tmp_path / "c")])
+    assert code == 0
+    with open(GOLDEN_REPORT, encoding="utf-8") as fh:
+        assert out + "\n" == fh.read()
