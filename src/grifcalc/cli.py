@@ -31,9 +31,10 @@ from .invariant import (delta_nu, independence_rank, iso_det, iso_matrix,
                         distinguished_triple)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
-from .linalg import DEFAULT_PRIME
-from .report import (DEFAULT_PAIRS, DETERMINANT_FACTORED, ReportOptions,
-                     _invariant_tensor, full_report, kermu_payload)
+from .linalg import DEFAULT_PRIME, ModPField
+from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
+                     ReportOptions, _invariant_tensor, full_report,
+                     kermu_payload)
 from .scalar import parse as parse_scalar, scalar_to_string
 
 
@@ -114,6 +115,14 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("expected a rational number")
 
 
+def _polynomial(text):
+    try:
+        return HomogeneousPolynomial.from_json(json.loads(text))
+    except (KeyError, TypeError):
+        raise argparse.ArgumentTypeError(
+            "expected JSON {nvars, degree, terms: [{exps, coeff}]}")
+
+
 def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -148,12 +157,12 @@ def _build_parser():
     jn = jsub.add_parser("nf", parents=[common])
     jn.add_argument("--vars", type=_positive_int, required=True)
     jn.add_argument("--degree", type=_positive_int, required=True)
-    jn.add_argument("--poly", required=True,
+    jn.add_argument("--poly", type=_polynomial, required=True,
                     help="polynomial as JSON {nvars, degree, terms}")
     jp = jsub.add_parser("pairing", parents=[common])
     jp.add_argument("--vars", type=_positive_int, required=True)
     jp.add_argument("--degree", type=_positive_int, required=True)
-    jp.add_argument("--poly", required=True)
+    jp.add_argument("--poly", type=_polynomial, required=True)
     jp.add_argument("--j", type=_nonneg_int, required=True)
     jp.add_argument("--k", type=_nonneg_int, required=True)
 
@@ -233,11 +242,10 @@ def _cmd_jring(args):
         lines = ["dimension %d" % basis.dimension]
         lines.extend(payload["monomials"])
         return 0, "\n".join(lines)
-    poly = HomogeneousPolynomial.from_json(json.loads(args.poly))
     if args.action == "nf":
-        result = ring.normal_form(poly)
+        result = ring.normal_form(args.poly)
         return 0, _dump(result.to_json()) if args.json else str(result)
-    matrix = pairing_matrix(ring, poly, args.j, args.k)
+    matrix = pairing_matrix(ring, args.poly, args.j, args.k)
     payload = matrix.to_json()
     if args.json:
         return 0, _dump(payload)
@@ -361,6 +369,13 @@ def _cmd_kermu(args):
 
 
 def _cmd_report(args):
+    # a composite modulus is a usage error, not a failed kermu check
+    ModPField(args.modp)
+    groups = tuple(dict.fromkeys(c.split(".", 1)[0] for c in CHECK_ORDER))
+    for token in args.skip:
+        if token not in CHECK_ORDER and token not in groups:
+            raise UsageError("unknown --skip %r: expected a check id or one "
+                             "of the groups %s" % (token, ", ".join(groups)))
     options = ReportOptions(
         kermu_vars=args.kermu_vars,
         pairs=args.pairs,

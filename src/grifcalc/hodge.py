@@ -16,10 +16,13 @@ sum O(d_i), Hirzebruch-Riemann-Roch gives
   chi_y(Y) = (prod d_i) * coeff_{H^m} [ phi(H)^{N+1}
                 / ((1+y) * prod_i phi(d_i*H)) ]
 
-as a polynomial in y; the (1+y) factor is phi(0), the trivial summand of
-the virtual bundle.  h^{p,m-p} then falls out of chi_p = sum_q (-1)^q
-h^{p,q} together with weak Lefschetz (off-middle cohomology is that of
-projective space).
+as a polynomial of degree m in y; the (1+y) factor is phi(0), the trivial
+summand of the virtual bundle.  The series is evaluated over Q at the
+integers y = 0..m+1, where 1+y is nonzero, and the values are interpolated
+exactly; a nonzero y^{m+1} coefficient or a non-integer coefficient is
+rejected.  h^{p,m-p} then falls out of chi_p = sum_q (-1)^q h^{p,q}
+together with weak Lefschetz (off-middle cohomology is that of projective
+space).
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .scalar import ONE, ZERO, Scalar
 
 
 @dataclass(frozen=True)
@@ -109,86 +110,74 @@ def hypersurface_prim_hodge(d, m):
     return HodgeVector(m, tuple(values))
 
 
-# truncated power series in H with Scalar coefficients, as length-(order) lists
+# truncated power series in H with Fraction coefficients, as lists of
+# length order
 
 def _series_mul(a, b, order):
-    out = [ZERO] * order
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            if bj.is_zero():
-                continue
-            out[i + j] = out[i + j] + ai * bj
+    out = [Fraction(0)] * order
+    for i, ai in enumerate(a[:order]):
+        if ai:
+            for j, bj in enumerate(b[:order - i]):
+                out[i + j] += ai * bj
     return out
 
 
 def _series_inv(a, order):
-    lead = a[0]
-    inv0 = ONE / lead
-    out = [ZERO] * order
-    out[0] = inv0
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0]
     for k in range(1, order):
-        acc = ZERO
-        for j in range(1, k + 1):
-            if j < len(a) and not a[j].is_zero():
-                acc = acc + a[j] * out[k - j]
-        out[k] = -inv0 * acc
+        acc = sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
+        out.append(-inv0 * acc)
     return out
 
 
 def _series_pow(a, n, order):
-    result = [ZERO] * order
-    result[0] = ONE
-    base = list(a)
+    result = [Fraction(1)] + [Fraction(0)] * (order - 1)
     while n:
         if n & 1:
-            result = _series_mul(result, base, order)
-        base = _series_mul(base, base, order)
+            result = _series_mul(result, a, order)
+        a = _series_mul(a, a, order)
         n >>= 1
     return result
 
 
 def _phi_series(d, order, y):
-    """phi(d*H) = d*H*(1 + y*e^{-dH})/(1 - e^{-dH}) as a unit series:
-    (1 + y*e^{-dH}) / sum_{k>=0} (-1)^k d^k H^k / (k+1)!."""
-    num = [ZERO] * order
-    den = [ZERO] * order
-    for k in range(order):
-        c = Fraction((-d) ** k, math.factorial(k))
-        num[k] = Scalar.from_fraction(c) * y if k > 0 else ONE + y
-        den[k] = Scalar.from_fraction(Fraction((-d) ** k, math.factorial(k + 1)))
+    """phi(d*H) = d*H*(1 + y*e^{-dH})/(1 - e^{-dH}) at the number y, as a
+    unit series: (1 + y*e^{-dH}) / sum_{k>=0} (-1)^k d^k H^k / (k+1)!."""
+    num = [1 + y] + [y * Fraction((-d) ** k, math.factorial(k))
+                     for k in range(1, order)]
+    den = [Fraction((-d) ** k, math.factorial(k + 1)) for k in range(order)]
     return _series_mul(num, _series_inv(den, order), order)
 
 
+def _chi_y_at(ci, y):
+    """chi_y(Y) at the number y >= 0, where 1 + y = phi(0) is nonzero."""
+    order = ci.m + 1
+    cls = _series_pow(_phi_series(1, order, y), ci.ambient + 1, order)
+    for d in ci.degrees:
+        cls = _series_mul(cls, _series_inv(_phi_series(d, order, y), order),
+                          order)
+    return cls[ci.m] * math.prod(ci.degrees) / (1 + y)
+
+
 def chi_y_coefficients(ci):
-    """The integers chi_p = chi(Y, Omega^p) for p = 0..m, by exact
-    truncated series arithmetic over Q(y)."""
+    """The integers chi_p = chi(Y, Omega^p) for p = 0..m: chi_y(Y) is
+    evaluated exactly at y = 0..m+1 and interpolated by Newton divided
+    differences.  The extra point must give a zero y^{m+1} coefficient."""
     m = ci.m
-    order = m + 1
-    n_ambient = ci.ambient
-    y = Scalar.param("y")
-    cls = _series_pow(_phi_series(1, order, y), n_ambient + 1, order)
-    for d in ci.degrees:
-        cls = _series_mul(cls, _series_inv(_phi_series(d, order, y), order), order)
-    unit = ONE / (ONE + y)
-    chi = cls[m] * unit
-    for d in ci.degrees:
-        chi = chi * Scalar.from_fraction(d)
-    assert not chi.den.params, "chi_y must be a polynomial in y"
-    den = chi.den.constant_value()
-    out = []
-    for p in range(m + 1):
-        if chi.num.params == ():
-            c = chi.num.constant_value() if p == 0 else Fraction(0)
-        else:
-            c = chi.num.terms.get((p,), Fraction(0))
-        v = c / den
-        assert v.denominator == 1, "chi_p must be an integer"
-        out.append(int(v))
-    return out
+    diffs = [_chi_y_at(ci, y) for y in range(m + 2)]
+    for k in range(1, m + 2):  # divided differences on the nodes 0..m+1
+        for i in range(m + 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    poly = [diffs[m + 1]]  # Newton form to powers of y by Horner's rule
+    for k in range(m, -1, -1):  # poly <- poly * (y - k) + diffs[k]
+        poly = [s - k * p for s, p in zip([0] + poly, poly + [0])]
+        poly[0] += diffs[k]
+    if poly[m + 1]:
+        raise ArithmeticError("chi_y has degree above m = %d" % m)
+    if any(c.denominator != 1 for c in poly):
+        raise ArithmeticError("chi_p must be an integer")
+    return [int(c) for c in poly[:m + 1]]
 
 
 def ci_prim_hodge(ci):
@@ -210,25 +199,11 @@ def ci_prim_hodge(ci):
 def euler_characteristic(ci):
     """Topological Euler characteristic via the top Chern class:
     (prod d_i) * coeff_{H^m} [(1+H)^{N+1} / prod (1 + d_i H)]."""
-    m = ci.m
-    order = m + 1
-    n_ambient = ci.ambient
-    cls = [Fraction(math.comb(n_ambient + 1, k)) for k in range(order)]
+    order = ci.m + 1
+    cls = [Fraction(math.comb(ci.ambient + 1, k)) for k in range(order)]
     for d in ci.degrees:
-        dser = [Fraction(1), Fraction(d)] + [Fraction(0)] * (order - 2)
-        dser = dser[:order]
-        inv = [Fraction(0)] * order
-        inv[0] = Fraction(1)
-        for k in range(1, order):
-            inv[k] = -d * inv[k - 1]
-        new = [Fraction(0)] * order
-        for i in range(order):
-            for j in range(order - i):
-                new[i + j] += cls[i] * inv[j]
-        cls = new
-    chi = cls[m]
-    for d in ci.degrees:
-        chi *= d
+        cls = _series_mul(cls, _series_inv([1, d], order), order)
+    chi = cls[ci.m] * math.prod(ci.degrees)
     assert chi.denominator == 1
     return int(chi)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -205,6 +206,15 @@ def test_jring_normal_form():
     assert data["terms"] == [{"exps": [1, 1, 1, 0], "coeff": "2"}]
 
 
+def test_jring_malformed_poly_is_a_usage_error():
+    for poly in ('{"nvars": 4}', "[]", "3", '{"nvars": 4, "degree": 3, '
+                 '"terms": [{"exps": "x", "coeff": 1}]}', "{"):
+        code, out = run_command(["jring", "nf", "--vars", "4", "--degree",
+                                 "3", "--poly", poly])
+        assert code == 2
+        assert "--poly" in out
+
+
 def test_help_exits_cleanly():
     code, out = run_command(["--help"])
     assert code == 0
@@ -247,3 +257,111 @@ def test_module_entry_point_runs_main():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "0.1.0\n"
+
+
+def test_report_composite_modulus_is_a_usage_error():
+    for modp in ("4", "6", "9"):
+        start = time.perf_counter()
+        code, out = run_command(["report", "--modp", modp, "--kermu-vars", "8"])
+        assert code == 2
+        assert "not a prime" in out
+        assert time.perf_counter() - start < 1.0
+
+
+def test_report_unknown_skip_token_is_a_usage_error():
+    for token in ("kermus", "hodge,nl", "", "hodge."):
+        code, out = run_command(["report", "--skip", token])
+        assert code == 2
+        assert "hodge, fermat, nl, kermu, independence" in out
+    everything = ["--skip", "hodge", "--skip", "fermat", "--skip", "nl",
+                  "--skip", "kermu.span", "--skip", "kermu.standardize",
+                  "--skip", "independence"]
+    code, out = run_command(["report", "--json"] + everything)
+    assert code == 0
+    assert {c["status"] for c in json.loads(out)["checks"]} == {"skip"}
+
+
+_FUZZ_GROUPS = ("hodge", "fermat", "nl", "kermu", "independence")
+
+
+def _fuzz_argv(rng):
+    """One random command line: a subcommand with its flags, values drawn
+    mostly from a small valid range and sometimes malformed, and now and
+    then a token dropped, duplicated or replaced by garbage."""
+    def small(lo, hi):
+        if rng.random() < 0.85:
+            return str(rng.randint(lo, hi))
+        return rng.choice(["-1", "0", "x", "", "2.5", "1e3"])
+
+    def poly(nvars, degree):
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * nvars
+            for _ in range(degree):
+                exps[rng.randrange(nvars)] += 1
+            terms.append({"exps": exps, "coeff": rng.choice(
+                ["1", "-2", "1/3", "a", "0", "1/0", "x^"])})
+        doc = {"nvars": nvars, "degree": degree, "terms": terms}
+        return rng.choice([json.dumps(doc)] * 14 + [
+            "{", "[]", "3", '{"nvars": 2}', json.dumps({"terms": terms}),
+            json.dumps(dict(doc, degree=degree + 1)),
+            json.dumps(dict(doc, terms=[{"exps": "x", "coeff": 1}]))])
+
+    def pairs():
+        return rng.choice(["1,1;2,1", "1,1;1,1", "0,0", "1/2,3", "a,b", "1;2",
+                           "", ";", "%d,%d" % (rng.randint(-3, 3),
+                                               rng.randint(-3, 3))])
+
+    nvars, degree = rng.randint(1, 4), rng.randint(2, 4)
+    ring = ["--vars", small(nvars, nvars), "--degree", small(degree, degree)]
+    commands = [
+        ["jring", "basis"] + ring + ["--k", small(0, 6)],
+        ["jring", "nf"] + ring + ["--poly", poly(nvars, rng.randint(0, 4))],
+        ["jring", "pairing"] + ring + ["--poly", poly(nvars, 2), "--j",
+                                       small(0, 2), "--k", small(0, 2)],
+        ["hodge", "hypersurface", "--degree", small(1, 6),
+         "--dim", small(1, 5)],
+        ["hodge", "ci", "--degrees", rng.choice(["3", "2,3", "3,3", "1,1,2",
+                                                 "0", "3,x", "", ","]),
+         "--dim", small(0, 4)],
+        ["fermat", "classes", "--degree", small(2, 4), "--vars", small(1, 5),
+         "--type", rng.choice(["1,1", "2,1", "0,2", "3", "a,b", "1,1,1"])]
+        + rng.choice([[], ["--orbits"]]),
+        ["nl", rng.choice(["matrix", "det", "deltanu"])]
+        + rng.choice([[], ["--symbolic"], ["--a", small(-2, 2)],
+                      ["--a", small(-2, 2), "--b", small(-2, 2)]]),
+        ["nl", "independence", "--pairs", pairs()],
+        ["independence", "--pairs", pairs()],
+        ["kermu", "verify", "--vars", rng.choice(["1", "3", "4", "12", "x"]),
+         "--method", rng.choice(["span", "standardize", "other"])],
+        ["report", "--kermu-vars", small(1, 9), "--pairs", pairs(),
+         "--modp", rng.choice(["2147483647", "7", "6", "1", "0", "x"])]
+        + [t for g in _FUZZ_GROUPS for t in ("--skip", g)]
+        + rng.choice([[], ["--skip", "kermus"], ["--stable"]]),
+        [rng.choice(["frobnicate", "--help", "--version", "-x", ""])],
+    ]
+    argv = rng.choice(commands)
+    argv += rng.choice([[], [], ["--json"], ["--seed", small(0, 5)],
+                        ["--exact"], ["--modp", small(2, 13)]])
+    mutation = rng.random()
+    if mutation < 0.05:
+        del argv[rng.randrange(len(argv))]
+    elif mutation < 0.1:
+        i = rng.randrange(len(argv))
+        argv.insert(i, argv[i])
+    elif mutation < 0.15:
+        argv[rng.randrange(len(argv))] = rng.choice(["--", "-", "=", "%s",
+                                                     "é", "--vars"])
+    return argv
+
+
+def test_fuzzed_command_lines_exit_cleanly():
+    rng = random.Random(20261018)
+    start = time.perf_counter()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        code, out = run_command(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out, argv
+    # about 2 s here; the bound leaves room for a loaded machine
+    assert time.perf_counter() - start < 20.0

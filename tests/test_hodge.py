@@ -4,12 +4,16 @@ bounded-exponent monomial counts for the residue method and the signed
 full-diamond sum against the Chern-class Euler characteristic for the
 series method."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from grifcalc.hodge import (CIData, HodgeVector, chi_y_coefficients,
                             ci_prim_hodge, euler_characteristic,
                             full_diamond_euler, hypersurface_prim_hodge,
                             jacobian_vanishing_check)
+from grifcalc.scalar import ONE, ZERO, Scalar
 
 
 def test_cubic_sevenfold_middle():
@@ -122,3 +126,119 @@ def test_symmetry_and_nonnegativity_on_a_grid():
             hv = ci_prim_hodge(CIData(degrees, m))
             assert hv.values == tuple(reversed(hv.values))
             assert all(v >= 0 for v in hv.values)
+
+
+# The series method as it ran before interpolation: truncated power series
+# in H over the field Q(y), kept as an oracle for chi_y_coefficients.
+
+def _qy_series_mul(a, b, order):
+    out = [ZERO] * order
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= order:
+                break
+            if bj.is_zero():
+                continue
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _qy_series_inv(a, order):
+    inv0 = ONE / a[0]
+    out = [ZERO] * order
+    out[0] = inv0
+    for k in range(1, order):
+        acc = ZERO
+        for j in range(1, k + 1):
+            if j < len(a) and not a[j].is_zero():
+                acc = acc + a[j] * out[k - j]
+        out[k] = -inv0 * acc
+    return out
+
+
+def _qy_series_pow(a, n, order):
+    result = [ZERO] * order
+    result[0] = ONE
+    base = list(a)
+    while n:
+        if n & 1:
+            result = _qy_series_mul(result, base, order)
+        base = _qy_series_mul(base, base, order)
+        n >>= 1
+    return result
+
+
+def _qy_phi_series(d, order, y):
+    num = [ZERO] * order
+    den = [ZERO] * order
+    for k in range(order):
+        c = Fraction((-d) ** k, math.factorial(k))
+        num[k] = Scalar.from_fraction(c) * y if k > 0 else ONE + y
+        den[k] = Scalar.from_fraction(Fraction((-d) ** k, math.factorial(k + 1)))
+    return _qy_series_mul(num, _qy_series_inv(den, order), order)
+
+
+def _chi_y_over_qy(ci):
+    m = ci.m
+    order = m + 1
+    y = Scalar.param("y")
+    cls = _qy_series_pow(_qy_phi_series(1, order, y), ci.ambient + 1, order)
+    for d in ci.degrees:
+        cls = _qy_series_mul(cls, _qy_series_inv(_qy_phi_series(d, order, y),
+                                                 order), order)
+    chi = cls[m] * (ONE / (ONE + y))
+    for d in ci.degrees:
+        chi = chi * Scalar.from_fraction(d)
+    assert not chi.den.params, "chi_y must be a polynomial in y"
+    den = chi.den.constant_value()
+    out = []
+    for p in range(m + 1):
+        if chi.num.params == ():
+            c = chi.num.constant_value() if p == 0 else Fraction(0)
+        else:
+            c = chi.num.terms.get((p,), Fraction(0))
+        v = c / den
+        assert v.denominator == 1, "chi_p must be an integer"
+        out.append(int(v))
+    return out
+
+
+def test_interpolated_chi_y_matches_series_over_qy():
+    cases = [CIData((d,), m) for d in range(1, 6) for m in range(8)]
+    cases += [CIData(degrees, m)
+              for degrees in [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2), (1, 3)]
+              for m in range(6)]
+    for ci in cases:
+        assert chi_y_coefficients(ci) == _chi_y_over_qy(ci), ci
+
+
+def _hirzebruch_closed_form(d, m, y):
+    """z^{m+1} coefficient of [(1+zy)^d - (1-z)^d] / [(1+zy)^d + y(1-z)^d]
+    * 1/((1+zy)(1-z)) at the number y: Hirzebruch's generating function for
+    chi_y of degree-d hypersurfaces."""
+    plus = [Fraction(math.comb(d, k)) * y ** k for k in range(d + 1)]
+    minus = [Fraction(math.comb(d, k) * (-1) ** k) for k in range(d + 1)]
+    num = [p - q for p, q in zip(plus, minus)]
+    den = [p + y * q for p, q in zip(plus, minus)]
+    for c in (y, -1):  # times (1 + zy)(1 - z)
+        den = [p + c * q for p, q in zip(den + [0], [0] + den)]
+    quotient = []
+    for k in range(m + 2):
+        acc = num[k] if k < len(num) else 0
+        acc -= sum(den[j] * quotient[k - j]
+                   for j in range(1, min(k, len(den) - 1) + 1))
+        quotient.append(acc / den[0])
+    return quotient[m + 1]
+
+
+def test_chi_y_matches_hirzebruch_closed_form():
+    # nine points pin down a polynomial of degree <= 7 in y
+    points = (-4, -3, -2, 2, 3, 5, 7, 11, 13)
+    for d in range(1, 6):
+        for m in range(1, 8):
+            chi = chi_y_coefficients(CIData((d,), m))
+            for y in points:
+                value = sum(c * y ** p for p, c in enumerate(chi))
+                assert value == _hirzebruch_closed_form(d, m, y), (d, m, y)
