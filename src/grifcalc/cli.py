@@ -32,6 +32,7 @@ from .invariant import (delta_nu, independence_rank, iso_det, iso_matrix,
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
 from .linalg import DEFAULT_PRIME, ModPField
+from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
                      ReportOptions, _invariant_tensor, full_report,
                      kermu_payload)
@@ -369,8 +370,10 @@ def _cmd_kermu(args):
 
 
 def _cmd_report(args):
-    # a composite modulus is a usage error, not a failed kermu check
+    # a composite modulus or an out-of-range kermu size is a usage error,
+    # not a failed kermu check
     ModPField(args.modp)
+    check_nvars(args.kermu_vars, args.exact)
     groups = tuple(dict.fromkeys(c.split(".", 1)[0] for c in CHECK_ORDER))
     for token in args.skip:
         if token not in CHECK_ORDER and token not in groups:

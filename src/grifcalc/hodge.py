@@ -204,7 +204,8 @@ def euler_characteristic(ci):
     for d in ci.degrees:
         cls = _series_mul(cls, _series_inv([1, d], order), order)
     chi = cls[ci.m] * math.prod(ci.degrees)
-    assert chi.denominator == 1
+    if chi.denominator != 1:
+        raise ArithmeticError("Euler characteristic %s is not an integer" % chi)
     return int(chi)
 
 

@@ -178,7 +178,9 @@ def independence_rank(pairs):
     cleared = []
     for v in values:
         w = v * common
-        assert not w.den.params and w.den.constant_value() != 0
+        if w.den.params or w.den.constant_value() == 0:
+            raise ArithmeticError("cleared value %s is not a polynomial in h"
+                                  % (w,))
         cleared.append(w)
     rows = {}
     for i, w in enumerate(cleared):

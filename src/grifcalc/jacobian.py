@@ -406,9 +406,6 @@ class HypersurfaceRing:
                 terms[gb.columns[ci]] = coeff
         return HomogeneousPolynomial(p.nvars, p.degree, terms)
 
-    def socle_dimension(self):
-        return self.quotient_basis(self.socle_degree).dimension
-
     def socle_monomial(self):
         gb = self.quotient_basis(self.socle_degree)
         if gb.dimension != 1:

@@ -364,8 +364,13 @@ class RowReducer:
         if not vec:
             return False
         c = min(vec)
-        inv = self.field.div(self.field.one, vec[c])
-        self.pivots[c] = {k: self.field.mul(v, inv) for k, v in vec.items()}
+        field = self.field
+        inv = field.div(field.one, vec[c])
+        row = {k: field.mul(v, inv) for k, v in vec.items()}
+        if row[c] != field.one:
+            # a ring that is not a field; reduce would never clear column c
+            raise ArithmeticError("pivot normalized to %r, not 1" % (row[c],))
+        self.pivots[c] = row
         return True
 
     def contains(self, vec):

@@ -12,17 +12,22 @@ two shapes:
                   quadratics avoiding a and k (the product contains
                   x_a^2 - x_k^2, hence is 0).
 
-span_equals_kernel certifies that these span the whole kernel, either by a
-streamed rank computation (mod p by default, exact rationals for small
-nvars) or by rewriting every kernel basis vector to its standard form with
-an explicit certificate of rank-one moves.
+mu has one row per sextet, equal to 1 on each of its splits into two
+triples.  The rows have disjoint supports, so rank mu = C(nvars, 6) and
+ker(mu) has a closed-form basis over index triples (see _mu_kernel).
+
+span_equals_kernel certifies that the two families span the whole kernel,
+either by a streamed rank computation (mod p by default, exact rationals
+for small nvars) or by rewriting every kernel basis vector to its standard
+form with an explicit certificate of rank-one moves.  Neither builds the
+mu matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .errors import DegreeMismatch, NotInKernel, OutOfRange
 from .jacobian import (
@@ -35,7 +40,6 @@ from .linalg import (
     FRACTION_FIELD,
     ModPField,
     RowReducer,
-    rank_and_kernel,
 )
 from .scalar import ONE, Scalar
 
@@ -161,9 +165,13 @@ def mu_apply(ring, w):
     return out
 
 
-def _check_nvars(nvars):
+def check_nvars(nvars, exact=False):
+    """Raise OutOfRange unless span_equals_kernel accepts nvars (and exact)."""
     if not MIN_NVARS <= nvars <= MAX_NVARS:
         raise OutOfRange("nvars must lie in [%d, %d]" % (MIN_NVARS, MAX_NVARS))
+    if exact and nvars > EXACT_NVARS_LIMIT:
+        raise OutOfRange("exact span ranks are limited to nvars <= %d"
+                         % EXACT_NVARS_LIMIT)
 
 
 def _triples(nvars):
@@ -200,7 +208,7 @@ def rank_one_generators(nvars, family=None):
     family limits the output to "monomial_pair" or "swap_binomial";
     the default returns both, pairs first.
     """
-    _check_nvars(nvars)
+    check_nvars(nvars)
     if family not in (None, "monomial_pair", "swap_binomial"):
         raise ValueError("unknown family %r" % (family,))
     out = []
@@ -220,28 +228,30 @@ def rank_one_generators(nvars, family=None):
     return out
 
 
-def _mu_rows(nvars):
-    """Rows of the mu matrix: one row per R^6 sextet, column index
-    s * len(triples) + t for the ordered pair of triples (s, t)."""
+def _mu_kernel(nvars):
+    """Closed-form basis of ker(mu) as dicts {(left, right): coeff} over
+    index triples, in column order (left triple, then right triple).
+
+    A pair of triples sharing an index is its own kernel vector; any other
+    split (l, r) of six = sorted(l + r) gives (l, r) minus the standard
+    split (six[:3], six[3:]), which itself gives nothing."""
     triples = _triples(nvars)
-    index = {t: i for i, t in enumerate(triples)}
-    n3 = len(triples)
-    rows = []
-    for sextet in itertools.combinations(range(nvars), 6):
-        row = {}
-        for left in itertools.combinations(sextet, 3):
-            right = tuple(sorted(set(sextet) - set(left)))
-            row[index[left] * n3 + index[right]] = Fraction(1)
-        rows.append(row)
-    return rows, n3
+    for left in triples:
+        for right in triples:
+            if set(left) & set(right):
+                yield {(left, right): 1}
+                continue
+            six = tuple(sorted(left + right))
+            if left != six[:3]:
+                yield {(left, right): 1, (six[:3], six[3:]): -1}
 
 
 def kernel_dimension(nvars):
-    _check_nvars(nvars)
-    triples = _triples(nvars)
-    n3 = len(triples)
-    rows, _ = _mu_rows(nvars)
-    rank, _ = rank_and_kernel(rows, n3 * n3, FRACTION_FIELD)
+    """(dim ker mu, rank mu, dim R^3); rank mu = C(nvars, 6), one pivot per
+    sextet."""
+    check_nvars(nvars)
+    n3 = math.comb(nvars, 3)
+    rank = math.comb(nvars, 6)
     return n3 * n3 - rank, rank, n3
 
 
@@ -254,7 +264,7 @@ def swap_identity_holds(nvars):
 
     for every admissible (t, u, a, k) over nvars variables, by expanding
     both sides to monomial tensors."""
-    _check_nvars(nvars)
+    check_nvars(nvars)
     for t, u, a, k in _iter_swap_indices(nvars):
         lhs = TensorSum([
             (ONE, _monomial(nvars, t + (k,)), _monomial(nvars, u + (a,))),
@@ -291,15 +301,21 @@ def standardize(ring, w):
                                  % (w.nvars, ring.nvars))
         if w.left_degree != 3 or w.right_degree != 3:
             raise DegreeMismatch("standardize expects degree (3, 3) tensors")
-    nvars = ring.nvars
-    std = {}
-    moves = []
+    terms = {}
     for (el, er), coeff in sorted(w.monomial_expansion().items()):
         left = _support(el)
         right = _support(er)
-        if left is None or right is None:
-            # a side with a square is already zero in R^3
-            continue
+        # a side with a square is already zero in R^3
+        if left is not None and right is not None:
+            terms[left, right] = coeff
+    return _standardize_supports(ring.nvars, terms)
+
+
+def _standardize_supports(nvars, terms):
+    """standardize on {(left_triple, right_triple): coeff}, in that order."""
+    std = {}
+    moves = []
+    for (left, right), coeff in terms.items():
         if set(left) & set(right):
             moves.append((RankOneGenerator(
                 "monomial_pair",
@@ -327,7 +343,7 @@ def standardize(ring, w):
         key = StandardTensor(nvars, tuple(left) + tuple(right))
         prev = std.get(key)
         total = coeff if prev is None else prev + coeff
-        if total.is_zero():
+        if total == 0:
             std.pop(key, None)
         else:
             std[key] = total
@@ -395,29 +411,22 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     nvars <= 7.  A mod-p rank can only undershoot the rational rank, so a
     True verdict is exact.
 
-    mode "standardize" rewrites every kernel basis vector to standard form
-    and demands an empty standard part with a verifying certificate; this
-    path is exact for every supported nvars and also checks the exchange
-    identity symbolically.
+    mode "standardize" rewrites every closed-form kernel basis vector to
+    standard form and demands an empty standard part with a verifying
+    certificate; this path is exact for every supported nvars and also
+    checks the exchange identity symbolically.
     """
-    _check_nvars(nvars)
+    check_nvars(nvars, exact)
     if mode not in ("span_rank", "standardize"):
         raise ValueError("unknown mode %r" % (mode,))
-    if exact and nvars > EXACT_NVARS_LIMIT:
-        raise OutOfRange("exact span ranks are limited to nvars <= %d"
-                         % EXACT_NVARS_LIMIT)
     if mode == "span_rank":
         # a modulus that is not prime fails here, before any elimination
         p = None if exact else (DEFAULT_PRIME if prime is None else int(prime))
         field = FRACTION_FIELD if exact else ModPField(p)
-    triples = _triples(nvars)
-    n3 = len(triples)
-    rows, _ = _mu_rows(nvars)
-    mu_rank, kernel_vecs = rank_and_kernel(rows, n3 * n3, FRACTION_FIELD)
-    kernel_dim = n3 * n3 - mu_rank
-    dim_r6 = len(rows)
+    kernel_dim, mu_rank, n3 = kernel_dimension(nvars)
     base = dict(
-        nvars=nvars, mode=mode, dim_r3=n3, dim_r6=dim_r6,
+        # mu is onto R^6, one basis monomial per sextet
+        nvars=nvars, mode=mode, dim_r3=n3, dim_r6=mu_rank,
         mu_rank=mu_rank, kernel_dim=kernel_dim,
         standardized_vectors=0, certificate_moves=0,
         swap_identity_checked=False,
@@ -425,35 +434,28 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
 
     if mode == "span_rank":
         one = field.one
+        minus_one = field.neg(one)
         reducer = RowReducer(field)
         pair_count = 0
         for s, t in _iter_pair_indices(nvars):
             reducer.add({s * n3 + t: one})
             pair_count += 1
         pair_rank = reducer.rank
-        tindex = {t: i for i, t in enumerate(triples)}
+        tindex = {t: i for i, t in enumerate(_triples(nvars))}
+
+        def index(duo, i):
+            return tindex[tuple(sorted(duo + (i,)))]
+
         swap_streamed = 0
         for t, u, a, k in _iter_swap_indices(nvars):
             if reducer.rank >= kernel_dim:
                 break
-            vec = {}
-            for i, sl in ((a, 1), (k, 1)):
-                for j, sr in ((a, 1), (k, -1)):
-                    lt = tindex[tuple(sorted(t + (i,)))]
-                    rt = tindex[tuple(sorted(u + (j,)))]
-                    col = lt * n3 + rt
-                    val = sl * sr
-                    cur = vec.get(col, 0) + val
-                    if cur:
-                        vec[col] = cur
-                    else:
-                        vec.pop(col, None)
-            if not exact:
-                vec = {c: v % p for c, v in vec.items() if v % p}
-            else:
-                vec = {c: Fraction(v) for c, v in vec.items()}
+            # t(x_a + x_k) (x) u(x_a - x_k): four distinct columns, as a != k
+            ta, tk = index(t, a) * n3, index(t, k) * n3
+            ua, uk = index(u, a), index(u, k)
             swap_streamed += 1
-            reducer.add(vec)
+            reducer.add({ta + ua: one, ta + uk: minus_one,
+                         tk + ua: one, tk + uk: minus_one})
         span_rank = reducer.rank
         return SpanReport(
             exact=bool(exact), prime=p,
@@ -462,25 +464,14 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
             verdict=span_rank == kernel_dim, **base)
 
     # standardize mode: exact by construction
-    ring = HypersurfaceRing.fermat(3, nvars)
     ok = True
     moves_total = 0
     count = 0
-    for vec in kernel_vecs:
-        summands = []
-        for col, val in vec.items():
-            s, t = divmod(col, n3)
-            summands.append((Scalar.from_fraction(val),
-                             _monomial(nvars, triples[s]),
-                             _monomial(nvars, triples[t])))
-        w = TensorSum(summands)
-        std, cert = standardize(ring, w)
+    for vec in _mu_kernel(nvars):
+        std, cert = _standardize_supports(nvars, vec)
         count += 1
         moves_total += len(cert.moves)
-        if std:
-            ok = False
-            break
-        if not verify_certificate(cert):
+        if std or not verify_certificate(cert):
             ok = False
             break
     # identity patterns touch at most 6 distinct indices, so 6 variables

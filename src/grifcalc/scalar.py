@@ -109,11 +109,6 @@ class ParamPolynomial:
             raise ValueError("polynomial is not constant")
         return self.terms.get((), Fraction(0))
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def leading_term(self):
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]

@@ -268,6 +268,18 @@ def test_report_composite_modulus_is_a_usage_error():
         assert time.perf_counter() - start < 1.0
 
 
+def test_report_kermu_size_out_of_range_is_a_usage_error():
+    for extra, message in ((["--kermu-vars", "12"], "nvars must lie in [4, 9]"),
+                           (["--kermu-vars", "3"], "nvars must lie in [4, 9]"),
+                           (["--kermu-vars", "9", "--exact"],
+                            "exact span ranks are limited to nvars <= 7")):
+        start = time.perf_counter()
+        code, out = run_command(["report"] + extra)
+        assert code == 2
+        assert message in out
+        assert time.perf_counter() - start < 1.0
+
+
 def test_report_unknown_skip_token_is_a_usage_error():
     for token in ("kermus", "hodge,nl", "", "hodge."):
         code, out = run_command(["report", "--skip", token])

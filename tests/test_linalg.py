@@ -145,6 +145,17 @@ def test_row_reducer_matches_batch_rank():
         assert red.rank == rank(rows, FRACTION_FIELD)
 
 
+def test_row_reducer_rejects_a_pivot_that_does_not_normalize():
+    # GF(6) is not a field: 2 has no inverse, so the pivot cannot become 1
+    # and reduce would never clear its column
+    ring = object.__new__(ModPField)
+    ring.p, ring.zero, ring.one = 6, 0, 1
+    red = RowReducer(ring)
+    with pytest.raises(ArithmeticError):
+        red.add({0: 2})
+    assert red.rank == 0
+
+
 def test_row_reducer_contains():
     red = RowReducer(FRACTION_FIELD)
     red.add({0: Fraction(1), 1: Fraction(2)})

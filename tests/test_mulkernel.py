@@ -3,17 +3,21 @@ rings: generator families, standardization certificates, and the
 span-equals-kernel verdicts."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
 from grifcalc.errors import DegreeMismatch, NotInKernel, OutOfRange
 from grifcalc.jacobian import HypersurfaceRing, TensorSum, monomials_of_degree
-from grifcalc.mulkernel import (Certificate, RankOneGenerator, StandardTensor,
+from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel
+from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
+                                RankOneGenerator, StandardTensor,
                                 kernel_dimension, mu_apply,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
-                                _monomial)
+                                _monomial, _mu_kernel)
 from grifcalc.scalar import Scalar
 
 ONE = Scalar.from_fraction(1)
@@ -83,6 +87,36 @@ def test_kernel_dimensions():
     assert kernel_dimension(6) == (399, 1, 20)
     assert kernel_dimension(7) == (1218, 7, 35)
     assert kernel_dimension(9) == (6972, 84, 84)
+
+
+def _mu_rows(nvars):
+    # oracle: the mu matrix, one row per R^6 sextet, column index
+    # s * len(triples) + t for the ordered pair of triples (s, t)
+    triples = list(itertools.combinations(range(nvars), 3))
+    index = {t: i for i, t in enumerate(triples)}
+    n3 = len(triples)
+    rows = []
+    for sextet in itertools.combinations(range(nvars), 6):
+        row = {}
+        for left in itertools.combinations(sextet, 3):
+            right = tuple(sorted(set(sextet) - set(left)))
+            row[index[left] * n3 + index[right]] = Fraction(1)
+        rows.append(row)
+    return rows, triples
+
+
+def test_closed_form_kernel_matches_row_reduction():
+    # the closed-form basis is the one a Fraction row reduction of the mu
+    # matrix returns, vector for vector and in the same order
+    for nvars in range(MIN_NVARS, MAX_NVARS + 1):
+        rows, triples = _mu_rows(nvars)
+        n3 = len(triples)
+        rank, kern = rank_and_kernel(rows, n3 * n3, FRACTION_FIELD)
+        assert rank == len(rows) == math.comb(nvars, 6)
+        assert kernel_dimension(nvars) == (n3 * n3 - rank, rank, n3)
+        expected = [{(triples[c // n3], triples[c % n3]): v
+                     for c, v in vec.items()} for vec in kern]
+        assert list(_mu_kernel(nvars)) == expected
 
 
 def test_standard_tensor_validation():
@@ -185,6 +219,19 @@ def test_span_equals_kernel_standardize_mode():
     assert report.standardized_vectors == 399
     assert report.swap_identity_checked
     assert report.certificate_moves > 0
+
+
+def test_span_equals_kernel_counts_pinned():
+    for nvars, moves, vectors in ((7, 1715, 1218), (8, 5096, 3108),
+                                  (9, 12936, 6972)):
+        report = span_equals_kernel(nvars, mode="standardize")
+        assert report.verdict is True
+        assert report.certificate_moves == moves
+        assert report.standardized_vectors == vectors
+    for nvars, streamed in ((8, 11447), (9, 29602)):
+        report = span_equals_kernel(nvars, mode="span_rank")
+        assert report.verdict is True
+        assert report.swap_streamed == streamed
 
 
 def test_span_report_json_shape():
