@@ -29,18 +29,11 @@ from .jacobian import (
     pairing_matrix,
     rank_kernel,
 )
-from .linalg import SCALAR_FIELD, FRACTION_FIELD, rank_and_kernel, solve
-from .mulkernel import tensor_in_kernel
+from .linalg import FRACTION_FIELD, rank_and_kernel, solve
+from .mulkernel import _monomial, tensor_in_kernel
 from .scalar import ONE, ZERO, Scalar
 
 NVARS = 8
-
-
-def _mono(indices, coeff=1):
-    e = [0] * NVARS
-    for i in indices:
-        e[i] += 1
-    return HomogeneousPolynomial.monomial(NVARS, e, coeff)
 
 
 @dataclass(frozen=True)
@@ -50,16 +43,12 @@ class TripleData:
 
     p: HomogeneousPolynomial
     e: HomogeneousPolynomial
-    a: Scalar
-    b: Scalar
+    a: Scalar | Fraction
+    b: Scalar | Fraction
 
 
 def _coeff(value, default_name):
-    if value is None:
-        return Scalar.param(default_name)
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.from_fraction(value)
+    return Scalar.param(default_name) if value is None else value
 
 
 def distinguished_triple(a=None, b=None, e_denominator="B"):
@@ -77,11 +66,14 @@ def distinguished_triple(a=None, b=None, e_denominator="B"):
     sa = _coeff(a, "a")
     sb = _coeff(b, "b")
     A, B, C, D, h = (Scalar.param(n) for n in "ABCDh")
-    p = (_mono((0, 1, 2, 3), sa * A) + _mono((4, 5, 6, 7), sa * C)
-         + _mono((0, 1, 2, 4), sb * B) + _mono((3, 5, 6, 7), sb * D))
+    p = (_monomial(NVARS, (0, 1, 2, 3), sa * A)
+         + _monomial(NVARS, (4, 5, 6, 7), sa * C)
+         + _monomial(NVARS, (0, 1, 2, 4), sb * B)
+         + _monomial(NVARS, (3, 5, 6, 7), sb * D))
     last = h / (B if e_denominator == "B" else D)
-    e = (_mono((0, 1)) + _mono((2, 3), 1 / C) + _mono((4, 5), 1 / A)
-         + _mono((6, 7)) + _mono((3, 5), last))
+    e = (_monomial(NVARS, (0, 1)) + _monomial(NVARS, (2, 3), 1 / C)
+         + _monomial(NVARS, (4, 5), 1 / A) + _monomial(NVARS, (6, 7))
+         + _monomial(NVARS, (3, 5), last))
     return TripleData(p=p, e=e, a=sa, b=sb)
 
 
@@ -107,14 +99,15 @@ def rho_check(triple, seed=0):
     ring = HypersurfaceRing.fermat(3, NVARS)
     params = set()
     for c in triple.e.terms.values():
-        params.update(c.params)
+        if isinstance(c, Scalar):
+            params.update(c.params)
     rng = random.Random(seed)
     assignment = {name: Fraction(rng.randint(1, 10 ** 6)) for name in sorted(params)}
     terms = {}
     for e, c in triple.e.terms.items():
-        v = c.specialize(assignment) if c.params else c.constant_value()
+        v = c.specialize(assignment) if isinstance(c, Scalar) else c
         if v:
-            terms[e] = Scalar.from_fraction(v)
+            terms[e] = v
     e_specialized = HomogeneousPolynomial(NVARS, triple.e.degree, terms)
     if e_specialized.is_zero():
         return False
@@ -148,7 +141,7 @@ def delta_nu(triple, w):
         rhs = []
         for mono in basis1:
             rhs.append(ring.normal_form(u.mul_monomial(mono)).coefficient(soc))
-        y = solve(rows, n, rhs, SCALAR_FIELD)
+        y = solve(rows, n, rhs, FRACTION_FIELD)
         pre = HomogeneousPolynomial.from_terms(
             NVARS, {basis1[j]: y[j] for j in range(n)}, degree=1)
         val = ring.socle_coefficient(triple.p * q * pre)

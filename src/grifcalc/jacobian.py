@@ -23,14 +23,13 @@ from .errors import DegreeMismatch, NotReducedMonomial
 from .linalg import (
     DEFAULT_PRIME,
     FRACTION_FIELD,
-    SCALAR_FIELD,
     ModPField,
     determinant as _det_rows,
     rank_and_kernel,
+    rref,
     scalar_mod_p,
 )
-from .scalar import (ONE, ZERO, Scalar, parse as parse_scalar,
-                     scalar_to_string)
+from .scalar import Scalar, parse as parse_scalar, scalar_to_string
 
 
 @lru_cache(maxsize=None)
@@ -80,8 +79,15 @@ def monomial_string(exps, prefix="x"):
     return "*".join(parts) if parts else "1"
 
 
+def _coefficient(x):
+    """A coefficient as given: a Scalar stays a Scalar, a rational becomes
+    a Fraction."""
+    return x if isinstance(x, Scalar) else Fraction(x)
+
+
 class HomogeneousPolynomial:
-    """Homogeneous form: dict from exponent tuple to nonzero Scalar."""
+    """Homogeneous form: dict from exponent tuple to nonzero coefficient,
+    a Fraction or (where a parameter occurs) a Scalar."""
 
     __slots__ = ("nvars", "degree", "terms")
 
@@ -99,8 +105,8 @@ class HomogeneousPolynomial:
         exps = tuple(int(v) for v in exps)
         if len(exps) != nvars or any(v < 0 for v in exps):
             raise DegreeMismatch("bad exponent tuple %r for %d variables" % (exps, nvars))
-        coeff = _as_scalar(coeff)
-        if coeff.is_zero():
+        coeff = _coefficient(coeff)
+        if not coeff:
             return cls.zero(nvars, sum(exps))
         return cls(nvars, sum(exps), {exps: coeff})
 
@@ -117,12 +123,12 @@ class HomogeneousPolynomial:
                 deg = d
             elif d != deg:
                 raise DegreeMismatch("mixed degrees %d and %d" % (deg, d))
-            coeff = _as_scalar(coeff)
-            if coeff.is_zero():
+            coeff = _coefficient(coeff)
+            if not coeff:
                 continue
             prev = clean.get(exps)
             coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
+            if not coeff:
                 clean.pop(exps, None)
             else:
                 clean[exps] = coeff
@@ -156,7 +162,7 @@ class HomogeneousPolynomial:
         for e, c in other.terms.items():
             s = terms.get(e)
             s = c if s is None else s + c
-            if s.is_zero():
+            if not s:
                 terms.pop(e, None)
             else:
                 terms[e] = s
@@ -170,8 +176,8 @@ class HomogeneousPolynomial:
         return self + (-other)
 
     def scale(self, coeff):
-        coeff = _as_scalar(coeff)
-        if coeff.is_zero():
+        coeff = _coefficient(coeff)
+        if not coeff:
             return HomogeneousPolynomial.zero(self.nvars, self.degree)
         return HomogeneousPolynomial(
             self.nvars, self.degree, {e: c * coeff for e, c in self.terms.items()})
@@ -186,7 +192,7 @@ class HomogeneousPolynomial:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 s = terms.get(e)
                 s = ca * cb if s is None else s + ca * cb
-                if s.is_zero():
+                if not s:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
@@ -211,7 +217,7 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(self.nvars, self.degree - 1, terms)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        return self.terms.get(tuple(exps), FRACTION_FIELD.zero)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -263,14 +269,8 @@ class HomogeneousPolynomial:
         for t in data["terms"]:
             exps = tuple(int(v) for v in t["exps"])
             coeff = parse_scalar(str(t["coeff"]))
-            terms[exps] = terms.get(exps, ZERO) + coeff
+            terms[exps] = terms.get(exps, 0) + coeff
         return cls.from_terms(nvars, terms, degree=degree)
-
-
-def _as_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    return Scalar.from_fraction(x)
 
 
 def _fermat_terms(d, nvars):
@@ -278,7 +278,7 @@ def _fermat_terms(d, nvars):
     for i in range(nvars):
         e = [0] * nvars
         e[i] = d
-        terms[tuple(e)] = ONE
+        terms[tuple(e)] = FRACTION_FIELD.one
     return terms
 
 
@@ -353,21 +353,15 @@ class HypersurfaceRing:
         rows = []
         shift = k - (self.degree - 1)
         partials = [self.polynomial.partial(i) for i in range(self.nvars)]
-        constant = all(c.is_constant() for c in self.polynomial.terms.values())
         for g in partials:
             for m in monomials_of_degree(self.nvars, shift):
                 row = {}
                 for e, c in g.terms.items():
                     ne = tuple(x + y for x, y in zip(e, m))
-                    row[col_index[ne]] = (c.constant_value() if constant else c)
+                    row[col_index[ne]] = c
                 if row:
                     rows.append(row)
-        field = FRACTION_FIELD if constant else SCALAR_FIELD
-        from .linalg import rref
-        pivots = rref(rows, field)
-        if constant:
-            pivots = [(pc, {c: _as_scalar(v) for c, v in prow.items()})
-                      for pc, prow in pivots]
+        pivots = rref(rows, FRACTION_FIELD)
         pivot_cols = {pc for pc, _ in pivots}
         basis = tuple(m for i, m in enumerate(cols) if i not in pivot_cols)
         return GradedBasis(k, basis, len(cols), columns=cols, pivots=pivots)
@@ -390,19 +384,19 @@ class HypersurfaceRing:
             vec[col_index[e]] = c
         for pc, prow in gb.pivots:
             coef = vec.pop(pc, None)
-            if coef is None or coef.is_zero():
+            if not coef:
                 continue
             for c, v in prow.items():
                 if c == pc:
                     continue
-                s = vec.get(c, ZERO) - coef * v
-                if s.is_zero():
+                s = vec.get(c, 0) - coef * v
+                if not s:
                     vec.pop(c, None)
                 else:
                     vec[c] = s
         terms = {}
         for ci, coeff in vec.items():
-            if not coeff.is_zero():
+            if coeff:
                 terms[gb.columns[ci]] = coeff
         return HomogeneousPolynomial(p.nvars, p.degree, terms)
 
@@ -438,7 +432,7 @@ class LinearMap:
     """Matrix of a linear map between two monomial-based graded slices.
 
     Rows are indexed by the codomain basis, columns by the domain basis.
-    entries maps (row, col) to a nonzero Scalar.
+    entries maps (row, col) to a nonzero coefficient (Fraction or Scalar).
     """
 
     __slots__ = ("domain", "codomain", "entries")
@@ -446,7 +440,7 @@ class LinearMap:
     def __init__(self, domain, codomain, entries):
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self.entries = {k: v for k, v in entries.items() if v}
 
     @property
     def nrows(self):
@@ -457,7 +451,7 @@ class LinearMap:
         return len(self.domain)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), ZERO)
+        return self.entries.get((i, j), FRACTION_FIELD.zero)
 
     def rows_as_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -525,7 +519,7 @@ def pairing_matrix(ring, p, j, k):
         pu = ring.normal_form(pr.mul_monomial(u))
         for l, v in enumerate(bk.basis):
             c = ring.normal_form(pu.mul_monomial(v)).coefficient(soc)
-            if not c.is_zero():
+            if c:
                 entries[(i, l)] = c
     return LinearMap(bk.basis, bj.basis, entries)
 
@@ -533,22 +527,17 @@ def pairing_matrix(ring, p, j, k):
 def rank_kernel(linmap, mode="exact", prime=None, assignment=None):
     """Rank and kernel basis of a LinearMap.
 
-    mode "exact" works over the scalar field (plain Fractions when no
-    entry has parameters).  mode "mod_p" reduces entries modulo a prime
+    mode "exact" works over the field of fractions (Fraction vectors when
+    no entry has parameters).  mode "mod_p" reduces entries modulo a prime
     (default 2^31 - 1) and returns integer kernel vectors; parameters
     must be specialized via assignment first.
     """
     rows = linmap.rows_as_dicts()
     n = linmap.ncols
     if mode == "exact":
-        if all(not v.params for v in linmap.entries.values()):
-            frows = [{c: v.constant_value() for c, v in r.items()} for r in rows]
-            r, kern = rank_and_kernel(frows, n, FRACTION_FIELD)
-            vecs = [tuple(Scalar.from_fraction(v.get(c, Fraction(0))) for c in range(n))
-                    for v in kern]
-            return r, vecs
-        r, kern = rank_and_kernel(rows, n, SCALAR_FIELD)
-        vecs = [tuple(v.get(c, ZERO) for c in range(n)) for v in kern]
+        r, kern = rank_and_kernel(rows, n, FRACTION_FIELD)
+        vecs = [tuple(v.get(c, FRACTION_FIELD.zero) for c in range(n))
+                for v in kern]
         return r, vecs
     if mode == "mod_p":
         p = DEFAULT_PRIME if prime is None else int(prime)
@@ -572,12 +561,8 @@ def determinant(linmap):
     if linmap.nrows != linmap.ncols:
         raise ValueError("determinant of a %d x %d map"
                          % (linmap.nrows, linmap.ncols))
-    rows = linmap.rows_as_dicts()
-    if all(not v.params for v in linmap.entries.values()):
-        frows = [{c: v.constant_value() for c, v in r.items()} for r in rows]
-        return Scalar.from_fraction(
-            _det_rows(frows, linmap.nrows, FRACTION_FIELD))
-    return _det_rows(rows, linmap.nrows, SCALAR_FIELD)
+    det = _det_rows(linmap.rows_as_dicts(), linmap.nrows, FRACTION_FIELD)
+    return det if isinstance(det, Scalar) else Scalar(det)
 
 
 class TensorSum:
@@ -587,9 +572,8 @@ class TensorSum:
     __slots__ = ("nvars", "left_degree", "right_degree", "summands")
 
     def __init__(self, summands):
-        summands = [(c if isinstance(c, Scalar) else Scalar.from_fraction(c), l, r)
-                    for c, l, r in summands]
-        summands = [(c, l, r) for c, l, r in summands if not c.is_zero()]
+        summands = [(_coefficient(c), l, r) for c, l, r in summands]
+        summands = [(c, l, r) for c, l, r in summands if c]
         nvars = left_degree = right_degree = None
         for _, l, r in summands:
             if l.nvars != r.nvars:
@@ -614,7 +598,7 @@ class TensorSum:
         return TensorSum(list(self.summands) + list(other.summands))
 
     def scale(self, coeff):
-        coeff = _as_scalar(coeff)
+        coeff = _coefficient(coeff)
         return TensorSum([(c * coeff, l, r) for c, l, r in self.summands])
 
     def monomial_expansion(self):
@@ -628,7 +612,7 @@ class TensorSum:
                     s = out.get(key)
                     v = c * cl * cr
                     s = v if s is None else s + v
-                    if s.is_zero():
+                    if not s:
                         out.pop(key, None)
                     else:
                         out[key] = s

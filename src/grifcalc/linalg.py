@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over pluggable coefficient fields.
 
-Matrices are lists of sparse rows (dict column -> coefficient).  Three
-fields are supported: Scalar (rational functions), Fraction, and GF(p).
+Matrices are lists of sparse rows (dict column -> coefficient).  Two
+fields are supported: FRACTION_FIELD, exact over Fraction entries, Scalar
+entries (rational functions in parameters) or a mix of both, and GF(p).
 Pivot selection uses a Markowitz fill-in estimate with deterministic
 tie-breaking, so every result is reproducible run to run.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import OutOfRange, ParameterInModP, PoleAtSpecialization
-from .scalar import ONE, ZERO
+from .scalar import Scalar
 
 DEFAULT_PRIME = 2 ** 31 - 1
 
@@ -46,36 +47,10 @@ def _is_prime(n):
     return True
 
 
-class ScalarField:
-    zero = ZERO
-    one = ONE
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a.is_zero()
-
-
 class FractionField:
+    """The field of fractions: exact arithmetic on Fraction, Scalar and
+    mixes of the two, with Fraction zero and one."""
+
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -134,7 +109,6 @@ class ModPField:
         return a % self.p == 0
 
 
-SCALAR_FIELD = ScalarField()
 FRACTION_FIELD = FractionField()
 
 
@@ -148,15 +122,16 @@ def fraction_mod_p(x, p):
 
 
 def scalar_mod_p(x, p, assignment=None):
-    """Image of a Scalar in GF(p), specializing parameters if given."""
-    if x.params:
-        if assignment is None:
+    """Image of a Fraction or Scalar in GF(p), specializing parameters if
+    given."""
+    if isinstance(x, Scalar):
+        if x.params and assignment is None:
             raise ParameterInModP(
                 "entries contain free parameters (%s); pass a specialization"
                 % ", ".join(x.params)
             )
-        return fraction_mod_p(x.specialize(assignment), p)
-    return fraction_mod_p(x.constant_value(), p)
+        x = x.specialize(assignment or {})
+    return fraction_mod_p(x, p)
 
 
 def _clean_rows(rows, field):

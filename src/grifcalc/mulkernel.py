@@ -41,16 +41,13 @@ from .linalg import (
     ModPField,
     RowReducer,
 )
-from .scalar import ONE, Scalar
 
 MIN_NVARS = 4
 MAX_NVARS = 9
 EXACT_NVARS_LIMIT = 7
 
-MINUS_ONE = Scalar.from_fraction(-1)
 
-
-def _monomial(nvars, indices, coeff=ONE):
+def _monomial(nvars, indices, coeff=1):
     e = [0] * nvars
     for i in indices:
         e[i] += 1
@@ -68,7 +65,7 @@ def _binomial(nvars, base, plus, minus_sign):
     e1[i] += 1
     e2[j] += 1
     return HomogeneousPolynomial.from_terms(
-        nvars, {tuple(e1): ONE, tuple(e2): MINUS_ONE if minus_sign else ONE})
+        nvars, {tuple(e1): 1, tuple(e2): -1 if minus_sign else 1})
 
 
 @dataclass(frozen=True)
@@ -267,13 +264,13 @@ def swap_identity_holds(nvars):
     check_nvars(nvars)
     for t, u, a, k in _iter_swap_indices(nvars):
         lhs = TensorSum([
-            (ONE, _monomial(nvars, t + (k,)), _monomial(nvars, u + (a,))),
-            (MINUS_ONE, _monomial(nvars, t + (a,)), _monomial(nvars, u + (k,))),
+            (1, _monomial(nvars, t + (k,)), _monomial(nvars, u + (a,))),
+            (-1, _monomial(nvars, t + (a,)), _monomial(nvars, u + (k,))),
         ])
         rhs = TensorSum([
-            (ONE, _binomial(nvars, t, (a, k), False), _binomial(nvars, u, (a, k), True)),
-            (MINUS_ONE, _monomial(nvars, t + (a,)), _monomial(nvars, u + (a,))),
-            (ONE, _monomial(nvars, t + (k,)), _monomial(nvars, u + (k,))),
+            (1, _binomial(nvars, t, (a, k), False), _binomial(nvars, u, (a, k), True)),
+            (-1, _monomial(nvars, t + (a,)), _monomial(nvars, u + (a,))),
+            (1, _monomial(nvars, t + (k,)), _monomial(nvars, u + (k,))),
         ])
         if lhs.monomial_expansion() != rhs.monomial_expansion():
             return False

@@ -29,7 +29,7 @@ from .invariant import (NVARS, delta_nu, independence_rank, iso_det,
 from .jacobian import HomogeneousPolynomial, HypersurfaceRing, TensorSum
 from .linalg import DEFAULT_PRIME
 from .mulkernel import EXACT_NVARS_LIMIT, mu_apply, span_equals_kernel
-from .scalar import ONE, Scalar, parse, scalar_to_string
+from .scalar import Scalar, parse, scalar_to_string
 
 SEVENFOLD_MIDDLE = (0, 0, 1, 84, 84, 1, 0, 0)
 SIXFOLD_MIDDLE = (0, 0, 8, 70, 8, 0, 0)
@@ -197,9 +197,9 @@ def _check_determinant(options):
 
 def _invariant_tensor(swap=False):
     q = HomogeneousPolynomial.monomial(NVARS, (0, 0, 0, 0, 1, 1, 1, 0),
-                                       ONE / Scalar.param("A"))
+                                       1 / Scalar.param("A"))
     r = HomogeneousPolynomial.monomial(NVARS, (0, 0, 0, 1, 0, 1, 0, 1),
-                                       ONE / Scalar.param("B"))
+                                       1 / Scalar.param("B"))
     if swap:
         q, r = r, q
     return TensorSum.simple(q, r)

@@ -15,7 +15,8 @@ parameters that actually occur.  Term order is graded lexicographic on the
 sorted parameter list; rendering lists terms in descending order.
 
 Plain rationals are handled by fractions.Fraction; a Scalar with no
-parameters wraps one exactly.
+parameters wraps one exactly, compares and hashes equal to it, and mixes
+with Fraction and int operands in arithmetic.
 """
 
 from __future__ import annotations
@@ -442,8 +443,11 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, frozenset(self.num.terms.items()),
-                     self.den, frozenset(self.den.terms.items())))
+        # equal values hash alike: a parameter-free Scalar hashes like the
+        # Fraction it equals
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.num, self.den))
 
     def __neg__(self):
         return Scalar._raw(-self.num, self.den)
@@ -582,6 +586,9 @@ _SAFE_DEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z0-9_]*(\^\d+)?)\Z")
 
 
 def scalar_to_string(s):
+    """Render a Scalar, Fraction or int; equal values render alike."""
+    if not isinstance(s, Scalar):
+        return str(Fraction(s))
     num = polynomial_to_string(s.num)
     if _is_one(s.den):
         return num

@@ -36,7 +36,7 @@ def brute_slice_dimension(ring, k):
             shifted = partial.mul_monomial(e)
             row = [Fraction(0)] * len(cols)
             for exps, c in shifted.terms.items():
-                row[cols[exps]] = c.constant_value()
+                row[cols[exps]] = Fraction(c)
             rows.append(row)
     rank = 0
     ncols = len(cols)
@@ -175,7 +175,7 @@ def test_mult_map_entries_are_socle_coefficients():
     complement = dom.index[(0, 0, 0, 1, 1, 1)]
     assert m.entry(0, complement) == Scalar.from_fraction(1)
     square = dom.index[(1, 1, 1, 0, 0, 0)]
-    assert m.entry(0, square).is_zero()
+    assert not m.entry(0, square)
 
 
 def test_pairing_matrix_structure_fermat_sixfold():
@@ -273,3 +273,71 @@ def test_tensor_sum_bookkeeping():
     with pytest.raises(DegreeMismatch):
         TensorSum([(Scalar.from_fraction(1), p,
                     HomogeneousPolynomial.monomial(5, (1, 1, 1, 0, 0)))])
+
+
+def _perturbed_terms(rng, d, nvars, extra):
+    # Fermat form plus a few seeded rational terms: not Fermat, so every
+    # slice goes through the generic elimination
+    terms = {}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = d
+        terms[tuple(e)] = Fraction(1)
+    monos = [m for m in monomials_of_degree(nvars, d) if max(m) < d]
+    for m in rng.sample(monos, extra):
+        terms[m] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7),
+                            rng.randint(1, 5))
+    return terms
+
+
+def test_perturbed_form_fraction_matches_scalar_wrapped_oracle():
+    rng = random.Random(11)
+    for d, nvars, extra in [(3, 4, 3), (4, 3, 2), (3, 3, 2)]:
+        terms = _perturbed_terms(rng, d, nvars, extra)
+        plain = HypersurfaceRing(HomogeneousPolynomial.from_terms(nvars, terms))
+        wrapped = HypersurfaceRing(HomogeneousPolynomial.from_terms(
+            nvars, {e: Scalar.from_fraction(c) for e, c in terms.items()}))
+        assert not plain.fermat_flag and not wrapped.fermat_flag
+        assert all(isinstance(c, Fraction)
+                   for c in plain.polynomial.terms.values())
+        socle = plain.socle_degree
+        for k in range(socle + 2):
+            gp, gw = plain.quotient_basis(k), wrapped.quotient_basis(k)
+            assert gp.basis == gw.basis and gp.pivots == gw.pivots
+            assert all(isinstance(v, Fraction)
+                       for _, prow in gp.pivots or () for v in prow.values())
+            for m in rng.sample(monomials_of_degree(nvars, k),
+                                min(4, ambient_dimension(nvars, k))):
+                probe = HomogeneousPolynomial.monomial(
+                    nvars, m, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                nf = plain.normal_form(probe)
+                assert nf == wrapped.normal_form(probe)
+                assert all(isinstance(c, Fraction) for c in nf.terms.values())
+        unit = HomogeneousPolynomial.monomial(nvars, (0,) * nvars)
+        j = socle // 2
+        mp = pairing_matrix(plain, unit, j, socle - j)
+        mw = pairing_matrix(wrapped, unit, j, socle - j)
+        assert mp == mw
+        det = determinant(mp)
+        assert det == determinant(mw) and not det.is_zero()
+
+
+def test_determinant_of_rational_map_is_a_scalar():
+    ring = fermat(3, 4)
+    quad = HomogeneousPolynomial.from_terms(4, {
+        (1, 1, 0, 0): Fraction(3, 2), (0, 0, 1, 1): 1})
+    m = pairing_matrix(ring, quad, 1, 1)
+    assert all(isinstance(v, Fraction) for v in m.entries.values())
+    det = determinant(m)
+    assert isinstance(det, Scalar) and det == Fraction(9, 4)
+    singular = determinant(LinearMap(m.domain, m.codomain, {}))
+    assert isinstance(singular, Scalar) and singular.is_zero()
+
+
+def test_polynomials_with_equal_mixed_coefficients_hash_alike():
+    p = HomogeneousPolynomial.from_terms(2, {(1, 1): Fraction(3, 2),
+                                             (2, 0): 1})
+    q = HomogeneousPolynomial.from_terms(2, {(1, 1): parse("3/2"),
+                                             (2, 0): Scalar.from_fraction(1)})
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1

@@ -9,7 +9,6 @@ from grifcalc.errors import GrifcalcError, OutOfRange
 from grifcalc.linalg import (
     DEFAULT_PRIME,
     FRACTION_FIELD,
-    SCALAR_FIELD,
     ModPField,
     RowReducer,
     _PRIME_LIMIT,
@@ -22,7 +21,7 @@ from grifcalc.linalg import (
     rref,
     solve,
 )
-from grifcalc.scalar import Scalar
+from grifcalc.scalar import ONE, ZERO, Scalar
 
 
 def dense_to_rows(mat):
@@ -94,7 +93,7 @@ def test_determinant_symbolic():
     a = Scalar.param("a")
     b = Scalar.param("b")
     rows = [{0: a, 1: b}, {0: b, 1: a}]
-    det = determinant(rows, 2, SCALAR_FIELD)
+    det = determinant(rows, 2, FRACTION_FIELD)
     assert det == a * a - b * b
 
 
@@ -221,3 +220,117 @@ def test_fraction_mod_p_pole_is_a_domain_error():
     assert fraction_mod_p(Fraction(1, 7), 5) == 3
     with pytest.raises(GrifcalcError):
         fraction_mod_p(Fraction(1, 7), 7)
+
+
+class _ScalarOnlyField:
+    """Oracle: the field of Scalars alone, as linalg had it before Fraction
+    and Scalar entries shared FRACTION_FIELD."""
+
+    zero = ZERO
+    one = ONE
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def div(a, b):
+        return a / b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def is_zero(a):
+        return a.is_zero()
+
+
+SCALAR_ONLY_FIELD = _ScalarOnlyField()
+
+
+def _random_rational_rows(rng, nrows, ncols, rank_cap):
+    # rank at most rank_cap: rows are rational combinations of rank_cap
+    # sparse random rows
+    base = []
+    for _ in range(rank_cap):
+        base.append([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                     if rng.random() < 0.6 else Fraction(0)
+                     for _ in range(ncols)])
+    rows = []
+    for _ in range(nrows):
+        mix = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+               for _ in range(rank_cap)]
+        dense = [sum(m * b[j] for m, b in zip(mix, base)) for j in range(ncols)]
+        rows.append({j: v for j, v in enumerate(dense) if v})
+    return rows
+
+
+def _as_scalars(rows):
+    return [{c: Scalar.from_fraction(v) for c, v in r.items()} for r in rows]
+
+
+def test_fraction_field_matches_scalar_only_oracle_randomized():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        ncols = rng.randint(n, 6)
+        rows = _random_rational_rows(rng, n, ncols, rng.randint(1, n))
+        srows = _as_scalars(rows)
+        cases = [(rows, FRACTION_FIELD), (srows, FRACTION_FIELD)]
+        want = rref(srows, SCALAR_ONLY_FIELD)
+        for rows_in, field in cases:
+            got = rref(rows_in, field)
+            assert got == want
+            r, kern = rank_and_kernel(rows_in, ncols, field)
+            assert r == rank(srows, SCALAR_ONLY_FIELD) == len(want)
+            assert kern == kernel_basis(want, ncols, SCALAR_ONLY_FIELD)
+        assert all(isinstance(v, Fraction)
+                   for _, prow in rref(rows, FRACTION_FIELD)
+                   for v in prow.values())
+        square = [{c: v for c, v in r.items() if c < n} for r in rows]
+        ssquare = _as_scalars(square)
+        det = determinant(ssquare, n, SCALAR_ONLY_FIELD)
+        for rows_in in (square, ssquare):
+            assert determinant(rows_in, n, FRACTION_FIELD) == det
+        if det:
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in range(n)]
+            x = solve(ssquare, n, [Scalar.from_fraction(v) for v in rhs],
+                      SCALAR_ONLY_FIELD)
+            assert solve(square, n, rhs, FRACTION_FIELD) == x
+            assert solve(ssquare, n, rhs, FRACTION_FIELD) == x
+        oracle = RowReducer(SCALAR_ONLY_FIELD)
+        reducers = [(RowReducer(FRACTION_FIELD), rows),
+                    (RowReducer(FRACTION_FIELD), srows)]
+        for i, srow in enumerate(srows):
+            grew = oracle.add(srow)
+            for red, rows_in in reducers:
+                assert red.add(rows_in[i]) == grew
+                assert red.pivots == oracle.pivots
+        probe = {c: Fraction(rng.randint(-2, 2)) for c in range(ncols)}
+        for red, _ in reducers:
+            assert red.contains(probe) == oracle.contains(_as_scalars([probe])[0])
+
+
+def test_fraction_field_matches_scalar_only_oracle_with_parameters():
+    a, b = Scalar.param("a"), Scalar.param("b")
+    rows = [{0: a, 1: Fraction(1), 2: b},
+            {0: Fraction(1, 2), 1: a + b, 2: Fraction(0)},
+            {0: a * b, 2: Fraction(-3)}]
+    srows = [{c: v if isinstance(v, Scalar) else Scalar.from_fraction(v)
+              for c, v in r.items()} for r in rows]
+    assert rref(rows, FRACTION_FIELD) == rref(srows, SCALAR_ONLY_FIELD)
+    assert (determinant(rows, 3, FRACTION_FIELD)
+            == determinant(srows, 3, SCALAR_ONLY_FIELD))
+    rhs = [Fraction(1), a, Fraction(0)]
+    assert (solve(rows, 3, rhs, FRACTION_FIELD)
+            == solve(srows, 3, [ONE, a, ZERO], SCALAR_ONLY_FIELD))

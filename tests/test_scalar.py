@@ -219,3 +219,26 @@ def test_params_sorted_and_pruned():
     assert v.num.params == ("A", "b", "h")
     w = v - sym("h")
     assert w.num.params == ("A", "b")
+
+
+def test_parameter_free_scalar_hashes_like_its_fraction():
+    for text, value in [("3/2", Fraction(3, 2)), ("1", Fraction(1)),
+                        ("0", Fraction(0)), ("-7/3", Fraction(-7, 3)),
+                        ("4", 4)]:
+        s = parse(text)
+        assert s == value and value == s
+        assert hash(s) == hash(value)
+    assert len({parse("1"), Fraction(1), 1}) == 1
+    assert {parse("a/a"): "x"}[Fraction(1)] == "x"
+    a = sym("a")
+    assert hash(a + 1) == hash(parse("1+a"))
+    assert parse("a/2") != Fraction(1, 2)
+
+
+def test_scalar_to_string_renders_rationals_like_scalars():
+    cases = [(Fraction(-3, 2), "-3/2"), (Fraction(5), "5"), (Fraction(0), "0"),
+             (Fraction(2, 7), "2/7"), (Fraction(-4), "-4"), (0, "0"),
+             (7, "7"), (-12, "-12")]
+    for value, text in cases:
+        assert scalar_to_string(value) == text
+        assert scalar_to_string(Scalar.from_fraction(value)) == text
