@@ -363,7 +363,7 @@ def _cmd_kermu(args):
              "dim R3 = %d, dim R6 = %d, kernel dimension %d"
              % (out["dim_r3"], out["dim_r6"], out["kernel_dim"]),
              "mode %s, verdict %s, %.3fs" % (mode, verdict, elapsed)]
-    if out.get("certificate_moves") is not None:
+    if mode == "standardize":
         lines.append("standardized %d vectors with %d certificate moves"
                      % (out["standardized_vectors"], out["certificate_moves"]))
     return code, "\n".join(lines)

@@ -85,6 +85,12 @@ def _coefficient(x):
     return x if isinstance(x, Scalar) else Fraction(x)
 
 
+def _parse_coefficient(text):
+    """A JSON coefficient: a Fraction unless a parameter occurs."""
+    s = parse_scalar(str(text))
+    return s.constant_value() if s.is_constant() else s
+
+
 class HomogeneousPolynomial:
     """Homogeneous form: dict from exponent tuple to nonzero coefficient,
     a Fraction or (where a parameter occurs) a Scalar."""
@@ -200,11 +206,11 @@ class HomogeneousPolynomial:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, exps, coeff=None):
+    def mul_monomial(self, exps):
         terms = {}
         for e, c in self.terms.items():
             ne = tuple(x + y for x, y in zip(e, exps))
-            terms[ne] = c if coeff is None else c * coeff
+            terms[ne] = c
         return HomogeneousPolynomial(self.nvars, self.degree + sum(exps), terms)
 
     def partial(self, i):
@@ -268,7 +274,7 @@ class HomogeneousPolynomial:
         terms = {}
         for t in data["terms"]:
             exps = tuple(int(v) for v in t["exps"])
-            coeff = parse_scalar(str(t["coeff"]))
+            coeff = _parse_coefficient(t["coeff"])
             terms[exps] = terms.get(exps, 0) + coeff
         return cls.from_terms(nvars, terms, degree=degree)
 
@@ -481,7 +487,7 @@ class LinearMap:
         codomain = tuple(codomain) if codomain is not None else tuple(range(nrows))
         entries = {}
         for i, j, s in data["entries"]:
-            entries[(int(i), int(j))] = parse_scalar(str(s))
+            entries[(int(i), int(j))] = _parse_coefficient(s)
         return cls(domain, codomain, entries)
 
     def __repr__(self):

@@ -4,12 +4,12 @@ For the Fermat cubic ring in nvars variables every R^3 basis monomial is a
 square-free triple x_i x_j x_k, so the multiplication map mu sends a pair
 of triples to their product, which survives only when the six indices are
 distinct.  The kernel of mu is spanned by rank-one decomposable tensors of
-two shapes:
+two shapes, each named by index tuples:
 
-  monomial_pair   m1 (x) m2 with m1, m2 sharing an index (the product has
-                  a square, hence is 0),
-  swap_binomial   t*(x_a + x_k) (x) u*(x_a - x_k) with t, u square-free
-                  quadratics avoiding a and k (the product contains
+  monomial_pair   (l, r): x_l (x) x_r with triples l, r sharing an index
+                  (the product has a square, hence is 0),
+  swap_binomial   (t, u, a, k): t*(x_a + x_k) (x) u*(x_a - x_k) with t, u
+                  index pairs avoiding a != k (the product contains
                   x_a^2 - x_k^2, hence is 0).
 
 mu has one row per sextet, equal to 1 on each of its splits into two
@@ -19,8 +19,8 @@ ker(mu) has a closed-form basis over index triples (see _mu_kernel).
 span_equals_kernel certifies that the two families span the whole kernel,
 either by a streamed rank computation (mod p by default, exact rationals
 for small nvars) or by rewriting every kernel basis vector to its standard
-form with an explicit certificate of rank-one moves.  Neither builds the
-mu matrix.
+form with a certificate of moves that verify_certificate replays.  Neither
+builds the mu matrix, and both expand a generator through _move_terms.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .linalg import (
 MIN_NVARS = 4
 MAX_NVARS = 9
 EXACT_NVARS_LIMIT = 7
+FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
 
 
 def _monomial(nvars, indices, coeff=1):
@@ -54,48 +55,82 @@ def _monomial(nvars, indices, coeff=1):
     return HomogeneousPolynomial.monomial(nvars, e, coeff)
 
 
-def _binomial(nvars, base, plus, minus_sign):
-    """base * (x_plus[0] +/- x_plus[1]) as a two-term form."""
-    i, j = plus
-    e1 = [0] * nvars
-    e2 = [0] * nvars
-    for v in base:
-        e1[v] += 1
-        e2[v] += 1
-    e1[i] += 1
-    e2[j] += 1
-    return HomogeneousPolynomial.from_terms(
-        nvars, {tuple(e1): 1, tuple(e2): -1 if minus_sign else 1})
+def _increasing(idx, size):
+    return len(idx) == size and all(idx[j] < idx[j + 1] for j in range(size - 1))
 
 
 @dataclass(frozen=True)
 class RankOneGenerator:
-    """A decomposable kernel tensor left (x) right, with at most two terms
-    on each side."""
+    """A decomposable tensor named by its family and index tuples:
+    (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
+    swap_binomial.  left and right build the polynomial sides on demand."""
 
     family_tag: str
-    left: HomogeneousPolynomial
-    right: HomogeneousPolynomial
+    indices: tuple
 
     def __post_init__(self):
-        if self.family_tag not in ("monomial_pair", "swap_binomial"):
+        if self.family_tag not in FAMILIES:
             raise ValueError("unknown family %r" % (self.family_tag,))
-        for side in (self.left, self.right):
-            if not 1 <= len(side.terms) <= 2:
-                raise ValueError("generator sides must have one or two terms")
-        if self.left.nvars != self.right.nvars:
-            raise DegreeMismatch("generator sides over different variable counts")
+        if len(self.indices) != FAMILIES[self.family_tag]:
+            raise ValueError("%s takes %d index entries"
+                             % (self.family_tag, FAMILIES[self.family_tag]))
+
+    def shape_ok(self):
+        """The index condition that puts the tensor in ker(mu): increasing
+        triples sharing an index, or increasing pairs t, u with a != k
+        outside t and u."""
+        if self.family_tag == "monomial_pair":
+            left, right = self.indices
+            return (_increasing(left, 3) and _increasing(right, 3)
+                    and bool(set(left) & set(right)))
+        t, u, a, k = self.indices
+        return (_increasing(t, 2) and _increasing(u, 2) and a != k
+                and a not in t + u and k not in t + u)
 
     @property
     def nvars(self):
-        return self.left.nvars
+        """The fewest variables holding every index; more change nothing."""
+        idx = self.indices
+        return 1 + max(idx[0] + idx[1] + idx[2:])
 
-    def tensor(self):
-        return TensorSum.simple(self.left, self.right)
+    def _side(self, which):
+        n = self.nvars
+        if self.family_tag == "monomial_pair":
+            return _monomial(n, self.indices[which])
+        base, a, k = self.indices[which], self.indices[2], self.indices[3]
+        # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right
+        return _monomial(n, base + (a,)) + _monomial(n, base + (k,),
+                                                     (1, -1)[which])
+
+    @property
+    def left(self):
+        return self._side(0)
+
+    @property
+    def right(self):
+        return self._side(1)
 
     def in_kernel(self):
         ring = HypersurfaceRing.fermat(3, self.nvars)
         return ring.normal_form(self.left * self.right).is_zero()
+
+
+def _with(duo, i):
+    """The increasing triple of an increasing pair and one more index."""
+    p, q = duo
+    return (i, p, q) if i < p else (p, i, q) if i < q else (p, q, i)
+
+
+def _move_terms(gen):
+    """A shape-valid generator expanded into monomial tensors
+    {(left_triple, right_triple): +-1}: one term for a pair, four for a
+    swap."""
+    if gen.family_tag == "monomial_pair":
+        return {gen.indices: 1}
+    t, u, a, k = gen.indices
+    ta, tk = _with(t, a), _with(t, k)
+    ua, uk = _with(u, a), _with(u, k)
+    return {(ta, ua): 1, (ta, uk): -1, (tk, ua): 1, (tk, uk): -1}
 
 
 @dataclass(frozen=True)
@@ -129,20 +164,13 @@ class StandardTensor:
 
 @dataclass(frozen=True)
 class Certificate:
-    """List of (generator, coefficient) moves expressing the non-standard
-    part of a tensor inside the rank-one span."""
+    """The claim terms = sum(standard) + sum(coeff * move), replayed by
+    verify_certificate: terms {(left_triple, right_triple): coeff},
+    standard {StandardTensor: coeff}, moves ((RankOneGenerator, coeff),)."""
 
     moves: tuple
-
-    @property
-    def nvars(self):
-        return self.moves[0][0].nvars if self.moves else None
-
-    def tensor_sum(self):
-        summands = []
-        for gen, coeff in self.moves:
-            summands.append((coeff, gen.left, gen.right))
-        return summands
+    terms: dict
+    standard: dict
 
 
 def mu_apply(ring, w):
@@ -175,28 +203,19 @@ def _triples(nvars):
     return list(itertools.combinations(range(nvars), 3))
 
 
-def _iter_pair_indices(nvars):
-    """Ordered pairs (s, t) of triple indices whose triples share a variable."""
-    triples = _triples(nvars)
-    sets = [frozenset(t) for t in triples]
-    for s in range(len(triples)):
-        for t in range(len(triples)):
-            if sets[s] & sets[t]:
-                yield s, t
-
-
-def _iter_swap_indices(nvars):
-    """Tuples (t, u, a, k): quadratic bases t, u and indices a != k
-    outside t and u."""
-    duos = list(itertools.combinations(range(nvars), 2))
-    for t in duos:
-        for u in duos:
-            used = set(t) | set(u)
-            free = [i for i in range(nvars) if i not in used]
-            for a in free:
-                for k in free:
-                    if a != k:
-                        yield t, u, a, k
+def _generators(nvars, family=None):
+    """Every shape-valid generator over nvars variables, pairs first."""
+    if family in (None, "monomial_pair"):
+        triples = _triples(nvars)
+        for left, right in itertools.product(triples, triples):
+            if set(left) & set(right):
+                yield RankOneGenerator("monomial_pair", (left, right))
+    if family in (None, "swap_binomial"):
+        duos = list(itertools.combinations(range(nvars), 2))
+        for t, u in itertools.product(duos, duos):
+            free = [i for i in range(nvars) if i not in t + u]
+            for a, k in itertools.permutations(free, 2):
+                yield RankOneGenerator("swap_binomial", (t, u, a, k))
 
 
 def rank_one_generators(nvars, family=None):
@@ -206,23 +225,9 @@ def rank_one_generators(nvars, family=None):
     the default returns both, pairs first.
     """
     check_nvars(nvars)
-    if family not in (None, "monomial_pair", "swap_binomial"):
+    if family not in (None, *FAMILIES):
         raise ValueError("unknown family %r" % (family,))
-    out = []
-    triples = _triples(nvars)
-    if family in (None, "monomial_pair"):
-        for s, t in _iter_pair_indices(nvars):
-            out.append(RankOneGenerator(
-                "monomial_pair",
-                _monomial(nvars, triples[s]),
-                _monomial(nvars, triples[t])))
-    if family in (None, "swap_binomial"):
-        for t, u, a, k in _iter_swap_indices(nvars):
-            out.append(RankOneGenerator(
-                "swap_binomial",
-                _binomial(nvars, t, (a, k), minus_sign=False),
-                _binomial(nvars, u, (a, k), minus_sign=True)))
-    return out
+    return list(_generators(nvars, family))
 
 
 def _mu_kernel(nvars):
@@ -253,26 +258,21 @@ def kernel_dimension(nvars):
 
 
 def swap_identity_holds(nvars):
-    """Exhaustively check the exchange identity
+    """Prove, by ring arithmetic over nvars variables, the two lemmas that
+    certificate replay rests on.  For every shape-valid generator:
 
-      t*x_k (x) u*x_a  -  t*x_a (x) u*x_k
-        = t*(x_a+x_k) (x) u*(x_a-x_k)
-          - t*x_a (x) u*x_a  +  t*x_k (x) u*x_k
+      its polynomial sides multiply to 0 in the Fermat cubic ring, and
+      its polynomial view expands to exactly _move_terms.
 
-    for every admissible (t, u, a, k) over nvars variables, by expanding
-    both sides to monomial tensors."""
+    Every shape involves at most 6 distinct indices, so 6 variables hold
+    all of them up to relabeling."""
     check_nvars(nvars)
-    for t, u, a, k in _iter_swap_indices(nvars):
-        lhs = TensorSum([
-            (1, _monomial(nvars, t + (k,)), _monomial(nvars, u + (a,))),
-            (-1, _monomial(nvars, t + (a,)), _monomial(nvars, u + (k,))),
-        ])
-        rhs = TensorSum([
-            (1, _binomial(nvars, t, (a, k), False), _binomial(nvars, u, (a, k), True)),
-            (-1, _monomial(nvars, t + (a,)), _monomial(nvars, u + (a,))),
-            (1, _monomial(nvars, t + (k,)), _monomial(nvars, u + (k,))),
-        ])
-        if lhs.monomial_expansion() != rhs.monomial_expansion():
+    for gen in _generators(nvars):
+        if not gen.in_kernel():
+            return False
+        view = TensorSum.simple(gen.left, gen.right).monomial_expansion()
+        if {(_support(el), _support(er)): c
+                for (el, er), c in view.items()} != _move_terms(gen):
             return False
     return True
 
@@ -280,15 +280,13 @@ def swap_identity_holds(nvars):
 def standardize(ring, w):
     """Rewrite a kernel tensor as (standard part, certificate).
 
-    The standard part collects StandardTensor coefficients; the certificate
-    lists rank-one moves (generator, coefficient) with
-
-        w = sum(standard part) + sum(moves).
-
-    Kernel membership is exactly the vanishing of the standard part.  Works
-    by bubbling indices across the tensor sign with the exchange identity;
-    tensors whose sides share an index are recorded directly as
-    monomial_pair moves.
+    The standard part maps StandardTensor to its coefficient.  The
+    certificate holds the terms of w over index triples (a side with a
+    square is zero in R^3), the standard part, and rank-one moves whose
+    sum is the difference; verify_certificate replays that identity.
+    Kernel membership is exactly the vanishing of the standard part.
+    Indices bubble across the tensor sign by the exchange identity; a
+    tensor whose sides share an index is a monomial_pair move itself.
     """
     if not (ring.fermat_flag and ring.degree == 3):
         raise DegreeMismatch("standardize is defined on cubic Fermat rings")
@@ -309,42 +307,35 @@ def standardize(ring, w):
 
 
 def _standardize_supports(nvars, terms):
-    """standardize on {(left_triple, right_triple): coeff}, in that order."""
+    """standardize on {(left_triple, right_triple): coeff} with increasing
+    triples, in that order."""
     std = {}
     moves = []
     for (left, right), coeff in terms.items():
         if set(left) & set(right):
-            moves.append((RankOneGenerator(
-                "monomial_pair",
-                _monomial(nvars, left), _monomial(nvars, right)), coeff))
+            moves.append((RankOneGenerator("monomial_pair", (left, right)),
+                          coeff))
             continue
-        left = list(left)
-        right = list(right)
-        while max(left) > min(right):
-            k = max(left)
-            a = min(right)
-            t = tuple(sorted(set(left) - {k}))
-            u = tuple(sorted(set(right) - {a}))
-            moves.append((RankOneGenerator(
-                "swap_binomial",
-                _binomial(nvars, t, (a, k), False),
-                _binomial(nvars, u, (a, k), True)), coeff))
-            moves.append((RankOneGenerator(
-                "monomial_pair",
-                _monomial(nvars, t + (a,)), _monomial(nvars, u + (a,))), -coeff))
-            moves.append((RankOneGenerator(
-                "monomial_pair",
-                _monomial(nvars, t + (k,)), _monomial(nvars, u + (k,))), coeff))
-            left = sorted(t + (a,))
-            right = sorted(u + (k,))
-        key = StandardTensor(nvars, tuple(left) + tuple(right))
-        prev = std.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total == 0:
-            std.pop(key, None)
-        else:
+        # t*x_k (x) u*x_a = swap - t*x_a (x) u*x_a + t*x_k (x) u*x_k
+        #                   + t*x_a (x) u*x_k
+        while left[-1] > right[0]:
+            t, k = left[:2], left[-1]
+            u, a = right[1:], right[0]
+            ta, uk = _with(t, a), _with(u, k)
+            moves.append((RankOneGenerator("swap_binomial", (t, u, a, k)),
+                          coeff))
+            moves.append((RankOneGenerator("monomial_pair", (ta, _with(u, a))),
+                          -coeff))
+            moves.append((RankOneGenerator("monomial_pair", (_with(t, k), uk)),
+                          coeff))
+            left, right = ta, uk
+        key = StandardTensor(nvars, left + right)
+        total = std.get(key, 0) + coeff
+        if total:
             std[key] = total
-    return std, Certificate(tuple(moves))
+        else:
+            std.pop(key, None)
+    return std, Certificate(tuple(moves), terms, std)
 
 
 def _support(exps):
@@ -359,18 +350,25 @@ def _support(exps):
 
 
 def verify_certificate(cert):
-    """Check every move of a certificate: known family, one or two terms
-    per side, and genuine kernel membership of left * right."""
-    for gen, _coeff in cert.moves:
-        if gen.family_tag not in ("monomial_pair", "swap_binomial"):
+    """Replay a certificate: True exactly when every move has a kernel
+    shape (RankOneGenerator.shape_ok) and
+
+        cert.terms = sum(cert.standard) + sum(coeff * _move_terms(move))
+
+    holds coefficient by coefficient over index triples.  That the shapes
+    lie in ker(mu) and that _move_terms expands them faithfully are the
+    ring lemmas swap_identity_holds proves."""
+    residual = dict(cert.terms)
+    claimed = [((st.left_indices, st.right_indices), c)
+               for st, c in cert.standard.items()]
+    for gen, coeff in cert.moves:
+        if not gen.shape_ok():
             return False
-        if not 1 <= len(gen.left.terms) <= 2:
-            return False
-        if not 1 <= len(gen.right.terms) <= 2:
-            return False
-        if not gen.in_kernel():
-            return False
-    return True
+        claimed.extend((key, sign * coeff)
+                       for key, sign in _move_terms(gen).items())
+    for key, c in claimed:
+        residual[key] = residual.get(key, 0) - c
+    return not any(residual.values())
 
 
 @dataclass
@@ -409,9 +407,9 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     True verdict is exact.
 
     mode "standardize" rewrites every closed-form kernel basis vector to
-    standard form and demands an empty standard part with a verifying
-    certificate; this path is exact for every supported nvars and also
-    checks the exchange identity symbolically.
+    standard form and demands an empty standard part with a certificate
+    that replays; this path is exact for every supported nvars and also
+    proves the ring lemmas behind the replay (swap_identity_holds).
     """
     check_nvars(nvars, exact)
     if mode not in ("span_rank", "standardize"):
@@ -425,38 +423,33 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
         # mu is onto R^6, one basis monomial per sextet
         nvars=nvars, mode=mode, dim_r3=n3, dim_r6=mu_rank,
         mu_rank=mu_rank, kernel_dim=kernel_dim,
+        # ordered pairs of triples minus the disjoint ones
+        pair_count=n3 * (n3 - math.comb(nvars - 3, 3)),
         standardized_vectors=0, certificate_moves=0,
         swap_identity_checked=False,
     )
 
     if mode == "span_rank":
-        one = field.one
-        minus_one = field.neg(one)
         reducer = RowReducer(field)
-        pair_count = 0
-        for s, t in _iter_pair_indices(nvars):
-            reducer.add({s * n3 + t: one})
-            pair_count += 1
-        pair_rank = reducer.rank
         tindex = {t: i for i, t in enumerate(_triples(nvars))}
+        value = {1: field.one, -1: field.neg(field.one)}
 
-        def index(duo, i):
-            return tindex[tuple(sorted(duo + (i,)))]
+        def add(gen):
+            reducer.add({tindex[l] * n3 + tindex[r]: value[sign]
+                         for (l, r), sign in _move_terms(gen).items()})
 
+        for gen in _generators(nvars, "monomial_pair"):
+            add(gen)
+        pair_rank = reducer.rank
         swap_streamed = 0
-        for t, u, a, k in _iter_swap_indices(nvars):
+        for gen in _generators(nvars, "swap_binomial"):
             if reducer.rank >= kernel_dim:
                 break
-            # t(x_a + x_k) (x) u(x_a - x_k): four distinct columns, as a != k
-            ta, tk = index(t, a) * n3, index(t, k) * n3
-            ua, uk = index(u, a), index(u, k)
             swap_streamed += 1
-            reducer.add({ta + ua: one, ta + uk: minus_one,
-                         tk + ua: one, tk + uk: minus_one})
+            add(gen)
         span_rank = reducer.rank
         return SpanReport(
-            exact=bool(exact), prime=p,
-            pair_count=pair_count, pair_rank=pair_rank,
+            exact=bool(exact), prime=p, pair_rank=pair_rank,
             swap_streamed=swap_streamed, span_rank=span_rank,
             verdict=span_rank == kernel_dim, **base)
 
@@ -471,15 +464,12 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
         if std or not verify_certificate(cert):
             ok = False
             break
-    # identity patterns touch at most 6 distinct indices, so 6 variables
-    # exhaust every shape up to relabeling
     identity_ok = swap_identity_holds(min(nvars, 6))
     base.update(standardized_vectors=count, certificate_moves=moves_total,
                 swap_identity_checked=True)
     return SpanReport(
-        exact=True, prime=None,
-        pair_count=sum(1 for _ in _iter_pair_indices(nvars)),
-        pair_rank=0, swap_streamed=0, span_rank=kernel_dim if ok else -1,
+        exact=True, prime=None, pair_rank=0, swap_streamed=0,
+        span_rank=kernel_dim if ok else -1,
         verdict=ok and identity_ok, **base)
 
 

@@ -178,6 +178,19 @@ def test_kermu_verify_standardize_json():
     assert "elapsed" in data
 
 
+def test_kermu_verify_text_names_certificates_only_when_standardizing():
+    code, out = run_command(["kermu", "verify", "--vars", "5", "--method",
+                             "span"])
+    assert code == 0
+    assert "mode span_rank, verdict True" in out
+    assert "certificate" not in out
+    code, out = run_command(["kermu", "verify", "--vars", "5", "--method",
+                             "standardize"])
+    assert code == 0
+    assert out.splitlines()[-1] == ("standardized 100 vectors with 100 "
+                                    "certificate moves")
+
+
 def test_kermu_verify_out_of_range():
     code, out = run_command(["kermu", "verify", "--vars", "12"])
     assert code == 2

@@ -262,6 +262,20 @@ def test_linear_map_json_round_trip():
     assert back == m
 
 
+def test_json_coefficients_are_fractions_unless_a_parameter_occurs():
+    p = HomogeneousPolynomial.from_json(
+        {"nvars": 2, "degree": 1,
+         "terms": [{"exps": [1, 0], "coeff": "3/2"},
+                   {"exps": [0, 1], "coeff": "a/2"}]})
+    m = LinearMap.from_json({"rows": 1, "cols": 2,
+                             "entries": [[0, 0, "3/2"], [0, 1, "a/2"]]})
+    for rational, parametric in ((p.coefficient((1, 0)), p.coefficient((0, 1))),
+                                 (m.entry(0, 0), m.entry(0, 1))):
+        assert type(rational) is Fraction and rational == Fraction(3, 2)
+        assert isinstance(parametric, Scalar)
+        assert parametric == parse("a/2")
+
+
 def test_tensor_sum_bookkeeping():
     p = HomogeneousPolynomial.monomial(6, (1, 1, 1, 0, 0, 0))
     q = HomogeneousPolynomial.monomial(6, (0, 0, 0, 1, 1, 1))

@@ -17,7 +17,8 @@ from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
-                                _monomial, _mu_kernel)
+                                _monomial, _move_terms, _mu_kernel,
+                                _standardize_supports, _support)
 from grifcalc.scalar import Scalar
 
 ONE = Scalar.from_fraction(1)
@@ -75,8 +76,7 @@ def test_generator_family_shapes():
         else:
             assert len(gen.left.terms) == 2 and len(gen.right.terms) == 2
     with pytest.raises(ValueError):
-        RankOneGenerator("mystery", _monomial(5, (0, 1, 2)),
-                         _monomial(5, (0, 3, 4)))
+        RankOneGenerator("mystery", ((0, 1, 2), (0, 3, 4)))
 
 
 def test_kernel_dimensions():
@@ -150,16 +150,30 @@ def test_standardize_single_swap():
     assert tags == ["monomial_pair", "monomial_pair", "swap_binomial"]
 
 
+def _index_expansion(summands):
+    # oracle: sum of c * (left (x) right) over polynomial sides, keyed by
+    # the index triples of its monomial tensors
+    out = {}
+    for c, left, right in summands:
+        expansion = TensorSum.simple(left, right, c).monomial_expansion()
+        for (el, er), v in expansion.items():
+            key = (_support(el), _support(er))
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
 def test_standardize_round_trip():
-    # w equals its standard part plus the certificate moves, exactly
+    # w equals its standard part plus the certificate moves, exactly; the
+    # moves go through their polynomial sides, not through the replay
     ring = HypersurfaceRing.fermat(3, 7)
     w = TensorSum.simple(_monomial(7, (2, 5, 6)), _monomial(7, (0, 1, 3)))
     std, cert = standardize(ring, w)
     summands = [(coeff, st.tensor().summands[0][1], st.tensor().summands[0][2])
                 for st, coeff in std.items()]
-    rebuilt = TensorSum(summands + list(cert.tensor_sum()))
-    gap = w + rebuilt.scale(Scalar.from_fraction(-1))
-    assert not gap.monomial_expansion()
+    summands += [(coeff, gen.left, gen.right) for gen, coeff in cert.moves]
+    gap = _index_expansion(list(w.summands)
+                           + [(-c, l, r) for c, l, r in summands])
+    assert not gap
 
 
 def test_standardize_shared_index_is_pure_certificate():
@@ -182,13 +196,99 @@ def test_standardize_kernel_membership_criterion():
 
 
 def test_verify_certificate_cases():
-    assert verify_certificate(Certificate(()))
-    good = RankOneGenerator("monomial_pair", _monomial(6, (0, 1, 2)),
-                            _monomial(6, (0, 4, 5)))
-    assert verify_certificate(Certificate(((good, ONE),)))
-    bad = RankOneGenerator("monomial_pair", _monomial(6, (0, 1, 2)),
-                           _monomial(6, (3, 4, 5)))
-    assert not verify_certificate(Certificate(((bad, ONE),)))
+    assert verify_certificate(Certificate((), {}, {}))
+    good = RankOneGenerator("monomial_pair", ((0, 1, 2), (0, 4, 5)))
+    assert verify_certificate(Certificate(((good, ONE),),
+                                          {good.indices: ONE}, {}))
+    bad = RankOneGenerator("monomial_pair", ((0, 1, 2), (3, 4, 5)))
+    assert not verify_certificate(Certificate(((bad, ONE),),
+                                              {bad.indices: ONE}, {}))
+
+
+def _mutated(cert, moves=None, standard=None):
+    return Certificate(cert.moves if moves is None else tuple(moves),
+                       cert.terms,
+                       cert.standard if standard is None else standard)
+
+
+def test_verify_certificate_rejects_mutants():
+    # a genuine certificate with swaps and a standard part, then one
+    # mutation at a time; each breaks the replayed identity or a shape
+    ring = HypersurfaceRing.fermat(3, 7)
+    w = TensorSum.simple(_monomial(7, (2, 5, 6)), _monomial(7, (0, 1, 3)))
+    std, cert = standardize(ring, w)
+    assert std and cert.standard == std and verify_certificate(cert)
+    moves = list(cert.moves)
+    swap_at = next(i for i, (gen, _) in enumerate(moves)
+                   if gen.family_tag == "swap_binomial")
+    for i in range(len(moves)):
+        assert not verify_certificate(_mutated(cert, moves[:i] + moves[i + 1:]))
+    changed = list(moves)
+    changed[swap_at] = (moves[swap_at][0], moves[swap_at][1] * 2)
+    assert not verify_certificate(_mutated(cert, changed))
+    (t, u, a, k), coeff = moves[swap_at][0].indices, moves[swap_at][1]
+    a_in_t = list(moves)
+    a_in_t[swap_at] = (RankOneGenerator("swap_binomial",
+                                        (tuple(sorted((t[0], a))), u, a, k)),
+                       coeff)
+    assert not verify_certificate(_mutated(cert, a_in_t))
+    for key in std:
+        off = dict(std)
+        off[key] += 1
+        assert not verify_certificate(_mutated(cert, standard=off))
+
+
+def test_verify_certificate_checks_shapes_of_balanced_moves():
+    # the identity balances, so only the shape check can reject these
+    for indices in (((0, 1), (2, 3), 0, 4),   # a in t
+                    ((0, 1), (2, 3), 4, 2),   # k in u
+                    ((0, 1), (2, 3), 4, 4)):  # a == k
+        gen = RankOneGenerator("swap_binomial", indices)
+        assert not gen.shape_ok()
+        assert not verify_certificate(Certificate(((gen, 1),),
+                                                  _move_terms(gen), {}))
+    gen = RankOneGenerator("swap_binomial", ((0, 1), (2, 3), 4, 5))
+    assert verify_certificate(Certificate(((gen, 1),), _move_terms(gen), {}))
+
+
+def test_kernel_certificates_replay_and_mutants_fail():
+    for nvars in (6, 7):
+        for vec in _mu_kernel(nvars):
+            std, cert = _standardize_supports(nvars, vec)
+            assert std == {} and verify_certificate(cert)
+            if cert.moves:
+                gen, coeff = cert.moves[-1]
+                assert not verify_certificate(_mutated(
+                    cert, cert.moves[:-1] + ((gen, coeff + 1),)))
+
+
+def test_move_terms_match_polynomial_view():
+    for nvars in (4, 5, 6):
+        for gen in rank_one_generators(nvars):
+            assert gen.shape_ok()
+            assert _move_terms(gen) == _index_expansion(
+                [(1, gen.left, gen.right)]), gen
+
+
+def test_shape_predicate_agrees_with_in_kernel():
+    # pairs: sharing an index is exactly vanishing under mu.  Swaps: a
+    # valid shape is exactly a kernel tensor whose sides are two
+    # square-free terms each (a in t puts a square on a side, a == k
+    # collapses them)
+    triples = list(itertools.combinations(range(6), 3))
+    for left in triples:
+        for right in triples:
+            gen = RankOneGenerator("monomial_pair", (left, right))
+            assert gen.shape_ok() == gen.in_kernel(), gen
+    duos = list(itertools.combinations(range(6), 2))
+    for t, u in itertools.product(duos, duos):
+        for a, k in itertools.product(range(6), range(6)):
+            gen = RankOneGenerator("swap_binomial", (t, u, a, k))
+            sides = (gen.left, gen.right)
+            two_square_free = all(
+                len(side.terms) == 2 and max(map(max, side.terms)) == 1
+                for side in sides)
+            assert gen.shape_ok() == (gen.in_kernel() and two_square_free), gen
 
 
 def test_swap_identity():
