@@ -27,15 +27,14 @@ from .characters import enumerate_type, orbit_partition, rational_class
 from .errors import GrifcalcError
 from .hodge import CIData, ci_prim_hodge, euler_characteristic, \
     hypersurface_prim_hodge
-from .invariant import (delta_nu, independence_rank, iso_det, iso_matrix,
-                        distinguished_triple)
+from .invariant import (delta_nu, distinguished_tensor, distinguished_triple,
+                        independence_rank, iso_det, iso_matrix)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
 from .linalg import DEFAULT_PRIME, ModPField
 from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
-                     ReportOptions, _invariant_tensor, full_report,
-                     kermu_payload)
+                     ReportOptions, full_report, kermu_payload)
 from .scalar import parse as parse_scalar, scalar_to_string
 
 
@@ -340,7 +339,7 @@ def _cmd_nl(args):
             out = scalar_to_string(det)
         return 0, _dump({"det": out}) if args.json else out
     # deltanu
-    value = delta_nu(triple, _invariant_tensor())
+    value = delta_nu(triple, distinguished_tensor())
     out = scalar_to_string(value)
     return 0, _dump({"value": out}) if args.json else out
 

@@ -10,8 +10,8 @@ isomorphism R^1 -> R^7.
 delta_nu evaluates the induced invariant on tensors w = sum Q_i (x) R_i in
 the kernel of the multiplication map R^3 (x) R^3 -> R^6: each summand
 contributes the socle coefficient of P * Q_i * f^{-1}(P * R_i), where f is
-multiplication by P*e from R^1 to R^7 and the inverse is computed through
-the pairing matrix.
+multiplication by P*e from R^1 to R^7 and the inverse is computed by a
+solve through the pairing matrix, which also proves M invertible.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from .errors import DegenerateDenominator, DegreeMismatch, NotIsomorphism
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
+    TensorSum,
     determinant,
     mult_map,
     pairing_matrix,
-    rank_kernel,
 )
-from .linalg import FRACTION_FIELD, rank_and_kernel, solve
-from .mulkernel import _monomial, tensor_in_kernel
-from .scalar import ONE, ZERO, Scalar
+from .linalg import FRACTION_FIELD, rank, rank_and_kernel, solve
+from .mulkernel import index_monomial, tensor_in_kernel
+from .scalar import ZERO, ParamPolynomial, Scalar
 
 NVARS = 8
 
@@ -66,15 +66,25 @@ def distinguished_triple(a=None, b=None, e_denominator="B"):
     sa = _coeff(a, "a")
     sb = _coeff(b, "b")
     A, B, C, D, h = (Scalar.param(n) for n in "ABCDh")
-    p = (_monomial(NVARS, (0, 1, 2, 3), sa * A)
-         + _monomial(NVARS, (4, 5, 6, 7), sa * C)
-         + _monomial(NVARS, (0, 1, 2, 4), sb * B)
-         + _monomial(NVARS, (3, 5, 6, 7), sb * D))
+    p = (index_monomial(NVARS, (0, 1, 2, 3), sa * A)
+         + index_monomial(NVARS, (4, 5, 6, 7), sa * C)
+         + index_monomial(NVARS, (0, 1, 2, 4), sb * B)
+         + index_monomial(NVARS, (3, 5, 6, 7), sb * D))
     last = h / (B if e_denominator == "B" else D)
-    e = (_monomial(NVARS, (0, 1)) + _monomial(NVARS, (2, 3), 1 / C)
-         + _monomial(NVARS, (4, 5), 1 / A) + _monomial(NVARS, (6, 7))
-         + _monomial(NVARS, (3, 5), last))
+    e = (index_monomial(NVARS, (0, 1)) + index_monomial(NVARS, (2, 3), 1 / C)
+         + index_monomial(NVARS, (4, 5), 1 / A)
+         + index_monomial(NVARS, (6, 7)) + index_monomial(NVARS, (3, 5), last))
     return TripleData(p=p, e=e, a=sa, b=sb)
+
+
+def distinguished_tensor(swap=False):
+    """The kernel tensor x4x5x6/A (x) x3x5x7/B, or its swap, on which the
+    distinguished triple's invariant is a*b/(a + b*h)."""
+    q = index_monomial(NVARS, (4, 5, 6), 1 / Scalar.param("A"))
+    r = index_monomial(NVARS, (3, 5, 7), 1 / Scalar.param("B"))
+    if swap:
+        q, r = r, q
+    return TensorSum.simple(q, r)
 
 
 def iso_matrix(triple):
@@ -112,15 +122,15 @@ def rho_check(triple, seed=0):
     if e_specialized.is_zero():
         return False
     m = mult_map(ring, e_specialized, 1)
-    r, _ = rank_kernel(m, mode="exact")
-    return r == m.ncols
+    return rank(m.rows_as_dicts(), FRACTION_FIELD) == m.ncols
 
 
 def delta_nu(triple, w):
     """Invariant of a kernel tensor w = sum c_i * Q_i (x) R_i.
 
     Raises NotInKernel when the multiplication map does not kill w, and
-    NotIsomorphism when the pairing matrix of the triple is singular.
+    NotIsomorphism when the pairing matrix of the triple is singular, which
+    the solve through it detects; no determinant is taken.
     """
     ring = HypersurfaceRing.fermat(3, NVARS)
     if w.is_zero():
@@ -128,9 +138,7 @@ def delta_nu(triple, w):
     if w.nvars != NVARS or w.left_degree != 3 or w.right_degree != 3:
         raise DegreeMismatch("delta_nu expects degree (3, 3) tensors over 8 variables")
     tensor_in_kernel(ring, w)
-    m, det = iso_det(triple)
-    if det.is_zero():
-        raise NotIsomorphism("pairing matrix is singular for this triple")
+    m = iso_matrix(triple)
     rows = m.rows_as_dicts()
     n = m.ncols
     basis1 = ring.quotient_basis(1).basis
@@ -141,7 +149,10 @@ def delta_nu(triple, w):
         rhs = []
         for mono in basis1:
             rhs.append(ring.normal_form(u.mul_monomial(mono)).coefficient(soc))
-        y = solve(rows, n, rhs, FRACTION_FIELD)
+        try:
+            y = solve(rows, n, rhs, FRACTION_FIELD)
+        except ValueError:
+            raise NotIsomorphism("pairing matrix is singular for this triple")
         pre = HomogeneousPolynomial.from_terms(
             NVARS, {basis1[j]: y[j] for j in range(n)}, degree=1)
         val = ring.socle_coefficient(triple.p * q * pre)
@@ -156,39 +167,28 @@ def independence_rank(pairs):
     tuples c with sum c_i * v_i = 0.  A pair (0, 0) has no value and raises
     DegenerateDenominator.
     """
-    h = Scalar.param("h")
-    values = []
+    # value i cleared of every denominator: a_i*b_i times the product of
+    # (a_j + b_j*h) over the other nonzero values, exact in h and gcd-free
+    h = ParamPolynomial.symbol("h")
+    nonzero = {}
     for i, (a, b) in enumerate(pairs):
         a = Fraction(a)
         b = Fraction(b)
         if a == 0 and b == 0:
             raise DegenerateDenominator("pair %d is (0, 0)" % i)
-        values.append((a * b) / (a + b * h))
-    common = ONE
-    for v in values:
-        common = common * Scalar(v.den)
-    # cleared[i] = v_i * prod_j den_j, a polynomial in h up to a rational scale
-    cleared = []
-    for v in values:
-        w = v * common
-        if w.den.params or w.den.constant_value() == 0:
-            raise ArithmeticError("cleared value %s is not a polynomial in h"
-                                  % (w,))
-        cleared.append(w)
+        if a * b:
+            nonzero[i] = (a * b, h * b + ParamPolynomial.constant(a))
     rows = {}
-    for i, w in enumerate(cleared):
-        poly = w.num
-        scale = w.den.constant_value()
-        if poly.is_zero():
-            continue
-        if poly.params == ():
-            rows.setdefault(0, {})[i] = poly.constant_value() / scale
-        else:
-            for exps, coeff in poly.terms.items():
-                rows.setdefault(exps[0], {})[i] = coeff / scale
+    for i, (ab, _) in nonzero.items():
+        cleared = ParamPolynomial.constant(ab)
+        for j, (_, den) in nonzero.items():
+            if j != i:
+                cleared = cleared * den
+        for exps, coeff in cleared.terms.items():
+            rows.setdefault(sum(exps), {})[i] = coeff
     row_list = [rows[d] for d in sorted(rows)]
-    rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
+    r, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
     relations = []
     for vec in kern:
         relations.append(tuple(vec.get(i, Fraction(0)) for i in range(len(pairs))))
-    return rank, relations
+    return r, relations

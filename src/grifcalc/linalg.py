@@ -279,23 +279,27 @@ def solve(rows, n, rhs, field):
     """Solve A x = rhs for square nonsingular A given as sparse rows.
 
     rhs is a dense list of length n.  Returns a dense list.  Raises
-    ZeroDivisionError-style ValueError if A is singular.
+    ValueError if A is singular.
+
+    A is nonsingular exactly when [A | -rhs] has rank n and its one kernel
+    vector v has v[n] != 0; then x = v[:n] / v[n].  This holds whichever
+    columns the elimination picks as pivots, the rhs column included.
     """
     aug = []
     for i, r in enumerate(rows):
         row = dict(r)
         if not field.is_zero(rhs[i]):
-            row[n] = rhs[i]
+            row[n] = field.neg(rhs[i])
         aug.append(row)
-    pr = rref(aug, field)
-    pivot_cols = [pc for pc, _ in pr]
-    if n in pivot_cols:
-        raise ValueError("inconsistent linear system")
-    if len(pivot_cols) != n:
+    r, kern = rank_and_kernel(aug, n + 1, field)
+    v = kern[0] if r == n else {}
+    scale = v.get(n)
+    if scale is None:
         raise ValueError("singular matrix in solve()")
     x = [field.zero] * n
-    for pc, prow in pr:
-        x[pc] = prow.get(n, field.zero)
+    for c, value in v.items():
+        if c < n:
+            x[c] = value if scale == field.one else field.div(value, scale)
     return x
 
 

@@ -25,6 +25,7 @@ builds the mu matrix, and both expand a generator through _move_terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -48,7 +49,8 @@ EXACT_NVARS_LIMIT = 7
 FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
 
 
-def _monomial(nvars, indices, coeff=1):
+def index_monomial(nvars, indices, coeff=1):
+    """coeff times the product of x_i over indices (with repeats)."""
     e = [0] * nvars
     for i in indices:
         e[i] += 1
@@ -96,11 +98,11 @@ class RankOneGenerator:
     def _side(self, which):
         n = self.nvars
         if self.family_tag == "monomial_pair":
-            return _monomial(n, self.indices[which])
+            return index_monomial(n, self.indices[which])
         base, a, k = self.indices[which], self.indices[2], self.indices[3]
         # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right
-        return _monomial(n, base + (a,)) + _monomial(n, base + (k,),
-                                                     (1, -1)[which])
+        return (index_monomial(n, base + (a,))
+                + index_monomial(n, base + (k,), (1, -1)[which]))
 
     @property
     def left(self):
@@ -158,8 +160,8 @@ class StandardTensor:
 
     def tensor(self):
         return TensorSum.simple(
-            _monomial(self.nvars, self.left_indices),
-            _monomial(self.nvars, self.right_indices))
+            index_monomial(self.nvars, self.left_indices),
+            index_monomial(self.nvars, self.right_indices))
 
 
 @dataclass(frozen=True)
@@ -257,6 +259,7 @@ def kernel_dimension(nvars):
     return n3 * n3 - rank, rank, n3
 
 
+@functools.lru_cache(maxsize=None)
 def swap_identity_holds(nvars):
     """Prove, by ring arithmetic over nvars variables, the two lemmas that
     certificate replay rests on.  For every shape-valid generator:
@@ -265,7 +268,8 @@ def swap_identity_holds(nvars):
       its polynomial view expands to exactly _move_terms.
 
     Every shape involves at most 6 distinct indices, so 6 variables hold
-    all of them up to relabeling."""
+    all of them up to relabeling.  The answer depends on nvars alone, so it
+    is memoised."""
     check_nvars(nvars)
     for gen in _generators(nvars):
         if not gen.in_kernel():

@@ -24,12 +24,13 @@ from .characters import (Character, enumerate_type, galois_orbit,
                          orbit_partition, rational_class)
 from .hodge import CIData, ci_prim_hodge, hypersurface_prim_hodge, \
     jacobian_vanishing_check
-from .invariant import (NVARS, delta_nu, independence_rank, iso_det,
-                        iso_matrix, distinguished_triple, rho_check)
-from .jacobian import HomogeneousPolynomial, HypersurfaceRing, TensorSum
+from .invariant import (NVARS, delta_nu, distinguished_tensor,
+                        distinguished_triple, independence_rank, iso_det,
+                        iso_matrix, rho_check)
+from .jacobian import HypersurfaceRing
 from .linalg import DEFAULT_PRIME
 from .mulkernel import EXACT_NVARS_LIMIT, mu_apply, span_equals_kernel
-from .scalar import Scalar, parse, scalar_to_string
+from .scalar import parse, scalar_to_string
 
 SEVENFOLD_MIDDLE = (0, 0, 1, 84, 84, 1, 0, 0)
 SIXFOLD_MIDDLE = (0, 0, 8, 70, 8, 0, 0)
@@ -139,16 +140,20 @@ def _census_payload():
     }
 
 
-def _check_census(options):
-    payload = None
-    if options.cache is not None:
-        payload = options.cache.get("fermat.census",
-                                    {"d": 3, "nvars": 8, "type": [3, 3]})
+def _cached(cache, op, params, compute):
+    """compute() as a JSON payload, read from the cache when it holds one
+    for (op, params) and written to it otherwise (cache may be None)."""
+    payload = None if cache is None else cache.get(op, params)
     if payload is None:
-        payload = _census_payload()
-        if options.cache is not None:
-            options.cache.put("fermat.census",
-                              {"d": 3, "nvars": 8, "type": [3, 3]}, payload)
+        payload = compute()
+        if cache is not None:
+            cache.put(op, params, payload)
+    return payload
+
+
+def _check_census(options):
+    payload = _cached(options.cache, "fermat.census",
+                      {"d": 3, "nvars": 8, "type": [3, 3]}, _census_payload)
     ok = (payload["character_count"] == 70 and payload["orbit_count"] == 35
           and payload["pinned_classes"] == [
               "A*x0*x1*x2*x3 + C*x4*x5*x6*x7",
@@ -195,20 +200,10 @@ def _check_determinant(options):
     }
 
 
-def _invariant_tensor(swap=False):
-    q = HomogeneousPolynomial.monomial(NVARS, (0, 0, 0, 0, 1, 1, 1, 0),
-                                       1 / Scalar.param("A"))
-    r = HomogeneousPolynomial.monomial(NVARS, (0, 0, 0, 1, 0, 1, 0, 1),
-                                       1 / Scalar.param("B"))
-    if swap:
-        q, r = r, q
-    return TensorSum.simple(q, r)
-
-
 def _check_invariant_value(options):
     triple = distinguished_triple()
-    value = delta_nu(triple, _invariant_tensor())
-    swapped = delta_nu(triple, _invariant_tensor(swap=True))
+    value = delta_nu(triple, distinguished_tensor())
+    swapped = delta_nu(triple, distinguished_tensor(swap=True))
     target = parse(INVARIANT_VALUE)
     ok = value == target and swapped == target
     return ok, {
@@ -221,13 +216,13 @@ def _check_invariant_value(options):
 
 def _check_kernel_membership(options):
     ring = HypersurfaceRing.fermat(3, NVARS)
-    ok = mu_apply(ring, _invariant_tensor()).is_zero()
+    ok = mu_apply(ring, distinguished_tensor()).is_zero()
     return ok, {"tensor": "x4*x5*x6/A (x) x3*x5*x7/B", "in_kernel": ok}
 
 
 def kermu_payload(nvars, mode, exact, modp, cache):
-    """span_equals_kernel(nvars, mode) as a JSON payload, read from the
-    cache when it holds one and written to it otherwise (cache may be None).
+    """span_equals_kernel(nvars, mode) as a JSON payload, through the cache
+    (which may be None).
 
     Arithmetic is exact when asked for or when nvars <= EXACT_NVARS_LIMIT;
     otherwise span ranks are taken mod modp.
@@ -235,13 +230,9 @@ def kermu_payload(nvars, mode, exact, modp, cache):
     exact = exact or nvars <= EXACT_NVARS_LIMIT
     prime = None if (exact or mode == "standardize") else modp
     params = {"nvars": nvars, "mode": mode, "exact": exact, "prime": prime}
-    payload = None if cache is None else cache.get("kermu." + mode, params)
-    if payload is None:
-        payload = span_equals_kernel(nvars, mode=mode, prime=prime,
-                                     exact=exact).to_json()
-        if cache is not None:
-            cache.put("kermu." + mode, params, payload)
-    return payload
+    return _cached(cache, "kermu." + mode, params,
+                   lambda: span_equals_kernel(nvars, mode=mode, prime=prime,
+                                              exact=exact).to_json())
 
 
 def _check_kermu(options, mode):

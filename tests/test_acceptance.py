@@ -20,7 +20,7 @@ from grifcalc.invariant import (delta_nu, independence_rank, iso_det,
                                 iso_matrix, distinguished_triple)
 from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                TensorSum, ambient_dimension)
-from grifcalc.mulkernel import span_equals_kernel, _monomial
+from grifcalc.mulkernel import span_equals_kernel, index_monomial
 from grifcalc.scalar import Scalar, parse, scalar_to_string
 
 

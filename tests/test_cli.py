@@ -7,7 +7,11 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from grifcalc.cli import run_command
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_hypersurface_hodge_byte_exact():
@@ -115,6 +119,23 @@ def test_nl_deltanu_degenerate_point_is_domain_error():
     code, out = run_command(["nl", "deltanu", "--a", "0", "--b", "0"])
     assert code == 2
     assert "error" in out
+
+
+@pytest.mark.parametrize("argv, code, golden", [
+    (["nl", "independence", "--json", "--pairs", "1,1;2,2;0,3;1,2;3,1"], 0,
+     "nl_independence_mixed.json"),
+    (["nl", "deltanu", "--a", "2", "--b", "3"], 0, "nl_deltanu_a2_b3.txt"),
+    (["nl", "deltanu", "--symbolic"], 0, "nl_deltanu_symbolic.txt"),
+    (["report", "--json", "--stable", "--kermu-vars", "6", "--pairs",
+      "1,1;2,2;3,1"], 1, "report_stable_kermu6_dependent_pairs.json"),
+])
+def test_nl_outputs_match_golden_bytes(tmp_path, argv, code, golden):
+    # captured before the nl layer dropped its determinant and its Scalar
+    # independence ranks; a dependent pair family fails the report
+    got_code, out = run_command(argv + ["--cache", str(tmp_path / "c")])
+    assert got_code == code
+    with open(os.path.join(DATA, golden), encoding="utf-8") as fh:
+        assert out + "\n" == fh.read()
 
 
 def test_nl_independence():

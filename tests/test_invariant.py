@@ -2,15 +2,19 @@
 its determinant, the invariant values it produces, and independence of
 value families."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from grifcalc import invariant, jacobian, linalg, scalar
 from grifcalc.errors import (DegenerateDenominator, DegreeMismatch,
                              NotInKernel, NotIsomorphism)
-from grifcalc.invariant import (delta_nu, independence_rank, iso_det,
-                                iso_matrix, distinguished_triple, rho_check)
+from grifcalc.invariant import (delta_nu, distinguished_tensor,
+                                distinguished_triple, independence_rank,
+                                iso_det, iso_matrix, rho_check)
 from grifcalc.jacobian import HomogeneousPolynomial, TensorSum
+from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel
 from grifcalc.scalar import Scalar, parse, scalar_to_string
 
 ONE = Scalar.from_fraction(1)
@@ -166,6 +170,28 @@ def test_invariant_needs_nondegenerate_pairing():
         delta_nu(distinguished_triple(0, 0), q_tensor_r())
 
 
+@pytest.mark.parametrize("b", [1, Fraction(3, 2)])
+def test_invariant_rejects_a_nonzero_singular_pairing(b):
+    # at a = 0 the pairing matrix keeps its b entries but loses rank
+    triple = distinguished_triple(0, b)
+    assert iso_matrix(triple).entries
+    assert iso_det(triple)[1].is_zero()
+    with pytest.raises(NotIsomorphism):
+        delta_nu(triple, q_tensor_r())
+
+
+def test_invariant_takes_no_determinant(monkeypatch):
+    def no_determinant(*args):
+        raise AssertionError("delta_nu took a determinant")
+
+    for module, name in ((invariant, "iso_det"), (invariant, "determinant"),
+                         (jacobian, "determinant"), (linalg, "determinant")):
+        monkeypatch.setattr(module, name, no_determinant)
+    for swap in (False, True):
+        value = delta_nu(distinguished_triple(), distinguished_tensor(swap))
+        assert scalar_to_string(value) == "a*b/(b*h+a)"
+
+
 def test_independence_spec_examples():
     rank, relations = independence_rank(((1, 1), (2, 1), (3, 1)))
     assert rank == 3 and relations == []
@@ -212,3 +238,77 @@ def test_independence_proportional_pairs_collapse():
     assert rank == 1
     rank, _ = independence_rank(((1, 2), (1, 2), (3, 4)))
     assert rank == 2
+
+
+def scalar_independence_rank(pairs):
+    """Oracle: independence_rank as it was computed over a Scalar common
+    denominator, with a polynomial gcd in every product."""
+    h = Scalar.param("h")
+    values = []
+    for i, (a, b) in enumerate(pairs):
+        a = Fraction(a)
+        b = Fraction(b)
+        if a == 0 and b == 0:
+            raise DegenerateDenominator("pair %d is (0, 0)" % i)
+        values.append((a * b) / (a + b * h))
+    common = ONE
+    for v in values:
+        common = common * Scalar(v.den)
+    rows = {}
+    for i, v in enumerate(values):
+        w = v * common
+        assert not w.den.params and w.den.constant_value() != 0
+        poly = w.num
+        scale = w.den.constant_value()
+        if poly.is_zero():
+            continue
+        if poly.params == ():
+            rows.setdefault(0, {})[i] = poly.constant_value() / scale
+        else:
+            for exps, coeff in poly.terms.items():
+                rows.setdefault(exps[0], {})[i] = coeff / scale
+    row_list = [rows[d] for d in sorted(rows)]
+    rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
+    return rank, [tuple(vec.get(i, Fraction(0)) for i in range(len(pairs)))
+                  for vec in kern]
+
+
+def _random_family(rng):
+    pairs = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if pairs and roll < 0.2:
+            pairs.append(rng.choice(pairs))  # a repeat
+        elif pairs and roll < 0.35:
+            a, b = rng.choice(pairs)
+            k = Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 2))
+            pairs.append((a * k, b * k))  # a proportional pair
+        elif roll < 0.5:
+            v = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            pairs.append((v, Fraction(0)) if rng.random() < 0.5
+                         else (Fraction(0), v))  # a zero value
+        else:
+            a = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3))
+            b = Fraction(rng.randint(-6, 6) or 2, rng.randint(1, 3))
+            pairs.append((a, b))
+    return tuple(pairs)
+
+
+def test_independence_rank_matches_the_scalar_oracle():
+    rng = random.Random(404)
+    for _ in range(320):
+        pairs = _random_family(rng)
+        assert independence_rank(pairs) == scalar_independence_rank(pairs)
+
+
+def test_independence_rank_builds_no_scalar(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("independence_rank left exact polynomials")
+
+    monkeypatch.setattr(Scalar, "__init__", forbidden)
+    monkeypatch.setattr(Scalar, "_raw", classmethod(forbidden))
+    monkeypatch.setattr(scalar, "poly_gcd", forbidden)
+    rank, relations = independence_rank(
+        ((1, 1), (2, 2), (0, 3), (1, 2), (3, 1)))
+    assert rank == 3
+    assert relations == [(-2, 1, 0, 0, 0), (0, 0, 1, 0, 0)]

@@ -117,6 +117,34 @@ def test_solve_randomized_round_trip():
         assert got == xs
 
 
+def test_solve_accepts_a_system_whose_right_hand_side_is_a_pivot():
+    # Markowitz pivoting on [A | rhs] picks the rhs column here; that must
+    # not make a nonsingular system look inconsistent
+    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0], FRACTION_FIELD)
+    assert x == [Fraction(1, 2), Fraction(1, 2)]
+
+
+def test_solve_matches_determinant_on_sparse_systems():
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        rows = [{j: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for j in range(n) if rng.random() < 0.4} for _ in range(n)]
+        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        rhs = [Fraction(rng.randint(-4, 4)) if rng.random() < 0.4
+               else Fraction(0) for _ in range(n)]
+        if determinant(rows, n, FRACTION_FIELD):
+            x = solve(rows, n, rhs, FRACTION_FIELD)
+            assert [sum(v * x[j] for j, v in r.items()) for r in rows] == rhs
+        else:
+            singular += 1
+            with pytest.raises(ValueError):
+                solve(rows, n, rhs, FRACTION_FIELD)
+    # both branches are exercised in bulk
+    assert 200 < singular < 1000
+
+
 def test_mod_p_rank_never_exceeds_exact():
     rng = random.Random(3)
     gf = ModPField(DEFAULT_PRIME)

@@ -17,7 +17,7 @@ from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
-                                _monomial, _move_terms, _mu_kernel,
+                                index_monomial, _move_terms, _mu_kernel,
                                 _standardize_supports, _support)
 from grifcalc.scalar import Scalar
 
@@ -38,18 +38,21 @@ def brute_pair_count(nvars):
 
 def test_mu_apply_products():
     ring = HypersurfaceRing.fermat(3, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (3, 4, 5)))
     image = mu_apply(ring, w)
     assert not image.is_zero()
     assert set(image.terms) == {(1, 1, 1, 1, 1, 1)}
-    shared = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
+    shared = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                              index_monomial(6, (0, 4, 5)))
     assert mu_apply(ring, shared).is_zero()
 
 
 def test_mu_apply_requires_cubic_fermat():
     from grifcalc.jacobian import HomogeneousPolynomial, HypersurfaceRing
     quartic = HypersurfaceRing.fermat(4, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (3, 4, 5)))
     with pytest.raises(DegreeMismatch):
         mu_apply(quartic, w)
 
@@ -131,7 +134,8 @@ def test_standard_tensor_validation():
 
 def test_standardize_already_standard():
     ring = HypersurfaceRing.fermat(3, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (3, 4, 5)))
     std, cert = standardize(ring, w)
     assert list(std) == [StandardTensor(6, (0, 1, 2, 3, 4, 5))]
     assert std[StandardTensor(6, (0, 1, 2, 3, 4, 5))] == ONE
@@ -141,7 +145,8 @@ def test_standardize_already_standard():
 def test_standardize_single_swap():
     # one bubbling step: three certificate moves, standard core preserved
     ring = HypersurfaceRing.fermat(3, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 3)), _monomial(6, (2, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 3)),
+                         index_monomial(6, (2, 4, 5)))
     std, cert = standardize(ring, w)
     assert list(std) == [StandardTensor(6, (0, 1, 2, 3, 4, 5))]
     assert len(cert.moves) == 3
@@ -166,7 +171,8 @@ def test_standardize_round_trip():
     # w equals its standard part plus the certificate moves, exactly; the
     # moves go through their polynomial sides, not through the replay
     ring = HypersurfaceRing.fermat(3, 7)
-    w = TensorSum.simple(_monomial(7, (2, 5, 6)), _monomial(7, (0, 1, 3)))
+    w = TensorSum.simple(index_monomial(7, (2, 5, 6)),
+                         index_monomial(7, (0, 1, 3)))
     std, cert = standardize(ring, w)
     summands = [(coeff, st.tensor().summands[0][1], st.tensor().summands[0][2])
                 for st, coeff in std.items()]
@@ -178,7 +184,8 @@ def test_standardize_round_trip():
 
 def test_standardize_shared_index_is_pure_certificate():
     ring = HypersurfaceRing.fermat(3, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (0, 4, 5)))
     std, cert = standardize(ring, w)
     assert std == {}
     assert len(cert.moves) == 1
@@ -187,10 +194,12 @@ def test_standardize_shared_index_is_pure_certificate():
 
 def test_standardize_kernel_membership_criterion():
     ring = HypersurfaceRing.fermat(3, 6)
-    in_kernel = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
+    in_kernel = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                                 index_monomial(6, (0, 4, 5)))
     std, _ = standardize(ring, in_kernel)
     assert std == {}
-    not_in_kernel = TensorSum.simple(_monomial(6, (0, 1, 3)), _monomial(6, (2, 4, 5)))
+    not_in_kernel = TensorSum.simple(index_monomial(6, (0, 1, 3)),
+                                     index_monomial(6, (2, 4, 5)))
     std, _ = standardize(ring, not_in_kernel)
     assert std != {}
 
@@ -215,7 +224,8 @@ def test_verify_certificate_rejects_mutants():
     # a genuine certificate with swaps and a standard part, then one
     # mutation at a time; each breaks the replayed identity or a shape
     ring = HypersurfaceRing.fermat(3, 7)
-    w = TensorSum.simple(_monomial(7, (2, 5, 6)), _monomial(7, (0, 1, 3)))
+    w = TensorSum.simple(index_monomial(7, (2, 5, 6)),
+                         index_monomial(7, (0, 1, 3)))
     std, cert = standardize(ring, w)
     assert std and cert.standard == std and verify_certificate(cert)
     moves = list(cert.moves)
@@ -321,6 +331,14 @@ def test_span_equals_kernel_standardize_mode():
     assert report.certificate_moves > 0
 
 
+def test_standardize_runs_prove_the_ring_lemmas_once():
+    swap_identity_holds.cache_clear()
+    for _ in range(2):
+        assert span_equals_kernel(5, mode="standardize").verdict is True
+    info = swap_identity_holds.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_span_equals_kernel_counts_pinned():
     for nvars, moves, vectors in ((7, 1715, 1218), (8, 5096, 3108),
                                   (9, 12936, 6972)):
@@ -353,8 +371,10 @@ def test_nvars_range_guards():
 
 def test_tensor_in_kernel():
     ring = HypersurfaceRing.fermat(3, 6)
-    w = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (0, 4, 5)))
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (0, 4, 5)))
     assert tensor_in_kernel(ring, w)
-    out = TensorSum.simple(_monomial(6, (0, 1, 2)), _monomial(6, (3, 4, 5)))
+    out = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                           index_monomial(6, (3, 4, 5)))
     with pytest.raises(NotInKernel):
         tensor_in_kernel(ring, out)

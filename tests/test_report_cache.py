@@ -70,6 +70,22 @@ def test_payload_digest_canonicalization():
     assert payload_digest({"a": 1, "b": [2]}) == payload_digest({"b": [2], "a": 1})
 
 
+def test_report_cache_keys_are_pinned(tmp_path):
+    # existing cache directories keep hitting only while the (op, params)
+    # of every cached check stay exactly these
+    cache = Cache(str(tmp_path / "c"))
+    full_report(ReportOptions(kermu_vars=5, skip=("hodge", "nl",
+                                                  "independence"),
+                              cache=cache))
+    keys = [("fermat.census", {"d": 3, "nvars": 8, "type": [3, 3]})]
+    for mode in ("span_rank", "standardize"):
+        keys.append(("kermu." + mode, {"nvars": 5, "mode": mode,
+                                       "exact": True, "prime": None}))
+    assert (sorted(os.listdir(cache.directory))
+            == sorted(os.path.basename(cache._path(cache_key(op, params)))
+                      for op, params in keys))
+
+
 def test_report_check_order_is_stable():
     doc = full_report(ReportOptions(skip=("kermu", "nl", "hodge", "fermat",
                                           "independence")))
