@@ -31,7 +31,6 @@ from .invariant import (delta_nu, distinguished_tensor, distinguished_triple,
                         independence_rank, iso_det, iso_matrix)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
-from .linalg import DEFAULT_PRIME, ModPField
 from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
                      ReportOptions, full_report, kermu_payload)
@@ -133,10 +132,6 @@ def _build_parser():
                         help="emit machine-readable JSON")
     common.add_argument("--cache", metavar="DIR", default=None,
                         help="result cache directory")
-    common.add_argument("--modp", type=_positive_int, default=DEFAULT_PRIME,
-                        metavar="P", help="prime for modular rank checks")
-    common.add_argument("--exact", action="store_true",
-                        help="force exact rational arithmetic")
     common.add_argument("--seed", type=_nonneg_int, default=0,
                         help="seed for randomized specializations")
 
@@ -145,8 +140,7 @@ def _build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    jring = sub.add_parser("jring", parents=[common],
-                           help="graded Jacobian ring queries")
+    jring = sub.add_parser("jring", help="graded Jacobian ring queries")
     jsub = jring.add_subparsers(dest="action", required=True)
     jb = jsub.add_parser("basis", parents=[common])
     jb.add_argument("--vars", type=_positive_int, required=True)
@@ -166,7 +160,7 @@ def _build_parser():
     jp.add_argument("--j", type=_nonneg_int, required=True)
     jp.add_argument("--k", type=_nonneg_int, required=True)
 
-    hodge = sub.add_parser("hodge", parents=[common],
+    hodge = sub.add_parser("hodge",
                            help="Hodge numbers and Euler characteristics")
     hsub = hodge.add_subparsers(dest="action", required=True)
     hh = hsub.add_parser("hypersurface", parents=[common])
@@ -176,7 +170,7 @@ def _build_parser():
     hc.add_argument("--degrees", type=_degree_list, required=True)
     hc.add_argument("--dim", type=_nonneg_int, required=True)
 
-    fermat = sub.add_parser("fermat", parents=[common],
+    fermat = sub.add_parser("fermat",
                             help="character census for Fermat hypersurfaces")
     fsub = fermat.add_subparsers(dest="action", required=True)
     fc = fsub.add_parser("classes", parents=[common])
@@ -186,8 +180,7 @@ def _build_parser():
     fc.add_argument("--orbits", action="store_true",
                     help="group characters into Galois orbits with classes")
 
-    nl = sub.add_parser("nl", parents=[common],
-                        help="socle pairing and invariant values")
+    nl = sub.add_parser("nl", help="socle pairing and invariant values")
     nsub = nl.add_subparsers(dest="action", required=True)
     for name in ("matrix", "det", "deltanu"):
         p = nsub.add_parser(name, parents=[common])
@@ -199,8 +192,7 @@ def _build_parser():
     ni.add_argument("--pairs", type=_pair_list, required=True,
                     metavar="A1,B1;A2,B2;...")
 
-    kermu = sub.add_parser("kermu", parents=[common],
-                           help="kernel-spanning verification for mu")
+    kermu = sub.add_parser("kermu", help="kernel-spanning verification for mu")
     ksub = kermu.add_subparsers(dest="action", required=True)
     kv = ksub.add_parser("verify", parents=[common])
     kv.add_argument("--vars", type=_positive_int, required=True)
@@ -349,8 +341,7 @@ def _cmd_kermu(args):
     mode = "span_rank" if args.method == "span" else "standardize"
     start = time.perf_counter()
     # --cache beats GRIFCALC_CACHE beats .grifcalc-cache/
-    payload = kermu_payload(nvars, mode, args.exact, args.modp,
-                            Cache(args.cache))
+    payload = kermu_payload(nvars, mode, Cache(args.cache))
     elapsed = round(time.perf_counter() - start, 6)
     verdict = bool(payload["verdict"])
     out = dict(payload)
@@ -369,10 +360,8 @@ def _cmd_kermu(args):
 
 
 def _cmd_report(args):
-    # a composite modulus or an out-of-range kermu size is a usage error,
-    # not a failed kermu check
-    ModPField(args.modp)
-    check_nvars(args.kermu_vars, args.exact)
+    # an out-of-range kermu size is a usage error, not a failed kermu check
+    check_nvars(args.kermu_vars)
     groups = tuple(dict.fromkeys(c.split(".", 1)[0] for c in CHECK_ORDER))
     for token in args.skip:
         if token not in CHECK_ORDER and token not in groups:
@@ -382,8 +371,6 @@ def _cmd_report(args):
         kermu_vars=args.kermu_vars,
         pairs=args.pairs,
         seed=args.seed,
-        modp=args.modp,
-        exact=args.exact,
         skip=tuple(args.skip),
         stable=args.stable,
         cache=Cache(args.cache),

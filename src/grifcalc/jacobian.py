@@ -293,16 +293,19 @@ class GradedBasis:
 
     pivots is None for the Fermat fast path (the ideal slice is monomial);
     otherwise it holds the reduced pivot rows of the ideal slice together
-    with the ambient column list, so |basis| + len(pivots) = dim_ambient.
+    with the ambient columns, given as {monomial: column} in column order,
+    so |basis| + len(pivots) = dim_ambient.
     """
 
-    __slots__ = ("degree", "basis", "dim_ambient", "columns", "pivots", "index")
+    __slots__ = ("degree", "basis", "dim_ambient", "columns", "column_index",
+                 "pivots", "index")
 
     def __init__(self, degree, basis, dim_ambient, columns=None, pivots=None):
         self.degree = degree
         self.basis = tuple(basis)
         self.dim_ambient = dim_ambient
-        self.columns = columns
+        self.column_index = columns
+        self.columns = None if columns is None else tuple(columns)
         self.pivots = pivots
         self.index = {m: i for i, m in enumerate(self.basis)}
 
@@ -370,7 +373,8 @@ class HypersurfaceRing:
         pivots = rref(rows, FRACTION_FIELD)
         pivot_cols = {pc for pc, _ in pivots}
         basis = tuple(m for i, m in enumerate(cols) if i not in pivot_cols)
-        return GradedBasis(k, basis, len(cols), columns=cols, pivots=pivots)
+        return GradedBasis(k, basis, len(cols), columns=col_index,
+                           pivots=pivots)
 
     def normal_form(self, p):
         """Canonical representative of p in the slice basis."""
@@ -384,10 +388,7 @@ class HypersurfaceRing:
             terms = {e: c for e, c in p.terms.items() if max(e) <= cap}
             return HomogeneousPolynomial(p.nvars, p.degree, terms)
         gb = self.quotient_basis(p.degree)
-        col_index = {m: i for i, m in enumerate(gb.columns)}
-        vec = {}
-        for e, c in p.terms.items():
-            vec[col_index[e]] = c
+        vec = {gb.column_index[e]: c for e, c in p.terms.items()}
         for pc, prow in gb.pivots:
             coef = vec.pop(pc, None)
             if not coef:

@@ -17,10 +17,12 @@ triples.  The rows have disjoint supports, so rank mu = C(nvars, 6) and
 ker(mu) has a closed-form basis over index triples (see _mu_kernel).
 
 span_equals_kernel certifies that the two families span the whole kernel,
-either by a streamed rank computation (mod p by default, exact rationals
-for small nvars) or by rewriting every kernel basis vector to its standard
-form with a certificate of moves that verify_certificate replays.  Neither
-builds the mu matrix, and both expand a generator through _move_terms.
+either by a streamed rank count (see _span_rank: pairs are unit vectors,
+and what a swap leaves beside them is an edge of a graph, so the rank is
+a component count, exact at every size) or by rewriting every kernel
+basis vector to its standard form with a certificate of moves that
+verify_certificate replays.  Neither builds the mu matrix, and both expand
+a generator through _move_terms.
 """
 
 from __future__ import annotations
@@ -36,16 +38,9 @@ from .jacobian import (
     HypersurfaceRing,
     TensorSum,
 )
-from .linalg import (
-    DEFAULT_PRIME,
-    FRACTION_FIELD,
-    ModPField,
-    RowReducer,
-)
 
 MIN_NVARS = 4
 MAX_NVARS = 9
-EXACT_NVARS_LIMIT = 7
 FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
 
 
@@ -192,13 +187,10 @@ def mu_apply(ring, w):
     return out
 
 
-def check_nvars(nvars, exact=False):
-    """Raise OutOfRange unless span_equals_kernel accepts nvars (and exact)."""
+def check_nvars(nvars):
+    """Raise OutOfRange unless span_equals_kernel accepts nvars."""
     if not MIN_NVARS <= nvars <= MAX_NVARS:
         raise OutOfRange("nvars must lie in [%d, %d]" % (MIN_NVARS, MAX_NVARS))
-    if exact and nvars > EXACT_NVARS_LIMIT:
-        raise OutOfRange("exact span ranks are limited to nvars <= %d"
-                         % EXACT_NVARS_LIMIT)
 
 
 def _triples(nvars):
@@ -377,7 +369,9 @@ def verify_certificate(cert):
 
 @dataclass
 class SpanReport:
-    """Outcome of a span-versus-kernel certification run."""
+    """Outcome of a span-versus-kernel certification run.  Both modes are
+    exact, so exact is always True and prime always None; the fields keep
+    the JSON schema."""
 
     nvars: int
     mode: str
@@ -400,33 +394,76 @@ class SpanReport:
         return asdict(self)
 
 
-def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
+def _span_rank(nvars, kernel_dim):
+    """(pair_rank, swap_streamed, span_rank): the ranks, over any field, of
+    every pair generator and then of swaps streamed until the rank reaches
+    kernel_dim.
+
+    A pair is the unit vector on its own column (l, r), so pair_rank counts
+    those columns.  With them projected out, a swap (t, u, a, k) leaves
+    nothing or e(tk, ua) - e(ta, uk): (ta, ua) and (tk, uk) share an index,
+    and (ta, uk), (tk, ua) meet exactly in t and u.  Vectors e_x - e_y have
+    the rank of a graph's incidence matrix, the number of edges joining two
+    components (Biggs, Algebraic Graph Theory, ch. 4), in every field.  Any
+    other shape raises ArithmeticError: the count would not hold for it."""
+    pairs = set()
+    for gen in _generators(nvars, "monomial_pair"):
+        terms = _move_terms(gen)
+        if len(terms) != 1 or set(terms.values()) - {1, -1}:
+            raise ArithmeticError("pair %r is not a unit vector" % (gen,))
+        pairs.update(terms)
+    parent = {}
+
+    def root(x):
+        path = []
+        while x in parent:
+            path.append(x)
+            x = parent[x]
+        for y in path:
+            parent[y] = x
+        return x
+
+    rank = len(pairs)
+    streamed = 0
+    for gen in _generators(nvars, "swap_binomial"):
+        if rank >= kernel_dim:
+            break
+        streamed += 1
+        rest = {c: s for c, s in _move_terms(gen).items() if c not in pairs}
+        if not rest:
+            continue
+        if sorted(rest.values()) != [-1, 1]:
+            raise ArithmeticError("swap %r leaves %r beside the pair columns, "
+                                  "not e_x - e_y" % (gen, rest))
+        x, y = map(root, rest)
+        if x != y:
+            parent[x] = y
+            rank += 1
+    return len(pairs), streamed, rank
+
+
+def span_equals_kernel(nvars, mode="span_rank"):
     """Certify that the rank-one families span ker(mu) for the cubic
     Fermat ring in nvars variables.
 
-    mode "span_rank" streams generator vectors into an incremental row
-    reduction and compares the reached rank with dim ker(mu); arithmetic
-    is mod p (default 2^31 - 1) unless exact=True, which is limited to
-    nvars <= 7.  A mod-p rank can only undershoot the rational rank, so a
-    True verdict is exact.
+    mode "span_rank" counts the rank of the streamed generator vectors
+    (_span_rank: pair columns plus graph components, no elimination) and
+    compares it with dim ker(mu); the count is exact for every supported
+    nvars.
 
     mode "standardize" rewrites every closed-form kernel basis vector to
     standard form and demands an empty standard part with a certificate
     that replays; this path is exact for every supported nvars and also
     proves the ring lemmas behind the replay (swap_identity_holds).
     """
-    check_nvars(nvars, exact)
+    check_nvars(nvars)
     if mode not in ("span_rank", "standardize"):
         raise ValueError("unknown mode %r" % (mode,))
-    if mode == "span_rank":
-        # a modulus that is not prime fails here, before any elimination
-        p = None if exact else (DEFAULT_PRIME if prime is None else int(prime))
-        field = FRACTION_FIELD if exact else ModPField(p)
     kernel_dim, mu_rank, n3 = kernel_dimension(nvars)
     base = dict(
         # mu is onto R^6, one basis monomial per sextet
-        nvars=nvars, mode=mode, dim_r3=n3, dim_r6=mu_rank,
-        mu_rank=mu_rank, kernel_dim=kernel_dim,
+        nvars=nvars, mode=mode, exact=True, prime=None, dim_r3=n3,
+        dim_r6=mu_rank, mu_rank=mu_rank, kernel_dim=kernel_dim,
         # ordered pairs of triples minus the disjoint ones
         pair_count=n3 * (n3 - math.comb(nvars - 3, 3)),
         standardized_vectors=0, certificate_moves=0,
@@ -434,28 +471,10 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     )
 
     if mode == "span_rank":
-        reducer = RowReducer(field)
-        tindex = {t: i for i, t in enumerate(_triples(nvars))}
-        value = {1: field.one, -1: field.neg(field.one)}
-
-        def add(gen):
-            reducer.add({tindex[l] * n3 + tindex[r]: value[sign]
-                         for (l, r), sign in _move_terms(gen).items()})
-
-        for gen in _generators(nvars, "monomial_pair"):
-            add(gen)
-        pair_rank = reducer.rank
-        swap_streamed = 0
-        for gen in _generators(nvars, "swap_binomial"):
-            if reducer.rank >= kernel_dim:
-                break
-            swap_streamed += 1
-            add(gen)
-        span_rank = reducer.rank
+        pair_rank, swap_streamed, span_rank = _span_rank(nvars, kernel_dim)
         return SpanReport(
-            exact=bool(exact), prime=p, pair_rank=pair_rank,
-            swap_streamed=swap_streamed, span_rank=span_rank,
-            verdict=span_rank == kernel_dim, **base)
+            pair_rank=pair_rank, swap_streamed=swap_streamed,
+            span_rank=span_rank, verdict=span_rank == kernel_dim, **base)
 
     # standardize mode: exact by construction
     ok = True
@@ -472,8 +491,7 @@ def span_equals_kernel(nvars, mode="span_rank", prime=None, exact=False):
     base.update(standardized_vectors=count, certificate_moves=moves_total,
                 swap_identity_checked=True)
     return SpanReport(
-        exact=True, prime=None, pair_rank=0, swap_streamed=0,
-        span_rank=kernel_dim if ok else -1,
+        pair_rank=0, swap_streamed=0, span_rank=kernel_dim if ok else -1,
         verdict=ok and identity_ok, **base)
 
 

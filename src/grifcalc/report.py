@@ -28,8 +28,7 @@ from .invariant import (NVARS, delta_nu, distinguished_tensor,
                         distinguished_triple, independence_rank, iso_det,
                         iso_matrix, rho_check)
 from .jacobian import HypersurfaceRing
-from .linalg import DEFAULT_PRIME
-from .mulkernel import EXACT_NVARS_LIMIT, mu_apply, span_equals_kernel
+from .mulkernel import mu_apply, span_equals_kernel
 from .scalar import parse, scalar_to_string
 
 SEVENFOLD_MIDDLE = (0, 0, 1, 84, 84, 1, 0, 0)
@@ -86,8 +85,6 @@ class ReportOptions(object):
     kermu_vars: int = 6
     pairs: tuple = DEFAULT_PAIRS
     seed: int = 0
-    modp: int = DEFAULT_PRIME
-    exact: bool = False
     skip: tuple = ()
     stable: bool = False
     cache: object = None
@@ -220,24 +217,18 @@ def _check_kernel_membership(options):
     return ok, {"tensor": "x4*x5*x6/A (x) x3*x5*x7/B", "in_kernel": ok}
 
 
-def kermu_payload(nvars, mode, exact, modp, cache):
+def kermu_payload(nvars, mode, cache):
     """span_equals_kernel(nvars, mode) as a JSON payload, through the cache
-    (which may be None).
-
-    Arithmetic is exact when asked for or when nvars <= EXACT_NVARS_LIMIT;
-    otherwise span ranks are taken mod modp.
+    (which may be None).  Both modes are exact; the params keep their
+    "exact" and "prime" keys so that existing cache entries still match.
     """
-    exact = exact or nvars <= EXACT_NVARS_LIMIT
-    prime = None if (exact or mode == "standardize") else modp
-    params = {"nvars": nvars, "mode": mode, "exact": exact, "prime": prime}
+    params = {"nvars": nvars, "mode": mode, "exact": True, "prime": None}
     return _cached(cache, "kermu." + mode, params,
-                   lambda: span_equals_kernel(nvars, mode=mode, prime=prime,
-                                              exact=exact).to_json())
+                   lambda: span_equals_kernel(nvars, mode=mode).to_json())
 
 
 def _check_kermu(options, mode):
-    payload = kermu_payload(options.kermu_vars, mode, options.exact,
-                            options.modp, options.cache)
+    payload = kermu_payload(options.kermu_vars, mode, options.cache)
     return bool(payload["verdict"]), payload
 
 

@@ -69,24 +69,6 @@ class ParamPolynomial:
         self.terms = terms
 
     @classmethod
-    def from_terms(cls, params, terms):
-        params = tuple(params)
-        if sorted(set(params)) != list(params):
-            raise ValueError("parameters must be sorted and distinct")
-        for name in params:
-            if not _NAME_RE.match(name):
-                raise ValueError("bad parameter name: %r" % (name,))
-        clean = {}
-        for e, c in terms.items():
-            e = tuple(int(v) for v in e)
-            if len(e) != len(params) or any(v < 0 for v in e):
-                raise ValueError("bad exponent tuple %r" % (e,))
-            c = Fraction(c)
-            if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        return cls(*_prune(params, clean))
-
-    @classmethod
     def constant(cls, value):
         value = Fraction(value)
         if not value:

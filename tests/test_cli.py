@@ -188,6 +188,19 @@ def test_kermu_cache_env_var_and_flag_precedence(tmp_path, monkeypatch):
     assert len(list(env_dir.glob("*.json"))) == 1
 
 
+def test_flags_before_the_action_are_usage_errors(tmp_path, monkeypatch):
+    # common flags belong to the action; before it they are not silently
+    # dropped for the action's defaults
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GRIFCALC_CACHE", raising=False)
+    for argv in (["nl", "--json", "det", "--a", "2", "--b", "3"],
+                 ["kermu", "--cache", str(tmp_path / "flag"), "verify",
+                  "--vars", "5"]):
+        code, _ = run_command(argv)
+        assert code == 2, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kermu_verify_standardize_json():
     code, out = run_command(["kermu", "verify", "--vars", "5", "--method",
                              "standardize", "--json"])
@@ -215,8 +228,10 @@ def test_kermu_verify_text_names_certificates_only_when_standardizing():
 def test_kermu_verify_out_of_range():
     code, out = run_command(["kermu", "verify", "--vars", "12"])
     assert code == 2
-    code, out = run_command(["kermu", "verify", "--vars", "9", "--exact"])
-    assert code == 2
+    for extra in (["--exact"], ["--modp", "7"]):
+        code, out = run_command(["kermu", "verify", "--vars", "9"] + extra)
+        assert code == 2
+        assert "unrecognized arguments: %s" % " ".join(extra) in out
 
 
 def test_jring_basis():
@@ -263,22 +278,13 @@ def test_version():
     assert out == "0.1.0"
 
 
-def test_kermu_composite_modulus_is_a_usage_error():
-    for modp in ("4", "6", "9"):
-        start = time.perf_counter()
-        code, out = run_command(["kermu", "verify", "--vars", "8",
-                                 "--modp", modp])
-        assert code == 2
-        assert "not a prime" in out
-        assert time.perf_counter() - start < 1.0
-
-
 def test_kermu_default_modulus_verdict():
     code, out = run_command(["kermu", "verify", "--vars", "8", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] is True
-    assert data["prime"] == 2147483647
+    assert data["exact"] is True
+    assert data["prime"] is None
     assert data["kernel_dim"] == 3108
 
 
@@ -293,20 +299,9 @@ def test_module_entry_point_runs_main():
     assert proc.stdout == "0.1.0\n"
 
 
-def test_report_composite_modulus_is_a_usage_error():
-    for modp in ("4", "6", "9"):
-        start = time.perf_counter()
-        code, out = run_command(["report", "--modp", modp, "--kermu-vars", "8"])
-        assert code == 2
-        assert "not a prime" in out
-        assert time.perf_counter() - start < 1.0
-
-
 def test_report_kermu_size_out_of_range_is_a_usage_error():
     for extra, message in ((["--kermu-vars", "12"], "nvars must lie in [4, 9]"),
-                           (["--kermu-vars", "3"], "nvars must lie in [4, 9]"),
-                           (["--kermu-vars", "9", "--exact"],
-                            "exact span ranks are limited to nvars <= 7")):
+                           (["--kermu-vars", "3"], "nvars must lie in [4, 9]")):
         start = time.perf_counter()
         code, out = run_command(["report"] + extra)
         assert code == 2
@@ -381,7 +376,7 @@ def _fuzz_argv(rng):
         ["kermu", "verify", "--vars", rng.choice(["1", "3", "4", "12", "x"]),
          "--method", rng.choice(["span", "standardize", "other"])],
         ["report", "--kermu-vars", small(1, 9), "--pairs", pairs(),
-         "--modp", rng.choice(["2147483647", "7", "6", "1", "0", "x"])]
+         "--seed", rng.choice(["2147483647", "7", "6", "1", "0", "x"])]
         + [t for g in _FUZZ_GROUPS for t in ("--skip", g)]
         + rng.choice([[], ["--skip", "kermus"], ["--stable"]]),
         [rng.choice(["frobnicate", "--help", "--version", "-x", ""])],

@@ -8,17 +8,20 @@ from fractions import Fraction
 
 import pytest
 
+from grifcalc import mulkernel
 from grifcalc.errors import DegreeMismatch, NotInKernel, OutOfRange
 from grifcalc.jacobian import HypersurfaceRing, TensorSum, monomials_of_degree
-from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel
+from grifcalc.linalg import (DEFAULT_PRIME, FRACTION_FIELD, ModPField,
+                             RowReducer, rank_and_kernel)
 from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
                                 RankOneGenerator, StandardTensor,
                                 kernel_dimension, mu_apply,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
-                                index_monomial, _move_terms, _mu_kernel,
-                                _standardize_supports, _support)
+                                index_monomial, _generators, _move_terms,
+                                _mu_kernel, _standardize_supports, _support,
+                                _triples, _with)
 from grifcalc.scalar import Scalar
 
 ONE = Scalar.from_fraction(1)
@@ -308,10 +311,59 @@ def test_swap_identity():
 
 def test_span_equals_kernel_exact_small():
     for nvars in (4, 5, 6, 7):
-        report = span_equals_kernel(nvars, mode="span_rank", exact=True)
+        report = span_equals_kernel(nvars, mode="span_rank")
         assert report.verdict is True
         assert report.span_rank == report.kernel_dim
         assert report.exact is True
+
+
+def _reducer_span_rank(nvars, field):
+    # oracle: the span rank by incremental row reduction over field, the
+    # loop that the component count replaced
+    kernel_dim, _, n3 = kernel_dimension(nvars)
+    reducer = RowReducer(field)
+    tindex = {t: i for i, t in enumerate(_triples(nvars))}
+    value = {1: field.one, -1: field.neg(field.one)}
+
+    def add(gen):
+        reducer.add({tindex[l] * n3 + tindex[r]: value[sign]
+                     for (l, r), sign in _move_terms(gen).items()})
+
+    for gen in _generators(nvars, "monomial_pair"):
+        add(gen)
+    pair_rank = reducer.rank
+    swap_streamed = 0
+    for gen in _generators(nvars, "swap_binomial"):
+        if reducer.rank >= kernel_dim:
+            break
+        swap_streamed += 1
+        add(gen)
+    span_rank = reducer.rank
+    return pair_rank, swap_streamed, span_rank, span_rank == kernel_dim
+
+
+def test_component_count_matches_row_reduction():
+    cases = [(n, FRACTION_FIELD) for n in range(4, 8)]
+    cases.append((8, ModPField(DEFAULT_PRIME)))
+    for nvars, field in cases:
+        report = span_equals_kernel(nvars, mode="span_rank")
+        assert (report.pair_rank, report.swap_streamed, report.span_rank,
+                report.verdict) == _reducer_span_rank(nvars, field), nvars
+
+
+def test_component_count_refuses_other_shapes(monkeypatch):
+    # the count holds only for +-(e_x - e_y) beside the pair columns; a
+    # doubled entry that survives the projection must not be counted
+    def doubled(gen):
+        terms = _move_terms(gen)
+        if gen.family_tag == "swap_binomial":
+            t, u, a, k = gen.indices
+            terms[_with(t, k), _with(u, a)] *= 2
+        return terms
+
+    monkeypatch.setattr(mulkernel, "_move_terms", doubled)
+    with pytest.raises(ArithmeticError):
+        span_equals_kernel(6)
 
 
 def test_span_equals_kernel_modp_nine_variables():
@@ -320,7 +372,8 @@ def test_span_equals_kernel_modp_nine_variables():
     assert report.kernel_dim == 6972
     assert report.span_rank == 6972
     assert report.dim_r3 == 84 and report.dim_r6 == 84
-    assert report.prime is not None
+    assert report.exact is True
+    assert report.prime is None
 
 
 def test_span_equals_kernel_standardize_mode():
@@ -353,7 +406,7 @@ def test_span_equals_kernel_counts_pinned():
 
 
 def test_span_report_json_shape():
-    report = span_equals_kernel(5, mode="span_rank", exact=True)
+    report = span_equals_kernel(5, mode="span_rank")
     data = report.to_json()
     for key in ("nvars", "mode", "exact", "prime", "dim_r3", "dim_r6",
                 "kernel_dim", "span_rank", "verdict"):
@@ -365,8 +418,6 @@ def test_nvars_range_guards():
         span_equals_kernel(3)
     with pytest.raises(OutOfRange):
         span_equals_kernel(10)
-    with pytest.raises(OutOfRange):
-        span_equals_kernel(9, exact=True)  # exact arithmetic capped at 7
 
 
 def test_tensor_in_kernel():
