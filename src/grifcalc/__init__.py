@@ -19,8 +19,8 @@ from .characters import (Character, GaloisOrbit, SymbolicClass,
 from .errors import (DegenerateDenominator, DegreeMismatch, DivisionByZero,
                      GrifcalcError, InvalidCharacter, NotInKernel,
                      NotIsomorphism, NotReducedMonomial, OutOfRange,
-                     ParameterInModP, ParseError, PoleAtSpecialization,
-                     UnboundParameter, ZeroDenominator)
+                     ParseError, PoleAtSpecialization, UnboundParameter,
+                     ZeroDenominator)
 from .hodge import (CIData, HodgeVector, ci_prim_hodge, euler_characteristic,
                     hypersurface_prim_hodge, jacobian_vanishing_check)
 from .invariant import (TripleData, delta_nu, independence_rank, iso_det,
@@ -43,8 +43,8 @@ __all__ = [
     "orbit_partition", "rational_class",
     "DegenerateDenominator", "DegreeMismatch", "DivisionByZero",
     "GrifcalcError", "InvalidCharacter", "NotInKernel", "NotIsomorphism",
-    "NotReducedMonomial", "OutOfRange", "ParameterInModP", "ParseError",
-    "PoleAtSpecialization", "UnboundParameter", "ZeroDenominator",
+    "NotReducedMonomial", "OutOfRange", "ParseError", "PoleAtSpecialization",
+    "UnboundParameter", "ZeroDenominator",
     "CIData", "HodgeVector", "ci_prim_hodge", "euler_characteristic",
     "hypersurface_prim_hodge", "jacobian_vanishing_check",
     "TripleData", "delta_nu", "independence_rank", "iso_det", "iso_matrix",

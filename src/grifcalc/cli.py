@@ -99,9 +99,12 @@ def _pair_list(text):
         if len(parts) != 2:
             raise argparse.ArgumentTypeError("expected a;-separated list of a,b pairs")
         try:
-            pairs.append((Fraction(parts[0]), Fraction(parts[1])))
-        except ValueError:
+            pair = (Fraction(parts[0]), Fraction(parts[1]))
+        except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError("pair entries must be rational numbers")
+        if not any(pair):
+            raise argparse.ArgumentTypeError("a pair (0, 0) has no defined value")
+        pairs.append(pair)
     if not pairs:
         raise argparse.ArgumentTypeError("no pairs given")
     return tuple(pairs)
@@ -110,7 +113,7 @@ def _pair_list(text):
 def _fraction(text):
     try:
         return Fraction(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("expected a rational number")
 
 

@@ -53,9 +53,5 @@ class DegenerateDenominator(GrifcalcError):
     """A coefficient pair (0, 0) makes the associated value undefined."""
 
 
-class ParameterInModP(GrifcalcError):
-    """Modular arithmetic was requested on entries with free parameters."""
-
-
 class OutOfRange(GrifcalcError):
     """An argument lies outside the supported range for the operation."""

@@ -21,13 +21,10 @@ from functools import lru_cache
 
 from .errors import DegreeMismatch, NotReducedMonomial
 from .linalg import (
-    DEFAULT_PRIME,
     FRACTION_FIELD,
-    ModPField,
     determinant as _det_rows,
     rank_and_kernel,
     rref,
-    scalar_mod_p,
 )
 from .scalar import Scalar, parse as parse_scalar, scalar_to_string
 
@@ -531,36 +528,17 @@ def pairing_matrix(ring, p, j, k):
     return LinearMap(bk.basis, bj.basis, entries)
 
 
-def rank_kernel(linmap, mode="exact", prime=None, assignment=None):
-    """Rank and kernel basis of a LinearMap.
+def rank_kernel(linmap):
+    """Rank and kernel basis of a LinearMap over the field of fractions.
 
-    mode "exact" works over the field of fractions (Fraction vectors when
-    no entry has parameters).  mode "mod_p" reduces entries modulo a prime
-    (default 2^31 - 1) and returns integer kernel vectors; parameters
-    must be specialized via assignment first.
+    Kernel vectors are dense tuples, of Fraction when no entry has
+    parameters.
     """
-    rows = linmap.rows_as_dicts()
     n = linmap.ncols
-    if mode == "exact":
-        r, kern = rank_and_kernel(rows, n, FRACTION_FIELD)
-        vecs = [tuple(v.get(c, FRACTION_FIELD.zero) for c in range(n))
-                for v in kern]
-        return r, vecs
-    if mode == "mod_p":
-        p = DEFAULT_PRIME if prime is None else int(prime)
-        gf = ModPField(p)
-        prow_list = []
-        for r in rows:
-            pr = {}
-            for c, v in r.items():
-                w = scalar_mod_p(v, p, assignment)
-                if w:
-                    pr[c] = w
-            prow_list.append(pr)
-        r, kern = rank_and_kernel(prow_list, n, gf)
-        vecs = [tuple(v.get(c, 0) for c in range(n)) for v in kern]
-        return r, vecs
-    raise ValueError("unknown mode %r" % (mode,))
+    r, kern = rank_and_kernel(linmap.rows_as_dicts(), n, FRACTION_FIELD)
+    vecs = [tuple(v.get(c, FRACTION_FIELD.zero) for c in range(n))
+            for v in kern]
+    return r, vecs
 
 
 def determinant(linmap):

@@ -1,50 +1,16 @@
-"""Sparse exact linear algebra over pluggable coefficient fields.
+"""Sparse exact linear algebra over the field of fractions.
 
-Matrices are lists of sparse rows (dict column -> coefficient).  Two
-fields are supported: FRACTION_FIELD, exact over Fraction entries, Scalar
-entries (rational functions in parameters) or a mix of both, and GF(p).
-Pivot selection uses a Markowitz fill-in estimate with deterministic
-tie-breaking, so every result is reproducible run to run.
+Matrices are lists of sparse rows (dict column -> coefficient).  Each
+routine takes its field as a parameter, and the one field is
+FRACTION_FIELD: exact over Fraction entries, Scalar entries (rational
+functions in parameters) or a mix of both.  Pivot selection uses a
+Markowitz fill-in estimate with deterministic tie-breaking, so every
+result is reproducible run to run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import OutOfRange, ParameterInModP, PoleAtSpecialization
-from .scalar import Scalar
-
-DEFAULT_PRIME = 2 ** 31 - 1
-
-# Miller-Rabin with these bases is exact for every n below the limit
-# (Sorensen and Webster 2015); the bases 2..37 alone are only exact below
-# 3.2e23.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n):
-    """Deterministic primality test for 0 <= n < _PRIME_LIMIT."""
-    if n < 2:
-        return False
-    for q in _PRIME_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class FractionField:
@@ -79,59 +45,7 @@ class FractionField:
         return not a
 
 
-class ModPField:
-    """Prime field GF(p) on Python ints in [0, p)."""
-
-    def __init__(self, p):
-        if not (p < _PRIME_LIMIT and _is_prime(p)):
-            raise OutOfRange("modulus %d is not a prime below %d"
-                             % (p, _PRIME_LIMIT))
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        return (a * pow(b, self.p - 2, self.p)) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-
 FRACTION_FIELD = FractionField()
-
-
-def fraction_mod_p(x, p):
-    """Image of a Fraction in GF(p); the denominator must be prime to p."""
-    num = x.numerator % p
-    den = x.denominator % p
-    if den == 0:
-        raise PoleAtSpecialization("denominator divisible by %d" % p)
-    return (num * pow(den, p - 2, p)) % p
-
-
-def scalar_mod_p(x, p, assignment=None):
-    """Image of a Fraction or Scalar in GF(p), specializing parameters if
-    given."""
-    if isinstance(x, Scalar):
-        if x.params and assignment is None:
-            raise ParameterInModP(
-                "entries contain free parameters (%s); pass a specialization"
-                % ", ".join(x.params)
-            )
-        x = x.specialize(assignment or {})
-    return fraction_mod_p(x, p)
 
 
 def _clean_rows(rows, field):

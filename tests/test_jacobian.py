@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from grifcalc.errors import (DegreeMismatch, NotReducedMonomial,
-                             ParameterInModP)
+from grifcalc.errors import DegreeMismatch, NotReducedMonomial
 from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                LinearMap, TensorSum, ambient_dimension,
                                determinant, monomials_of_degree, mult_map,
@@ -215,7 +214,7 @@ def test_pairing_smallest_ring():
     assert m.entries == {(0, 1): one, (1, 0): one}
 
 
-def test_rank_kernel_symbolic_and_modp():
+def test_rank_kernel_symbolic():
     dom = HypersurfaceRing.fermat(3, 4).quotient_basis(1).basis
     a = Scalar.param("a")
     entries = {(0, 0): a, (0, 1): Scalar.from_fraction(1),
@@ -223,12 +222,7 @@ def test_rank_kernel_symbolic_and_modp():
     m = LinearMap(dom, dom, entries)
     rank, kernel = rank_kernel(m)
     assert rank == 2
-    rank_spec, kernel_spec = rank_kernel(m, mode="mod_p", prime=101,
-                                         assignment={"a": Fraction(1)})
-    assert rank_spec == 1
-    assert len(kernel_spec) == 3  # 4 columns, rank 1
-    with pytest.raises(ParameterInModP):
-        rank_kernel(m, mode="mod_p", prime=101)
+    assert len(kernel) == 2  # 4 columns, rank 2
 
 
 def test_determinant_of_mult_map():

@@ -4,16 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from grifcalc.errors import GrifcalcError, OutOfRange
 from grifcalc.linalg import (
-    DEFAULT_PRIME,
     FRACTION_FIELD,
-    ModPField,
     RowReducer,
-    _PRIME_LIMIT,
-    _is_prime,
     determinant,
-    fraction_mod_p,
     kernel_basis,
     rank,
     rank_and_kernel,
@@ -144,21 +138,6 @@ def test_solve_matches_determinant_on_sparse_systems():
     assert 200 < singular < 1000
 
 
-def test_mod_p_rank_never_exceeds_exact():
-    rng = random.Random(3)
-    gf = ModPField(DEFAULT_PRIME)
-    for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        exact = rank(dense_to_rows(mat), FRACTION_FIELD)
-        rows_p = [{j: v % DEFAULT_PRIME for j, v in enumerate(r) if v % DEFAULT_PRIME}
-                  for r in mat]
-        modp = rank(rows_p, gf)
-        assert modp <= exact
-        # entries this small cannot hit a bad prime of magnitude 2^31-1
-        assert modp == exact
-
-
 def test_row_reducer_matches_batch_rank():
     rng = random.Random(13)
     for _ in range(40):
@@ -171,12 +150,33 @@ def test_row_reducer_matches_batch_rank():
         assert red.rank == rank(rows, FRACTION_FIELD)
 
 
+class _IntegersMod6:
+    """The ring Z/6 on ints in [0, 6).  Its units 1 and 5 are their own
+    inverses, so div(a, b) = a * b is right exactly when b is a unit."""
+
+    zero, one = 0, 1
+
+    @staticmethod
+    def is_zero(a):
+        return a % 6 == 0
+
+    @staticmethod
+    def sub(a, b):
+        return (a - b) % 6
+
+    @staticmethod
+    def mul(a, b):
+        return a * b % 6
+
+    @staticmethod
+    def div(a, b):
+        return a * b % 6
+
+
 def test_row_reducer_rejects_a_pivot_that_does_not_normalize():
-    # GF(6) is not a field: 2 has no inverse, so the pivot cannot become 1
+    # Z/6 is not a field: 2 has no inverse, so the pivot cannot become 1
     # and reduce would never clear its column
-    ring = object.__new__(ModPField)
-    ring.p, ring.zero, ring.one = 6, 0, 1
-    red = RowReducer(ring)
+    red = RowReducer(_IntegersMod6())
     with pytest.raises(ArithmeticError):
         red.add({0: 2})
     assert red.rank == 0
@@ -209,35 +209,6 @@ def test_kernel_basis_unit_at_free_column():
         cols = sorted(v)
         f = [c for c in cols if v[c] == 1]
         assert f
-
-
-def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
-
-    for n in range(5000):
-        assert _is_prime(n) == trial(n), n
-
-
-def test_mod_p_field_rejects_composite_moduli():
-    for p in (DEFAULT_PRIME, 2, 3, 2 ** 61 - 1):
-        assert ModPField(p).p == p
-    strong_pseudoprimes = (
-        561,                          # Carmichael number
-        3215031751,                   # strong pseudoprime to bases 2, 3, 5, 7
-        318665857834031151167461,     # strong pseudoprime to bases 2 .. 37
-    )
-    for p in (0, 1, 4, 6, 9, 2 ** 31 + 1) + strong_pseudoprimes:
-        with pytest.raises(OutOfRange):
-            ModPField(p)
-    with pytest.raises(OutOfRange):
-        ModPField(_PRIME_LIMIT)  # beyond the range the test is exact on
-
-
-def test_fraction_mod_p_pole_is_a_domain_error():
-    assert fraction_mod_p(Fraction(1, 7), 5) == 3
-    with pytest.raises(GrifcalcError):
-        fraction_mod_p(Fraction(1, 7), 7)
 
 
 class _ScalarOnlyField:

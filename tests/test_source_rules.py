@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import grifcalc
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "grifcalc"
 
 
@@ -33,3 +35,10 @@ def test_library_imports_no_private_name_from_a_sibling_module():
                       and not (alias.name.startswith("__")
                                and alias.name.endswith("__"))]
     assert found == []
+
+
+def test_public_names_resolve_and_are_listed_once():
+    # a name dropped from the library must leave __all__ with it
+    names = grifcalc.__all__
+    assert [n for n in names if not hasattr(grifcalc, n)] == []
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
