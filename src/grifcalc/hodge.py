@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import OutOfRange
+
 
 @dataclass(frozen=True)
 class HodgeVector:
@@ -79,6 +81,29 @@ class CIData:
         return self.m + len(self.degrees)
 
 
+# the largest degree and dimension hypersurface_prim_hodge accepts: its
+# one convolution makes about d * m^2 big-integer additions, 0.2 s at
+# 100/100
+MAX_HYPERSURFACE_SIZE = 100
+
+
+def _bounded_counts(nvars, cap, top):
+    """Coefficients of t^0 .. t^top in (1 + t + ... + t^cap)^nvars: the
+    numbers of degree-k monomials in nvars variables with every exponent
+    <= cap.  Each factor is a sliding-window sum over the previous
+    coefficients."""
+    coeffs = [1] + [0] * top
+    for _ in range(nvars):
+        window, new = 0, []
+        for k, c in enumerate(coeffs):
+            window += c
+            if k > cap:
+                window -= coeffs[k - cap - 1]
+            new.append(window)
+        coeffs = new
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def bounded_slice_dimension(nvars, k, cap):
     """Number of degree-k monomials in nvars variables with every exponent
@@ -86,28 +111,24 @@ def bounded_slice_dimension(nvars, k, cap):
     Computed by polynomial convolution, no enumeration."""
     if k < 0 or k > nvars * cap:
         return 0
-    coeffs = [1]
-    for _ in range(nvars):
-        new = [0] * min(len(coeffs) + cap, k + 1)
-        for i, c in enumerate(coeffs):
-            for e in range(cap + 1):
-                if i + e <= k:
-                    new[i + e] += c
-        coeffs = new
-    return coeffs[k] if k < len(coeffs) else 0
+    return _bounded_counts(nvars, cap, k)[k]
 
 
 def hypersurface_prim_hodge(d, m):
     """Primitive middle Hodge numbers of a smooth degree-d hypersurface of
-    dimension m, through the residue grading of the Fermat Jacobian ring."""
+    dimension m, through the residue grading of the Fermat Jacobian ring:
+    h^{m-q,q} is the slice dimension at k = (q+1)d - (m+2), read for every
+    q off one convolution.  Degree or dimension above
+    MAX_HYPERSURFACE_SIZE raises OutOfRange."""
     if d < 1 or m < 1:
         raise ValueError("need degree >= 1 and dimension >= 1")
+    if max(d, m) > MAX_HYPERSURFACE_SIZE:
+        raise OutOfRange("degree and dimension must be at most %d"
+                         % MAX_HYPERSURFACE_SIZE)
     nvars = m + 2
-    values = []
-    for q in range(m + 1):
-        k = (q + 1) * d - (m + 2)
-        values.append(bounded_slice_dimension(nvars, k, d - 2) if k >= 0 else 0)
-    return HodgeVector(m, tuple(values))
+    counts = _bounded_counts(nvars, d - 2, (m + 1) * d - nvars)
+    ks = [(q + 1) * d - nvars for q in range(m + 1)]
+    return HodgeVector(m, tuple(counts[k] if k >= 0 else 0 for k in ks))
 
 
 # truncated power series in H with Fraction coefficients, as lists of

@@ -2,20 +2,38 @@
 
 Matrices are lists of sparse rows (dict column -> coefficient).  Each
 routine takes its field as a parameter, and the one field is
-FRACTION_FIELD: exact over Fraction entries, Scalar entries (rational
-functions in parameters) or a mix of both.  Pivot selection uses a
-Markowitz fill-in estimate with deterministic tie-breaking, so every
-result is reproducible run to run.
+FRACTION_FIELD: exact over int and Fraction entries, Scalar entries
+(rational functions in parameters) or a mix of them.
+
+There is one elimination kernel with one pivot rule: a Markowitz fill-in
+estimate with deterministic tie-breaking, so every result is reproducible
+run to run.  How the kernel updates a row depends only on the entry types:
+
+- When every entry is an int or a Fraction (over FRACTION_FIELD), each
+  row is cleared to a primitive integer row and eliminated fraction-free
+  in the style of Bareiss (1968), with the multipliers cross-cancelled
+  (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(pv, coef),
+  r <- (pv/g) r - (coef/g) prow, then r is divided by its content.  rref
+  builds its Fraction entries once, at the end, and determinant divides
+  out the row scales that the pass tracks.
+- When any entry is a Scalar, the field update r <- r - (coef/pv) prow
+  runs in the field's own arithmetic.
+
+Scaling a row by a nonzero factor never changes its zero pattern, so both
+updates choose the same pivots, and the reduced rows, which the pivot
+columns determine, are the same.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FractionField:
-    """The field of fractions: exact arithmetic on Fraction, Scalar and
-    mixes of the two, with Fraction zero and one."""
+    """The field of fractions: exact arithmetic on int, Fraction, Scalar
+    and mixes of them, with Fraction zero and one."""
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -34,6 +52,8 @@ class FractionField:
 
     @staticmethod
     def div(a, b):
+        if isinstance(a, int) and isinstance(b, int):
+            return Fraction(a, b)  # a / b would be a float
         return a / b
 
     @staticmethod
@@ -48,11 +68,64 @@ class FractionField:
 FRACTION_FIELD = FractionField()
 
 
-def _clean_rows(rows, field):
+def _integer_rows(rows):
+    """Each row cleared of zeros and denominators and divided by its
+    content, as (integer row, [num, den]) with the integer row num/den
+    times the input row; None when an entry is neither an int nor a
+    Fraction."""
+    if not all(isinstance(v, (int, Fraction))
+               for r in rows for v in r.values()):
+        return None
     out = []
     for r in rows:
-        out.append({c: v for c, v in r.items() if not field.is_zero(v)})
+        r = {c: v for c, v in r.items() if v}
+        mult = lcm(*(v.denominator for v in r.values()))
+        r = {c: v.numerator * (mult // v.denominator) for c, v in r.items()}
+        content = gcd(*r.values())
+        if content > 1:
+            r = {c: v // content for c, v in r.items()}
+        out.append((r, [mult, content]))
     return out
+
+
+def _field_update(row, factor, prow, field, col_count):
+    """row -= factor * prow in the field's arithmetic, in place."""
+    for c, v in prow.items():
+        w = field.sub(row.get(c, field.zero), field.mul(factor, v))
+        if field.is_zero(w):
+            if c in row:
+                del row[c]
+                col_count[c] -= 1
+        else:
+            if c not in row:
+                col_count[c] += 1
+            row[c] = w
+
+
+def _integer_update(row, coef, pv, prow, col_count):
+    """row <- (pv/g) row - (coef/g) prow over the integers, g = gcd(pv,
+    coef), then row divided by its content, in place.  Returns the factor
+    pv/g and the content, whose quotient scales the row."""
+    g = gcd(pv, coef)
+    a = pv // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    b = coef // g
+    for c, v in prow.items():
+        w = row.get(c, 0) - b * v
+        if w:
+            if c not in row:
+                col_count[c] += 1
+            row[c] = w
+        elif c in row:
+            del row[c]
+            col_count[c] -= 1
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
+    return a, content
 
 
 def _pick_pivot(active, col_count):
@@ -72,41 +145,45 @@ def _pick_pivot(active, col_count):
 def _eliminate(rows, field):
     """Markowitz forward elimination over the field.
 
-    Yields (row_index, pivot_col, pivot_value, pivot_row) for each pivot
-    in turn, row_index counting the input rows.  After a pivot is yielded,
-    every remaining row r with an entry in pivot_col is updated as
-    r -= (r[pivot_col] / pivot_value) * pivot_row; rows that become empty
-    drop out.  Pivot rows are never scaled, and yielded rows are not
-    touched again.
+    Yields (row_index, pivot_col, pivot_row, scale) for each pivot in
+    turn, row_index counting the input rows.  pivot_row is scale times the
+    pivot row of the elimination that updates every remaining row r with
+    an entry in pivot_col as r -= (r[pivot_col] / pivot_value) * pivot_row.
+    scale is None when the kernel runs that field update itself (some
+    entry is a Scalar, or the field is not FRACTION_FIELD), and a pair
+    (num, den) of ints meaning num/den when it runs on primitive integer
+    rows.  Rows that become empty drop out,
+    and yielded rows are not touched again.
     """
-    active = {i: r for i, r in enumerate(_clean_rows(rows, field)) if r}
-    col_count = {}
+    prepared = _integer_rows(rows) if field is FRACTION_FIELD else None
+    if prepared is None:
+        prepared = [({c: v for c, v in r.items() if not field.is_zero(v)},
+                     None) for r in rows]
+    active = {i: r for i, (r, _) in enumerate(prepared) if r}
+    scales = [s for _, s in prepared]
+    col_count = Counter()
     for row in active.values():
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
+        col_count.update(row.keys())
     while active:
         ri, pc = _pick_pivot(active, col_count)
         prow = active.pop(ri)
         for c in prow:
             col_count[c] -= 1
         pv = prow[pc]
-        yield ri, pc, pv, prow
+        yield ri, pc, prow, scales[ri]
         for rj in list(active):
             row = active[rj]
             coef = row.get(pc)
             if coef is None:
                 continue
-            factor = field.div(coef, pv)
-            for c, v in prow.items():
-                w = field.sub(row.get(c, field.zero), field.mul(factor, v))
-                if field.is_zero(w):
-                    if c in row:
-                        del row[c]
-                        col_count[c] -= 1
-                else:
-                    if c not in row:
-                        col_count[c] = col_count.get(c, 0) + 1
-                    row[c] = w
+            scale = scales[rj]
+            if scale is None:
+                _field_update(row, field.div(coef, pv), prow, field,
+                              col_count)
+            else:
+                a, content = _integer_update(row, coef, pv, prow, col_count)
+                scale[0] *= a
+                scale[1] *= content
             if not row:
                 del active[rj]
 
@@ -116,23 +193,32 @@ def rref(rows, field):
 
     Returns a list of (pivot_col, row_dict) sorted by pivot column; each
     row_dict has 1 at its pivot column and support only on non-pivot columns
-    elsewhere.  Input rows are not modified.
+    elsewhere.  Input rows are not modified.  Integer rows are
+    back-substituted fraction-free and turned into Fraction rows last.
     """
     done = []
-    for _, pc, pv, prow in _eliminate(rows, field):
-        inv = field.div(field.one, pv)
-        prow = {c: field.mul(v, inv) for c, v in prow.items()}
-        for _, qrow in done:
-            coef = qrow.get(pc)
-            if coef is not None:
-                for c, v in prow.items():
-                    w = field.sub(qrow.get(c, field.zero), field.mul(coef, v))
-                    if field.is_zero(w):
-                        qrow.pop(c, None)
-                    else:
-                        qrow[c] = w
+    integral = False
+    spare = Counter()  # back-substitution keeps no column counts
+    for _, pc, prow, scale in _eliminate(rows, field):
+        if scale is None:
+            inv = field.div(field.one, prow[pc])
+            prow = {c: field.mul(v, inv) for c, v in prow.items()}
+            for _, qrow in done:
+                coef = qrow.get(pc)
+                if coef is not None:
+                    _field_update(qrow, coef, prow, field, spare)
+        else:
+            integral = True
+            pv = prow[pc]
+            for _, qrow in done:
+                coef = qrow.get(pc)
+                if coef is not None:
+                    _integer_update(qrow, coef, pv, prow, spare)
         done.append((pc, prow))
     done.sort(key=lambda t: t[0])
+    if integral:
+        done = [(pc, {c: Fraction(v, row[pc]) for c, v in row.items()})
+                for pc, row in done]
     return done
 
 
@@ -167,12 +253,16 @@ def rank_and_kernel(rows, ncols, field):
 
 def determinant(rows, n, field):
     """Determinant of an n x n sparse matrix: the product of the pivots of
-    the Markowitz elimination times the sign of the pivot permutation."""
+    the Markowitz elimination times the sign of the pivot permutation.
+    An integer pivot row's pivot is divided by the row's scale."""
     if len(rows) != n:
         raise ValueError("matrix is not square")
     det = field.one
     perm = []
-    for ri, pc, pv, _ in _eliminate(rows, field):
+    for ri, pc, prow, scale in _eliminate(rows, field):
+        pv = prow[pc]
+        if scale is not None:
+            pv = Fraction(pv * scale[1], scale[0])
         det = field.mul(det, pv)
         perm.append((ri, pc))
     if len(perm) != n:

@@ -9,7 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from grifcalc.hodge import (CIData, HodgeVector, chi_y_coefficients,
+from grifcalc.cli import run_command
+from grifcalc.errors import OutOfRange
+from grifcalc.hodge import (MAX_HYPERSURFACE_SIZE, CIData, HodgeVector,
+                            bounded_slice_dimension, chi_y_coefficients,
                             ci_prim_hodge, euler_characteristic,
                             full_diamond_euler, hypersurface_prim_hodge,
                             jacobian_vanishing_check)
@@ -43,6 +46,69 @@ def test_residue_and_series_methods_agree():
             residue = hypersurface_prim_hodge(d, m)
             series = ci_prim_hodge(CIData((d,), m))
             assert residue.values == series.values, (d, m)
+
+
+# Oracle: hypersurface_prim_hodge as it was before all q came from one
+# pass, one convolution per q, kept verbatim apart from the names.
+
+def oracle_bounded_slice_dimension(nvars, k, cap):
+    if k < 0 or k > nvars * cap:
+        return 0
+    coeffs = [1]
+    for _ in range(nvars):
+        new = [0] * min(len(coeffs) + cap, k + 1)
+        for i, c in enumerate(coeffs):
+            for e in range(cap + 1):
+                if i + e <= k:
+                    new[i + e] += c
+        coeffs = new
+    return coeffs[k] if k < len(coeffs) else 0
+
+
+def oracle_hypersurface_prim_hodge(d, m):
+    if d < 1 or m < 1:
+        raise ValueError("need degree >= 1 and dimension >= 1")
+    nvars = m + 2
+    values = []
+    for q in range(m + 1):
+        k = (q + 1) * d - (m + 2)
+        values.append(oracle_bounded_slice_dimension(nvars, k, d - 2)
+                      if k >= 0 else 0)
+    return HodgeVector(m, tuple(values))
+
+
+def test_one_pass_matches_the_per_q_oracle():
+    for d in range(1, 13):
+        for m in range(1, 13):
+            assert (hypersurface_prim_hodge(d, m)
+                    == oracle_hypersurface_prim_hodge(d, m)), (d, m)
+
+
+def test_bounded_slice_dimension_matches_the_oracle():
+    for nvars in range(0, 7):
+        for cap in range(-1, 5):
+            for k in range(-1, nvars * max(cap, 0) + 3):
+                assert (bounded_slice_dimension(nvars, k, cap)
+                        == oracle_bounded_slice_dimension(nvars, k, cap))
+
+
+def test_hypersurface_size_is_bounded():
+    top = MAX_HYPERSURFACE_SIZE
+    hv = hypersurface_prim_hodge(top, top)
+    # at d = m, h^{m,0} = 0 and h^{m-1,1} counts every monomial of degree
+    # m-2 in m+2 variables, none of whose exponents can exceed d-2
+    assert hv.values[0] == 0
+    assert hv.values[1] == math.comb(2 * top - 1, top + 1)
+    for d, m in ((top + 1, 3), (3, top + 1)):
+        with pytest.raises(OutOfRange):
+            hypersurface_prim_hodge(d, m)
+    code, out = run_command(["hodge", "hypersurface", "--degree", str(top),
+                             "--dim", str(top), "--json"])
+    assert code == 0
+    assert out == '{"prim":[%s]}' % ",".join(str(v) for v in hv.values)
+    code, out = run_command(["hodge", "hypersurface", "--degree",
+                             str(top + 1), "--dim", "50"])
+    assert code == 2 and "at most %d" % top in out
 
 
 def test_codimension_two_intersections():

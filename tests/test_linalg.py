@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from grifcalc.jacobian import HomogeneousPolynomial, monomials_of_degree
 from grifcalc.linalg import (
     FRACTION_FIELD,
     RowReducer,
+    _eliminate,
     determinant,
     kernel_basis,
     rank,
@@ -323,3 +325,261 @@ def test_fraction_field_matches_scalar_only_oracle_with_parameters():
     rhs = [Fraction(1), a, Fraction(0)]
     assert (solve(rows, 3, rhs, FRACTION_FIELD)
             == solve(srows, 3, [ONE, a, ZERO], SCALAR_ONLY_FIELD))
+
+
+# Oracle: the Fraction elimination as linalg had it before rational rows
+# moved to fraction-free integer arithmetic, kept verbatim apart from the
+# function names.
+
+def _clean(rows, field):
+    out = []
+    for r in rows:
+        out.append({c: v for c, v in r.items() if not field.is_zero(v)})
+    return out
+
+
+def _pick(active, col_count):
+    """Markowitz pivot: minimize (row_fill-1)*(col_fill-1), ties by (col, row)."""
+    best = None
+    best_key = None
+    for ri, row in active.items():
+        rfill = len(row)
+        for c in row:
+            key = ((rfill - 1) * (col_count[c] - 1), c, ri)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (ri, c)
+    return best
+
+
+def fraction_eliminate(rows, field):
+    """Markowitz forward elimination over the field.
+
+    Yields (row_index, pivot_col, pivot_value, pivot_row) for each pivot
+    in turn, row_index counting the input rows.  After a pivot is yielded,
+    every remaining row r with an entry in pivot_col is updated as
+    r -= (r[pivot_col] / pivot_value) * pivot_row; rows that become empty
+    drop out.  Pivot rows are never scaled, and yielded rows are not
+    touched again.
+    """
+    active = {i: r for i, r in enumerate(_clean(rows, field)) if r}
+    col_count = {}
+    for row in active.values():
+        for c in row:
+            col_count[c] = col_count.get(c, 0) + 1
+    while active:
+        ri, pc = _pick(active, col_count)
+        prow = active.pop(ri)
+        for c in prow:
+            col_count[c] -= 1
+        pv = prow[pc]
+        yield ri, pc, pv, prow
+        for rj in list(active):
+            row = active[rj]
+            coef = row.get(pc)
+            if coef is None:
+                continue
+            factor = field.div(coef, pv)
+            for c, v in prow.items():
+                w = field.sub(row.get(c, field.zero), field.mul(factor, v))
+                if field.is_zero(w):
+                    if c in row:
+                        del row[c]
+                        col_count[c] -= 1
+                else:
+                    if c not in row:
+                        col_count[c] = col_count.get(c, 0) + 1
+                    row[c] = w
+            if not row:
+                del active[rj]
+
+
+def fraction_rref(rows, field):
+    """Reduced row echelon form of sparse rows over the field.
+
+    Returns a list of (pivot_col, row_dict) sorted by pivot column; each
+    row_dict has 1 at its pivot column and support only on non-pivot columns
+    elsewhere.  Input rows are not modified.
+    """
+    done = []
+    for _, pc, pv, prow in fraction_eliminate(rows, field):
+        inv = field.div(field.one, pv)
+        prow = {c: field.mul(v, inv) for c, v in prow.items()}
+        for _, qrow in done:
+            coef = qrow.get(pc)
+            if coef is not None:
+                for c, v in prow.items():
+                    w = field.sub(qrow.get(c, field.zero), field.mul(coef, v))
+                    if field.is_zero(w):
+                        qrow.pop(c, None)
+                    else:
+                        qrow[c] = w
+        done.append((pc, prow))
+    done.sort(key=lambda t: t[0])
+    return done
+
+
+def fraction_determinant(rows, n, field):
+    """Determinant of an n x n sparse matrix: the product of the pivots of
+    the Markowitz elimination times the sign of the pivot permutation."""
+    if len(rows) != n:
+        raise ValueError("matrix is not square")
+    det = field.one
+    perm = []
+    for ri, pc, pv, _ in fraction_eliminate(rows, field):
+        det = field.mul(det, pv)
+        perm.append((ri, pc))
+    if len(perm) != n:
+        return field.zero
+    # sign of the permutation row index -> pivot column, by inversion count
+    rows_order = [pc for _, pc in sorted(perm)]
+    sign = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows_order[i] > rows_order[j]:
+                sign = -sign
+    if sign < 0:
+        det = field.neg(det)
+    return det
+
+
+def fraction_solve(rows, n, rhs, field):
+    aug = []
+    for i, r in enumerate(rows):
+        row = dict(r)
+        if not field.is_zero(rhs[i]):
+            row[n] = field.neg(rhs[i])
+        aug.append(row)
+    pr = fraction_rref(aug, field)
+    r, kern = len(pr), kernel_basis(pr, n + 1, field)
+    v = kern[0] if r == n else {}
+    scale = v.get(n)
+    if scale is None:
+        raise ValueError("singular matrix in solve()")
+    x = [field.zero] * n
+    for c, value in v.items():
+        if c < n:
+            x[c] = value if scale == field.one else field.div(value, scale)
+    return x
+
+
+def _oracle_cases(rng):
+    # int and Fraction entries, zero rows, duplicate rows, low rank
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [{j: rng.choice([rng.randint(-6, 6),
+                                Fraction(rng.randint(-9, 9),
+                                         rng.randint(1, 12))])
+                 for j in range(ncols) if rng.random() < 0.75}
+                for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows.append({})
+        if rng.random() < 0.3:
+            rows.append(dict(rng.choice(rows)))
+        if rng.random() < 0.3:
+            rows.append({c: 3 * v for c, v in rng.choice(rows).items()})
+        rng.shuffle(rows)
+        yield rows, ncols
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        ncols = rng.randint(n, 8)
+        yield _random_rational_rows(rng, n, ncols, rng.randint(1, n)), ncols
+
+
+def _slice_rows(nvars, degree, extra, k):
+    # the ideal rows of one graded slice of a perturbed Fermat form, as
+    # the generic Jacobian-ring path builds them
+    terms = {tuple(degree if j == i else 0 for j in range(nvars)): 1
+             for i in range(nvars)}
+    terms.update(extra)
+    poly = HomogeneousPolynomial.from_terms(nvars, terms, degree=degree)
+    cols = {m: i for i, m in enumerate(monomials_of_degree(nvars, k))}
+    rows = []
+    for i in range(nvars):
+        for m in monomials_of_degree(nvars, k - degree + 1):
+            rows.append({cols[tuple(x + y for x, y in zip(e, m))]: c
+                         for e, c in poly.partial(i).terms.items()})
+    return rows, len(cols)
+
+
+def _as_fractions(rows):
+    return [{c: Fraction(v) for c, v in r.items()} for r in rows]
+
+
+def _assert_matches_fraction_oracle(rows, ncols):
+    # the oracle runs on Fraction entries, the library on the ints and
+    # Fractions as given
+    snapshot = [dict(r) for r in rows]
+    want = fraction_rref(_as_fractions(rows), FRACTION_FIELD)
+    got = rref(rows, FRACTION_FIELD)
+    assert rows == snapshot
+    # pivot columns and rows, down to the order of each row's entries
+    assert [(pc, list(r.items())) for pc, r in got] == \
+        [(pc, list(r.items())) for pc, r in want]
+    assert all(type(v) is Fraction for _, r in got for v in r.values())
+    # the same pivots in the same order, each row a rescaled oracle row
+    pivots = list(fraction_eliminate(_as_fractions(rows), FRACTION_FIELD))
+    mine = list(_eliminate(rows, FRACTION_FIELD))
+    assert [(ri, pc) for ri, pc, _, _ in mine] == \
+        [(ri, pc) for ri, pc, _, _ in pivots]
+    for (_, _, prow, (num, den)), (_, _, _, orow) in zip(mine, pivots):
+        assert list(prow) == list(orow)
+        assert all(type(v) is int for v in prow.values())
+        assert {c: Fraction(v * den, num) for c, v in prow.items()} == orow
+    r, kern = rank_and_kernel(rows, ncols, FRACTION_FIELD)
+    assert r == len(want)
+    assert kern == kernel_basis(want, ncols, FRACTION_FIELD)
+    assert all(type(v) is Fraction for vec in kern for v in vec.values())
+    n = min(len(rows), ncols)
+    square = [{c: v for c, v in row.items() if c < n} for row in rows[:n]]
+    det = determinant(square, n, FRACTION_FIELD)
+    assert type(det) is Fraction
+    fsquare = _as_fractions(square)
+    assert det == fraction_determinant(fsquare, n, FRACTION_FIELD)
+    rhs = [Fraction(i - 2, 3) for i in range(n)]
+    if det:
+        x = solve(square, n, rhs, FRACTION_FIELD)
+        assert x == fraction_solve(fsquare, n, rhs, FRACTION_FIELD)
+        assert all(type(v) is Fraction for v in x)
+    else:
+        with pytest.raises(ValueError):
+            solve(square, n, rhs, FRACTION_FIELD)
+        with pytest.raises(ValueError):
+            fraction_solve(fsquare, n, rhs, FRACTION_FIELD)
+
+
+def test_integer_rows_match_the_fraction_oracle_randomized():
+    rng = random.Random(1968)
+    singular = 0
+    for rows, ncols in _oracle_cases(rng):
+        _assert_matches_fraction_oracle(rows, ncols)
+        n = min(len(rows), ncols)
+        square = [{c: v for c, v in row.items() if c < n} for row in rows[:n]]
+        singular += not determinant(square, n, FRACTION_FIELD)
+    # singular and nonsingular squares are both exercised in bulk
+    assert 40 < singular < 140
+
+
+def test_integer_rows_match_the_fraction_oracle_on_slices():
+    forms = [(4, 3, {(1, 1, 1, 0): Fraction(3, 2),
+                     (0, 2, 0, 1): Fraction(-2, 5)}),
+             (3, 4, {(2, 1, 1): Fraction(-7, 3), (0, 2, 2): 4})]
+    for nvars, degree, extra in forms:
+        for k in range(degree - 1, nvars * (degree - 2) + 2):
+            _assert_matches_fraction_oracle(
+                *_slice_rows(nvars, degree, extra, k))
+
+
+def test_int_entries_divide_exactly_beside_a_scalar():
+    # int / int is a float in Python; the field of fractions keeps it a
+    # Fraction, so a mixed matrix neither loses exactness nor fails
+    assert type(FRACTION_FIELD.div(3, 2)) is Fraction
+    a = Scalar.param("a")
+    rows = [{0: 2, 1: a}, {0: 3, 1: 1}]
+    srows = [{c: v if isinstance(v, Scalar) else Scalar.from_fraction(v)
+              for c, v in r.items()} for r in rows]
+    assert rref(rows, FRACTION_FIELD) == rref(srows, SCALAR_ONLY_FIELD)
+    assert (determinant(rows, 2, FRACTION_FIELD)
+            == determinant(srows, 2, SCALAR_ONLY_FIELD))
+    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0], FRACTION_FIELD)
+    assert all(type(v) is Fraction for v in x)
