@@ -58,8 +58,9 @@ def _prune(params, terms):
 class ParamPolynomial:
     """Sparse polynomial over Q in a sorted tuple of named parameters.
 
-    terms maps exponent tuples (aligned with params) to nonzero Fractions.
-    Instances are treated as immutable; all operations return new objects.
+    terms maps exponent tuples (aligned with params) to nonzero rationals:
+    an int, or a Fraction where a coefficient is not integral.  Instances
+    are treated as immutable; all operations return new objects.
     """
 
     __slots__ = ("params", "terms")
@@ -73,13 +74,13 @@ class ParamPolynomial:
         value = Fraction(value)
         if not value:
             return cls((), {})
-        return cls((), {(): value})
+        return cls((), {(): value.numerator if value.denominator == 1 else value})
 
     @classmethod
     def symbol(cls, name):
         if not _NAME_RE.match(name):
             raise ValueError("bad parameter name: %r" % (name,))
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     def is_zero(self):
         return not self.terms
@@ -90,7 +91,7 @@ class ParamPolynomial:
     def constant_value(self):
         if self.params:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def leading_term(self):
         e = max(self.terms, key=_grlex_key)
@@ -114,7 +115,7 @@ class ParamPolynomial:
         params, ta, tb = _unify(self, other)
         out = dict(ta)
         for e, c in tb.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -129,12 +130,22 @@ class ParamPolynomial:
             other = ParamPolynomial.constant(other)
         if self.is_zero() or other.is_zero():
             return ParamPolynomial((), {})
+        if not self.params:
+            self, other = other, self
+        if not other.params:
+            # a nonzero constant factor scales the coefficients and keeps
+            # every term and parameter
+            k = other.terms[()]
+            if k == 1:
+                return self
+            return ParamPolynomial(self.params,
+                                   {e: c * k for e, c in self.terms.items()})
         params, ta, tb = _unify(self, other)
         out = {}
         for ea, ca in ta.items():
             for eb, cb in tb.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
@@ -197,24 +208,26 @@ def _embed(p, params):
 
 
 _ZERO_POLY = ParamPolynomial((), {})
-_ONE_POLY = ParamPolynomial((), {(): Fraction(1)})
+_ONE_POLY = ParamPolynomial((), {(): 1})
 
 
 def _is_one(p):
-    return not p.params and p.terms == {(): Fraction(1)}
+    return not p.params and p.terms == {(): 1}
 
 
 def _content_primitive(p):
     """Split nonzero p as c * prim with c a positive rational and prim an
-    integer-coefficient polynomial of content 1 (sign kept in prim)."""
+    int-coefficient polynomial of content 1 (sign kept in prim)."""
     g = 0
     l = 1
     for c in p.terms.values():
-        g = math.gcd(g, abs(c.numerator))
+        g = math.gcd(g, c.numerator)
         l = math.lcm(l, c.denominator)
-    c = Fraction(g, l)
-    prim = ParamPolynomial(p.params, {e: v / c for e, v in p.terms.items()})
-    return c, prim
+    # v * l / g is an integer: g divides every numerator and every
+    # denominator divides l, so both floor divisions are exact
+    prim = {e: (v.numerator // g) * (l // v.denominator)
+            for e, v in p.terms.items()}
+    return Fraction(g, l), ParamPolynomial(p.params, prim)
 
 
 def _lead_sign(p):
@@ -226,6 +239,15 @@ def _positive_lead(p):
     if p.is_zero():
         return p
     return p if _lead_sign(p) > 0 else -p
+
+
+def _coeff_div(a, b):
+    """a / b for rational coefficients, an int whenever the quotient is one."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
 
 
 def _exact_div(p, q):
@@ -242,11 +264,11 @@ def _exact_div(p, q):
         diff = tuple(a - b for a, b in zip(er, eq))
         if any(v < 0 for v in diff):
             raise ArithmeticError("inexact polynomial division")
-        c = rem[er] / cq
-        quot[diff] = quot.get(diff, Fraction(0)) + c
+        c = _coeff_div(rem[er], cq)
+        quot[diff] = quot.get(diff, 0) + c
         for e2, c2 in tq.items():
             e = tuple(a + b for a, b in zip(diff, e2))
-            s = rem.get(e, Fraction(0)) - c * c2
+            s = rem.get(e, 0) - c * c2
             if s:
                 rem[e] = s
             else:
@@ -313,7 +335,7 @@ def _prem(A, B):
 def poly_gcd(p, q):
     """Gcd of the primitive parts of p and q over Q[params].
 
-    Returns a primitive integer-coefficient polynomial with positive
+    Returns a primitive int-coefficient polynomial with positive
     grlex-leading coefficient (1 for coprime or constant inputs, 0 only
     for gcd(0, 0)).
     """
@@ -323,11 +345,12 @@ def poly_gcd(p, q):
         return _positive_lead(_content_primitive(q)[1])
     if q.is_zero():
         return _positive_lead(_content_primitive(p)[1])
+    if not p.params or not q.params:
+        # the primitive part of a nonzero constant is 1
+        return _ONE_POLY
     _, p = _content_primitive(p)
     _, q = _content_primitive(q)
     params = tuple(sorted(set(p.params) | set(q.params)))
-    if not params:
-        return _ONE_POLY
     main = params[0]
     A = _main_split(p, main)
     B = _main_split(q, main)
@@ -359,6 +382,19 @@ def _normalize_pair(num, den):
         pn, pd = -pn, -pd
     c = cn / cd
     return pn * c.numerator, pd * c.denominator
+
+
+def _from_coprime(num, den):
+    """The Scalar num/den for int-coefficient num and den with no common
+    polynomial factor and a positive leading coefficient of den: divide
+    out the integer content they share."""
+    if num.is_zero():
+        return ZERO
+    g = math.gcd(*num.terms.values(), *den.terms.values())
+    if g != 1:
+        num = ParamPolynomial(num.params, {e: c // g for e, c in num.terms.items()})
+        den = ParamPolynomial(den.params, {e: c // g for e, c in den.terms.items()})
+    return Scalar._raw(num, den)
 
 
 def _coerce_poly(x):
@@ -440,8 +476,18 @@ class Scalar:
             return NotImplemented
         if self.is_constant() and other.is_constant():
             return Scalar.from_fraction(self.constant_value() + other.constant_value())
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        # Henrici: with g = gcd(d1, d2), n1/d1 + n2/d2 = t / (d1/g * d2) for
+        # t = n1*(d2/g) + n2*(d1/g), and only gcd(t, g) can cancel
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g = poly_gcd(d1, d2)
+        if _is_one(g):
+            return _from_coprime(n1 * d2 + n2 * d1, d1 * d2)
+        d1 = _exact_div(d1, g)
+        t = n1 * _exact_div(d2, g) + n2 * d1
+        g = poly_gcd(t, g)
+        if not _is_one(g):
+            t, d2 = _exact_div(t, g), _exact_div(d2, g)
+        return _from_coprime(t, d1 * d2)
 
     __radd__ = __add__
 
@@ -463,7 +509,16 @@ class Scalar:
             return NotImplemented
         if self.is_constant() and other.is_constant():
             return Scalar.from_fraction(self.constant_value() * other.constant_value())
-        return Scalar(self.num * other.num, self.den * other.den)
+        # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and
+        # gcd(n2, d1) can cancel from the product
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        g = poly_gcd(n1, d2)
+        if not _is_one(g):
+            n1, d2 = _exact_div(n1, g), _exact_div(d2, g)
+        g = poly_gcd(n2, d1)
+        if not _is_one(g):
+            n2, d1 = _exact_div(n2, g), _exact_div(d1, g)
+        return _from_coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -473,9 +528,7 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero scalar")
-        if self.is_constant() and other.is_constant():
-            return Scalar.from_fraction(self.constant_value() / other.constant_value())
-        return Scalar(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce_scalar(other)
@@ -485,16 +538,22 @@ class Scalar:
 
     def __pow__(self, n):
         n = int(n)
+        base = self
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("zero scalar raised to a negative power")
-            return Scalar(self.den ** (-n), self.num ** (-n))
-        return Scalar(self.num ** n, self.den ** n)
+            base, n = self.inverse(), -n
+        # powers of coprime num and den stay coprime, and den keeps a
+        # positive leading coefficient
+        return Scalar._raw(base.num ** n, base.den ** n)
 
     def inverse(self):
         if self.is_zero():
             raise DivisionByZero("inverse of the zero scalar")
-        return Scalar(self.den, self.num)
+        # den/num is reduced already; only its sign may need moving
+        if _lead_sign(self.num) < 0:
+            return Scalar._raw(-self.den, -self.num)
+        return Scalar._raw(self.den, self.num)
 
     def specialize(self, assignment):
         """Evaluate at a parameter assignment (symbol -> rational).

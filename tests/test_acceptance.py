@@ -10,6 +10,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from grifcalc.cli import run_command
 from grifcalc.hodge import (CIData, bounded_slice_dimension, ci_prim_hodge,
                             euler_characteristic, hypersurface_prim_hodge)
@@ -21,7 +23,8 @@ from grifcalc.invariant import (delta_nu, independence_rank, iso_det,
 from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                TensorSum, ambient_dimension)
 from grifcalc.mulkernel import span_equals_kernel, index_monomial
-from grifcalc.scalar import Scalar, parse, scalar_to_string
+from grifcalc.scalar import (ParamPolynomial, Scalar, _exact_div, parse,
+                             scalar_to_string)
 
 
 def _finish(capfd, number, name, start, ok, budget):
@@ -246,3 +249,38 @@ def test_criterion_9_robustness(capfd):
         ok &= all(v == 0.0 for v in doc["timings"].values())
 
     _finish(capfd, 9, "robustness and determinism", start, ok, 120.0)
+
+
+def _coefficient_types(s):
+    return {type(c) for p in (s.num, s.den) for c in p.terms.values()}
+
+
+def test_criterion_9_results_are_canonical_with_int_coefficients():
+    # a canonical Scalar is primitive over Z, so no operation may leave a
+    # Fraction or a float among its coefficients, and normalizing a result
+    # again must not change it
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(600):
+        x = _random_scalar(rng, 2)
+        y = _random_scalar(rng, 2)
+        results = [x, y, x + y, x - y, x * y]
+        if not y.is_zero():
+            results += [x / y, y.inverse(), y ** -2]
+        for s in results:
+            seen |= _coefficient_types(s)
+            again = Scalar(s.num, s.den)
+            assert (again.num.params, again.num.terms, again.den.params,
+                    again.den.terms) == (s.num.params, s.num.terms,
+                                         s.den.params, s.den.terms)
+    assert seen == {int}
+
+    a = ParamPolynomial.symbol("a")
+    with pytest.raises(ArithmeticError):
+        _exact_div(a * a + ParamPolynomial.constant(1),
+                   a + ParamPolynomial.constant(1))
+    with pytest.raises(ArithmeticError):
+        _exact_div(a, a * a)
+    third = _exact_div(a * 2, a * 3)
+    assert third.terms == {(): Fraction(2, 3)}
+    assert type(third.terms[()]) is Fraction

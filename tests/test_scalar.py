@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,13 @@ from grifcalc.errors import (
 from grifcalc.scalar import (
     ParamPolynomial,
     Scalar,
+    _grlex_key,
+    _positive_lead,
+    _prune,
+    _unify,
     parse,
     poly_gcd,
+    polynomial_to_string,
     scalar_to_string,
 )
 
@@ -129,6 +135,175 @@ def test_poly_gcd_basic():
     assert g == a + b
     assert poly_gcd(a * 6, a * 4) == a
     assert poly_gcd(ParamPolynomial.constant(0), ParamPolynomial.constant(0)).is_zero()
+
+
+# The gcd as it was before the constant-argument fast path and int
+# coefficients: every coefficient is a Fraction and only two constant
+# arguments return early.  It is the oracle for poly_gcd.
+
+_ORACLE_ZERO = ParamPolynomial((), {})
+_ORACLE_ONE = ParamPolynomial((), {(): Fraction(1)})
+
+
+def _oracle_is_one(p):
+    return not p.params and p.terms == {(): Fraction(1)}
+
+
+def _oracle_content_primitive(p):
+    g = 0
+    l = 1
+    for c in p.terms.values():
+        g = math.gcd(g, abs(c.numerator))
+        l = math.lcm(l, c.denominator)
+    c = Fraction(g, l)
+    prim = ParamPolynomial(p.params, {e: v / c for e, v in p.terms.items()})
+    return c, prim
+
+
+def _oracle_exact_div(p, q):
+    if p.is_zero():
+        return _ORACLE_ZERO
+    params, tp, tq = _unify(p, q)
+    eq = max(tq, key=_grlex_key)
+    cq = tq[eq]
+    rem = dict(tp)
+    quot = {}
+    while rem:
+        er = max(rem, key=_grlex_key)
+        diff = tuple(a - b for a, b in zip(er, eq))
+        if any(v < 0 for v in diff):
+            raise ArithmeticError("inexact polynomial division")
+        c = rem[er] / cq
+        quot[diff] = quot.get(diff, Fraction(0)) + c
+        for e2, c2 in tq.items():
+            e = tuple(a + b for a, b in zip(diff, e2))
+            s = rem.get(e, Fraction(0)) - c * c2
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return ParamPolynomial(*_prune(params, quot))
+
+
+def _oracle_main_split(p, main):
+    if main not in p.params:
+        return {0: p}
+    i = p.params.index(main)
+    rest = p.params[:i] + p.params[i + 1:]
+    buckets = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(e[i], {})[e[:i] + e[i + 1:]] = c
+    return {d: ParamPolynomial(*_prune(rest, t)) for d, t in buckets.items()}
+
+
+def _oracle_main_join(coeffs, main):
+    x = ParamPolynomial.symbol(main)
+    acc = _ORACLE_ZERO
+    for d in sorted(coeffs):
+        acc = acc + coeffs[d] * x ** d
+    return acc
+
+
+def _oracle_coeffs_gcd(coeffs):
+    g = _ORACLE_ZERO
+    for d in sorted(coeffs):
+        g = oracle_poly_gcd(g, coeffs[d])
+        if _oracle_is_one(g):
+            break
+    return g
+
+
+def _oracle_main_primitive(coeffs):
+    g = _oracle_coeffs_gcd(coeffs)
+    if _oracle_is_one(g):
+        return coeffs
+    return {d: _oracle_exact_div(c, g) for d, c in coeffs.items()}
+
+
+def _oracle_prem(A, B):
+    db = max(B)
+    lb = B[db]
+    R = dict(A)
+    while R and max(R) >= db:
+        dr = max(R)
+        lr = R[dr]
+        new = {d: c * lb for d, c in R.items()}
+        for d, c in B.items():
+            nd = d + dr - db
+            s = new.get(nd, _ORACLE_ZERO) - lr * c
+            if s.is_zero():
+                new.pop(nd, None)
+            else:
+                new[nd] = s
+        R = new
+    return R
+
+
+def oracle_poly_gcd(p, q):
+    if p.is_zero() and q.is_zero():
+        return _ORACLE_ZERO
+    if p.is_zero():
+        return _positive_lead(_oracle_content_primitive(q)[1])
+    if q.is_zero():
+        return _positive_lead(_oracle_content_primitive(p)[1])
+    _, p = _oracle_content_primitive(p)
+    _, q = _oracle_content_primitive(q)
+    params = tuple(sorted(set(p.params) | set(q.params)))
+    if not params:
+        return _ORACLE_ONE
+    main = params[0]
+    A = _oracle_main_split(p, main)
+    B = _oracle_main_split(q, main)
+    cg = oracle_poly_gcd(_oracle_coeffs_gcd(A), _oracle_coeffs_gcd(B))
+    A = _oracle_main_primitive(A)
+    B = _oracle_main_primitive(B)
+    if max(A) < max(B):
+        A, B = B, A
+    while B:
+        R = _oracle_prem(A, B)
+        A = B
+        B = _oracle_main_primitive(R) if R else R
+    res = _oracle_main_join(A, main) * cg
+    return _positive_lead(_oracle_content_primitive(res)[1])
+
+
+def _random_poly(rng, names, terms, degree):
+    p = ParamPolynomial.constant(0)
+    for _ in range(terms):
+        t = ParamPolynomial.constant(Fraction(rng.randint(-6, 6),
+                                              rng.choice([1, 1, 2, 3])))
+        for name in names:
+            t = t * ParamPolynomial.symbol(name) ** rng.randint(0, degree)
+        p = p + t
+    return p
+
+
+def _gcd_argument(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ParamPolynomial.constant(0)
+    if kind == 1:
+        return ParamPolynomial.constant(Fraction(rng.randint(-9, 9),
+                                                 rng.randint(1, 5)))
+    names = rng.sample(["a", "b", "h"], rng.randint(1, 3))
+    return _random_poly(rng, names, rng.randint(1, 3), 2)
+
+
+def test_poly_gcd_matches_the_oracle_randomized():
+    rng = random.Random(20261018)
+    shared = 0
+    for case in range(400):
+        p, q = _gcd_argument(rng), _gcd_argument(rng)
+        if case % 2:
+            c = _gcd_argument(rng)
+            p, q = p * c, q * c
+            shared += not c.is_constant()
+        got = poly_gcd(p, q)
+        want = oracle_poly_gcd(p, q)
+        assert got == want and got.params == want.params, (p, q)
+        assert polynomial_to_string(got) == polynomial_to_string(want)
+        assert all(type(c) is int for c in got.terms.values()), got
+    assert shared > 100
 
 
 def _random_scalar(rng, depth=0):
