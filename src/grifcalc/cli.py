@@ -24,9 +24,9 @@ from fractions import Fraction
 from ._version import __version__
 from .cache import Cache
 from .characters import enumerate_type, orbit_partition, rational_class
-from .errors import GrifcalcError
-from .hodge import CIData, ci_prim_hodge, euler_characteristic, \
-    hypersurface_prim_hodge
+from .errors import GrifcalcError, OutOfRange
+from .hodge import MAX_HYPERSURFACE_SIZE, CIData, bounded_slice_dimension, \
+    ci_prim_hodge, euler_characteristic, hypersurface_prim_hodge
 from .invariant import (delta_nu, distinguished_tensor, distinguished_triple,
                         independence_rank, iso_det, iso_matrix)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
@@ -226,7 +226,38 @@ def _triple_from_args(args):
     return distinguished_triple(a, b)
 
 
+# The largest Fermat ring and slices a jring command builds.  A slice is
+# enumerated monomial by monomial, with every shorter suffix cached, and
+# pairing takes one normal form per product of a j-slice and a k-slice
+# monomial; 20,000 of either cost well under a second.  The ring itself
+# holds nvars exponent tuples of nvars entries, and its degree is bounded
+# as for hypersurfaces, which keeps the slice count itself cheap.
+MAX_JRING_VARS = 32
+MAX_JRING_MONOMIALS = 20_000
+
+
+def _check_jring_size(args):
+    """Raise OutOfRange before building a ring or slice above the bounds."""
+    nvars, degree = getattr(args, "vars"), args.degree
+    if nvars > MAX_JRING_VARS or degree > MAX_HYPERSURFACE_SIZE:
+        raise OutOfRange("jring needs at most %d variables and degree at "
+                         "most %d" % (MAX_JRING_VARS, MAX_HYPERSURFACE_SIZE))
+    cap = degree - 2
+    if args.action == "basis":
+        count = bounded_slice_dimension(nvars, args.k, cap)
+    elif args.action == "pairing":
+        dj = bounded_slice_dimension(nvars, args.j, cap)
+        dk = bounded_slice_dimension(nvars, args.k, cap)
+        count = max(dj, dk, dj * dk)
+    else:
+        return  # a Fermat normal form builds no slice
+    if count > MAX_JRING_MONOMIALS:
+        raise OutOfRange("jring %s would build %d monomials, more than %d"
+                         % (args.action, count, MAX_JRING_MONOMIALS))
+
+
 def _cmd_jring(args):
+    _check_jring_size(args)
     ring = HypersurfaceRing.fermat(args.degree, getattr(args, "vars"))
     if args.action == "basis":
         basis = ring.quotient_basis(args.k)

@@ -131,6 +131,22 @@ def hypersurface_prim_hodge(d, m):
     return HodgeVector(m, tuple(counts[k] if k >= 0 else 0 for k in ks))
 
 
+# the largest dimension and number of degrees that chi_y_coefficients and
+# euler_characteristic accept, each degree being at most
+# MAX_HYPERSURFACE_SIZE: the m + 2 chi_y evaluations over Q cost about
+# m^4 * len(degrees) rational operations, 2.7 s at dimension 20 with 20
+# degrees of 100
+MAX_CI_SIZE = 20
+
+
+def _check_ci_size(ci):
+    if (max(ci.m, len(ci.degrees)) > MAX_CI_SIZE
+            or max(ci.degrees) > MAX_HYPERSURFACE_SIZE):
+        raise OutOfRange("dimension and number of degrees must be at most "
+                         "%d, and every degree at most %d"
+                         % (MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE))
+
+
 # truncated power series in H with Fraction coefficients, as lists of
 # length order
 
@@ -184,7 +200,9 @@ def _chi_y_at(ci, y):
 def chi_y_coefficients(ci):
     """The integers chi_p = chi(Y, Omega^p) for p = 0..m: chi_y(Y) is
     evaluated exactly at y = 0..m+1 and interpolated by Newton divided
-    differences.  The extra point must give a zero y^{m+1} coefficient."""
+    differences.  The extra point must give a zero y^{m+1} coefficient.
+    Sizes above MAX_CI_SIZE raise OutOfRange."""
+    _check_ci_size(ci)
     m = ci.m
     diffs = [_chi_y_at(ci, y) for y in range(m + 2)]
     for k in range(1, m + 2):  # divided differences on the nodes 0..m+1
@@ -203,7 +221,8 @@ def chi_y_coefficients(ci):
 
 def ci_prim_hodge(ci):
     """Primitive middle Hodge numbers of a smooth complete intersection,
-    from its chi_y genus plus weak Lefschetz."""
+    from its chi_y genus plus weak Lefschetz.  Sizes above MAX_CI_SIZE
+    raise OutOfRange."""
     m = ci.m
     chi = chi_y_coefficients(ci)
     values = []
@@ -219,7 +238,9 @@ def ci_prim_hodge(ci):
 
 def euler_characteristic(ci):
     """Topological Euler characteristic via the top Chern class:
-    (prod d_i) * coeff_{H^m} [(1+H)^{N+1} / prod (1 + d_i H)]."""
+    (prod d_i) * coeff_{H^m} [(1+H)^{N+1} / prod (1 + d_i H)].  Sizes
+    above MAX_CI_SIZE raise OutOfRange."""
+    _check_ci_size(ci)
     order = ci.m + 1
     cls = [Fraction(math.comb(ci.ambient + 1, k)) for k in range(order)]
     for d in ci.degrees:

@@ -4,7 +4,7 @@ A Scalar is a quotient num/den of polynomials with rational coefficients in
 finitely many commuting parameters (symbols like "a", "h", "A").  Scalars are
 kept in a canonical form so that equality is plain structural equality:
 
-  * num and den have integer coefficients,
+  * num and den have integer coefficients, stored as Python ints,
   * the integer contents of num and den are coprime,
   * gcd(num, den) = 1 as polynomials,
   * the grlex-leading coefficient of den is positive,
@@ -13,6 +13,15 @@ kept in a canonical form so that equality is plain structural equality:
 The parameter list of each polynomial is sorted by name and pruned to the
 parameters that actually occur.  Term order is graded lexicographic on the
 sorted parameter list; rendering lists terms in descending order.
+
+A ParamPolynomial outside a Scalar may carry Fraction coefficients; every
+coefficient division is exact (a Fraction, or a floor division that leaves
+no remainder), so no float ever appears.  Arithmetic keeps the canonical
+form without normalizing from scratch: a product cross-cancels as in
+Henrici (1956) and Knuth, TAOCP vol. 2, 4.5.1, so only gcd(n1, d2) and
+gcd(n2, d1) are taken; a sum takes g = gcd(d1, d2) and then only
+gcd(t, g) of its numerator t; an inverse or a power only moves signs; and
+poly_gcd returns 1 at once when either argument is a nonzero constant.
 
 Plain rationals are handled by fractions.Fraction; a Scalar with no
 parameters wraps one exactly, compares and hashes equal to it, and mixes
@@ -74,7 +83,9 @@ class ParamPolynomial:
         value = Fraction(value)
         if not value:
             return cls((), {})
-        return cls((), {(): value.numerator if value.denominator == 1 else value})
+        if value.denominator == 1:
+            value = value.numerator
+        return cls((), {(): value})
 
     @classmethod
     def symbol(cls, name):
@@ -392,8 +403,9 @@ def _from_coprime(num, den):
         return ZERO
     g = math.gcd(*num.terms.values(), *den.terms.values())
     if g != 1:
-        num = ParamPolynomial(num.params, {e: c // g for e, c in num.terms.items()})
-        den = ParamPolynomial(den.params, {e: c // g for e, c in den.terms.items()})
+        num, den = (ParamPolynomial(p.params, {e: c // g
+                                               for e, c in p.terms.items()})
+                     for p in (num, den))
     return Scalar._raw(num, den)
 
 

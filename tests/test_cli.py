@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from grifcalc.cli import run_command
+from grifcalc.cli import MAX_JRING_MONOMIALS, MAX_JRING_VARS, run_command
+from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -287,6 +288,66 @@ def test_jring_malformed_poly_is_a_usage_error():
         assert "--poly" in out
 
 
+def _jring(action, nvars, degree, *flags):
+    return run_command(["jring", action, "--vars", str(nvars), "--degree",
+                        str(degree)] + [str(f) for f in flags])
+
+
+def _square_free_poly(nvars, degree):
+    return json.dumps({"nvars": nvars, "degree": degree, "terms": [
+        {"exps": [1] * degree + [0] * (nvars - degree), "coeff": "a"}]})
+
+
+def test_jring_basis_size_is_bounded():
+    # the quartic slice at k = 46 in 25 variables has 19,850 monomials and
+    # is the costliest accepted slice: 0.5 s here, the budget leaves room
+    # for a loaded machine
+    top = MAX_JRING_MONOMIALS
+    assert bounded_slice_dimension(25, 46, 2) <= top
+    start = time.perf_counter()
+    code, out = _jring("basis", 25, 4, "--k", 46, "--json")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert json.loads(out)["dimension"] == bounded_slice_dimension(25, 46, 2)
+    # the next slice towards the middle is past the bound
+    assert bounded_slice_dimension(25, 45, 2) > top
+    code, out = _jring("basis", 25, 4, "--k", 45)
+    assert code == 2 and "more than %d" % top in out
+    # inputs that used to run without end
+    for nvars, degree, k in ((20, 4, 10), (30, 5, 20)):
+        code, out = _jring("basis", nvars, degree, "--k", k)
+        assert code == 2 and "more than %d" % top in out
+    code, out = _jring("basis", MAX_JRING_VARS, 3, "--k", 1)
+    assert code == 0 and out.startswith("dimension %d" % MAX_JRING_VARS)
+    code, out = _jring("basis", 2, MAX_HYPERSURFACE_SIZE, "--k", 1)
+    assert code == 0 and out.startswith("dimension 2")
+    for nvars, degree in ((MAX_JRING_VARS + 1, 3),
+                          (2, MAX_HYPERSURFACE_SIZE + 1)):
+        for action, flags in (("basis", ("--k", 1)),
+                              ("nf", ("--poly", _square_free_poly(nvars, 1))),
+                              ("pairing", ("--poly", _square_free_poly(nvars, 1),
+                                           "--j", 0, "--k", 0))):
+            code, out = _jring(action, nvars, degree, *flags)
+            assert code == 2 and "at most %d variables" % MAX_JRING_VARS in out
+
+
+def test_jring_pairing_size_is_bounded():
+    # 120 x 120 socle pairings of the cubic in 10 variables are accepted,
+    # 120 x 210 are past the bound
+    top = MAX_JRING_MONOMIALS
+    assert 120 * 120 <= top < 120 * 210
+    start = time.perf_counter()
+    code, out = _jring("pairing", 10, 3, "--poly", _square_free_poly(10, 4),
+                       "--j", 3, "--k", 3, "--json")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["rows"], doc["cols"]) == (120, 120)
+    code, out = _jring("pairing", 10, 3, "--poly", _square_free_poly(10, 3),
+                       "--j", 3, "--k", 4)
+    assert code == 2 and "more than %d" % top in out
+
+
 def test_help_exits_cleanly():
     code, out = run_command(["--help"])
     assert code == 0
@@ -388,6 +449,22 @@ def _fuzz_argv(rng):
         ["hodge", "ci", "--degrees", rng.choice(["3", "2,3", "3,3", "1,1,2",
                                                  "0", "3,x", "", ","]),
          "--dim", small(0, 4)],
+        # sizes at and just past the bounds of hodge ci and jring
+        rng.choice([
+            ["hodge", "ci", "--degrees", "3", "--dim",
+             rng.choice(["20", "21"])],
+            ["hodge", "ci", "--degrees", rng.choice(
+                ["100", "101", ",".join(["2"] * 20), ",".join(["2"] * 21)]),
+             "--dim", small(0, 4)],
+            ["jring", "basis", "--vars", "25", "--degree", "4", "--k",
+             rng.choice(["4", "5", "45", "46"])],
+            ["jring", "basis", "--vars", rng.choice(["32", "33"]),
+             "--degree", "3", "--k", "1"],
+            ["jring", "pairing", "--vars", rng.choice(["32", "33"]),
+             "--degree", "3", "--poly", poly(32, 31), "--j", "0", "--k", "1"],
+            ["jring", "basis", "--vars", "2", "--degree",
+             rng.choice(["100", "101"]), "--k", small(0, 6)],
+        ]),
         ["fermat", "classes", "--degree", small(2, 4), "--vars", small(1, 5),
          "--type", rng.choice(["1,1", "2,1", "0,2", "3", "a,b", "1,1,1"])]
         + rng.choice([[], ["--orbits"]]),
@@ -430,7 +507,7 @@ def test_fuzzed_command_lines_exit_cleanly():
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out, argv
         ran += code != 2
-    # 106 of these 300 lines get past parsing and validation; the floor
+    # 84 of these 300 lines get past parsing and validation; the floor
     # keeps the generator from decaying into a parser-only test
     assert ran >= 80
     # about 2 s here; the bound leaves room for a loaded machine

@@ -4,14 +4,17 @@ bounded-exponent monomial counts for the residue method and the signed
 full-diamond sum against the Chern-class Euler characteristic for the
 series method."""
 
+import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from grifcalc.cli import run_command
 from grifcalc.errors import OutOfRange
-from grifcalc.hodge import (MAX_HYPERSURFACE_SIZE, CIData, HodgeVector,
+from grifcalc.hodge import (MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE, CIData,
+                            HodgeVector,
                             bounded_slice_dimension, chi_y_coefficients,
                             ci_prim_hodge, euler_characteristic,
                             full_diamond_euler, hypersurface_prim_hodge,
@@ -109,6 +112,33 @@ def test_hypersurface_size_is_bounded():
     code, out = run_command(["hodge", "hypersurface", "--degree",
                              str(top + 1), "--dim", "50"])
     assert code == 2 and "at most %d" % top in out
+
+
+def _hodge_ci(degrees, m):
+    return run_command(["hodge", "ci", "--degrees",
+                        ",".join(str(d) for d in degrees), "--dim", str(m),
+                        "--json"])
+
+
+def test_complete_intersection_size_is_bounded():
+    top, dmax = MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE
+    start = time.perf_counter()
+    code, out = _hodge_ci((dmax,) * top, top)
+    # 2.7 s here; the budget leaves room for a loaded machine
+    assert time.perf_counter() - start < 20.0
+    assert code == 0
+    doc = json.loads(out)
+    ci = CIData((dmax,) * top, top)
+    prim = HodgeVector(top, tuple(doc["prim"]))
+    assert doc["euler"] == full_diamond_euler(ci, prim)
+    for degrees, m in (((3,), top + 1), ((3,) * (top + 1), 2),
+                       ((dmax + 1,), 2)):
+        with pytest.raises(OutOfRange):
+            ci_prim_hodge(CIData(degrees, m))
+        with pytest.raises(OutOfRange):
+            euler_characteristic(CIData(degrees, m))
+        code, out = _hodge_ci(degrees, m)
+        assert code == 2 and "at most %d" % top in out
 
 
 def test_codimension_two_intersections():
