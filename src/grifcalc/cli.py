@@ -27,8 +27,9 @@ from .characters import enumerate_type, orbit_partition, rational_class
 from .errors import GrifcalcError, OutOfRange
 from .hodge import MAX_HYPERSURFACE_SIZE, CIData, bounded_slice_dimension, \
     ci_prim_hodge, euler_characteristic, hypersurface_prim_hodge
-from .invariant import (delta_nu, distinguished_tensor, distinguished_triple,
-                        independence_rank, iso_det, iso_matrix)
+from .invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
+                        distinguished_triple, independence_rank, iso_det,
+                        iso_matrix)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
 from .mulkernel import check_nvars
@@ -107,6 +108,9 @@ def _pair_list(text):
         pairs.append(pair)
     if not pairs:
         raise argparse.ArgumentTypeError("no pairs given")
+    if len(pairs) > MAX_PAIRS:
+        raise argparse.ArgumentTypeError("at most %d pairs, got %d"
+                                         % (MAX_PAIRS, len(pairs)))
     return tuple(pairs)
 
 
@@ -227,11 +231,11 @@ def _triple_from_args(args):
 
 
 # The largest Fermat ring and slices a jring command builds.  A slice is
-# enumerated monomial by monomial, with every shorter suffix cached, and
-# pairing takes one normal form per product of a j-slice and a k-slice
-# monomial; 20,000 of either cost well under a second.  The ring itself
-# holds nvars exponent tuples of nvars entries, and its degree is bounded
-# as for hypersurfaces, which keeps the slice count itself cheap.
+# enumerated monomial by monomial, each tuple filled once from one exponent
+# list, and pairing takes one normal form per product of a j-slice and a
+# k-slice monomial; 20,000 of either cost well under a second.  The ring
+# itself holds nvars exponent tuples of nvars entries, and its degree is
+# bounded as for hypersurfaces, which keeps the slice count itself cheap.
 MAX_JRING_VARS = 32
 MAX_JRING_MONOMIALS = 20_000
 

@@ -28,6 +28,7 @@ space).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -134,8 +135,8 @@ def hypersurface_prim_hodge(d, m):
 # the largest dimension and number of degrees that chi_y_coefficients and
 # euler_characteristic accept, each degree being at most
 # MAX_HYPERSURFACE_SIZE: the m + 2 chi_y evaluations over Q cost about
-# m^4 * len(degrees) rational operations, 2.7 s at dimension 20 with 20
-# degrees of 100
+# m^4 rational operations per distinct degree, 3.9 s at dimension 20 with
+# the 20 degrees 81..100 (20 degrees of 100 share one power: 0.6 s)
 MAX_CI_SIZE = 20
 
 
@@ -191,9 +192,9 @@ def _chi_y_at(ci, y):
     """chi_y(Y) at the number y >= 0, where 1 + y = phi(0) is nonzero."""
     order = ci.m + 1
     cls = _series_pow(_phi_series(1, order, y), ci.ambient + 1, order)
-    for d in ci.degrees:
-        cls = _series_mul(cls, _series_inv(_phi_series(d, order, y), order),
-                          order)
+    for d, mult in Counter(ci.degrees).items():
+        inv = _series_inv(_phi_series(d, order, y), order)
+        cls = _series_mul(cls, _series_pow(inv, mult, order), order)
     return cls[ci.m] * math.prod(ci.degrees) / (1 + y)
 
 

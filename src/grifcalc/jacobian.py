@@ -45,19 +45,28 @@ def monomials_of_degree(nvars, k):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def reduced_monomials(nvars, k, cap):
     """Degree-k exponent tuples with every entry <= cap, descending grlex."""
     if k < 0 or k > nvars * cap:
         return ()
     if nvars == 0:
-        return ((),) if k == 0 else ()
-    if nvars == 1:
-        return ((k,),) if k <= cap else ()
+        return ((),)
     out = []
-    for e0 in range(min(k, cap), -1, -1):
-        for rest in reduced_monomials(nvars - 1, k - e0, cap):
-            out.append((e0,) + rest)
+    exps = [0] * nvars
+
+    def fill(i, left):
+        # entries i.. share the degree left, and the entries after i can
+        # hold at most room of it
+        if left == 0 or i == nvars - 1:
+            exps[i:] = [left] + [0] * (nvars - 1 - i)
+            out.append(tuple(exps))
+            return
+        room = (nvars - 1 - i) * cap
+        for e in range(min(left, cap), max(left - room, 0) - 1, -1):
+            exps[i] = e
+            fill(i + 1, left - e)
+
+    fill(0, k)
     return tuple(out)
 
 

@@ -161,7 +161,9 @@ class ParamPolynomial:
                     out[e] = s
                 else:
                     del out[e]
-        return ParamPolynomial(*_prune(params, out))
+        # degrees add in a product of nonzero polynomials, so it keeps
+        # every parameter of both factors and there is nothing to prune
+        return ParamPolynomial(params, out)
 
     __rmul__ = __mul__
 

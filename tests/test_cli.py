@@ -11,6 +11,7 @@ import pytest
 
 from grifcalc.cli import MAX_JRING_MONOMIALS, MAX_JRING_VARS, run_command
 from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
+from grifcalc.invariant import MAX_PAIRS
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -172,6 +173,17 @@ def test_zero_denominator_is_a_usage_error(tmp_path, argv):
     code, out = run_command(argv + ["--cache", str(tmp_path / "c")])
     assert code == 2
     assert out.startswith("error: argument --")
+
+
+def test_pair_count_is_bounded_everywhere(tmp_path):
+    pairs = ";".join(["1,1"] * (MAX_PAIRS + 1))
+    skip = [t for g in ("hodge", "fermat", "nl", "kermu") for t in ("--skip", g)]
+    for argv in (["report", "--pairs", pairs] + skip,
+                 ["nl", "independence", "--pairs", pairs],
+                 ["independence", "--pairs", pairs]):
+        code, out = run_command(argv + ["--cache", str(tmp_path / "c")])
+        assert code == 2, argv[:2]
+        assert "at most %d pairs" % MAX_PAIRS in out, argv[:2]
 
 
 def test_zero_zero_pair_is_a_usage_error_everywhere(tmp_path):
@@ -433,6 +445,9 @@ def _fuzz_argv(rng):
             json.dumps(dict(doc, terms=[{"exps": "x", "coeff": 1}]))])
 
     def pairs():
+        if rng.random() < 0.1:  # a count at the bound or just past it
+            pair = rng.choice(["1,1", "0,1", "%d,2" % rng.randint(1, 5)])
+            return ";".join([pair] * rng.choice([MAX_PAIRS, MAX_PAIRS + 1]))
         return rng.choice(["1,1;2,1", "1,1;1,1", "0,0", "1/2,3", "a,b", "1;2",
                            "", ";", "1/0,1", "%d,%d" % (rng.randint(-3, 3),
                                                         rng.randint(-3, 3))])
@@ -507,8 +522,8 @@ def test_fuzzed_command_lines_exit_cleanly():
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out, argv
         ran += code != 2
-    # 84 of these 300 lines get past parsing and validation; the floor
+    # 87 of these 300 lines get past parsing and validation; the floor
     # keeps the generator from decaying into a parser-only test
     assert ran >= 80
-    # about 2 s here; the bound leaves room for a loaded machine
+    # about 3.5 s here; the bound leaves room for a loaded machine
     assert time.perf_counter() - start < 20.0

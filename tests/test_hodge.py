@@ -124,7 +124,7 @@ def test_complete_intersection_size_is_bounded():
     top, dmax = MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE
     start = time.perf_counter()
     code, out = _hodge_ci((dmax,) * top, top)
-    # 2.7 s here; the budget leaves room for a loaded machine
+    # 0.6 s here; the budget leaves room for a loaded machine
     assert time.perf_counter() - start < 20.0
     assert code == 0
     doc = json.loads(out)

@@ -3,19 +3,20 @@ its determinant, the invariant values it produces, and independence of
 value families."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from grifcalc import invariant, jacobian, linalg, scalar
 from grifcalc.errors import (DegenerateDenominator, DegreeMismatch,
-                             NotInKernel, NotIsomorphism)
-from grifcalc.invariant import (delta_nu, distinguished_tensor,
+                             NotInKernel, NotIsomorphism, OutOfRange)
+from grifcalc.invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
                                 distinguished_triple, independence_rank,
                                 iso_det, iso_matrix, rho_check)
 from grifcalc.jacobian import HomogeneousPolynomial, TensorSum
 from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel
-from grifcalc.scalar import Scalar, parse, scalar_to_string
+from grifcalc.scalar import ParamPolynomial, Scalar, parse, scalar_to_string
 
 ONE = Scalar.from_fraction(1)
 
@@ -273,6 +274,32 @@ def scalar_independence_rank(pairs):
                   for vec in kern]
 
 
+def polynomial_independence_rank(pairs):
+    """Oracle: independence_rank as it was computed by elimination, each
+    value cleared of every denominator by gcd-free products in h."""
+    h = ParamPolynomial.symbol("h")
+    nonzero = {}
+    for i, (a, b) in enumerate(pairs):
+        a = Fraction(a)
+        b = Fraction(b)
+        if a == 0 and b == 0:
+            raise DegenerateDenominator("pair %d is (0, 0)" % i)
+        if a * b:
+            nonzero[i] = (a * b, h * b + ParamPolynomial.constant(a))
+    rows = {}
+    for i, (ab, _) in nonzero.items():
+        cleared = ParamPolynomial.constant(ab)
+        for j, (_, den) in nonzero.items():
+            if j != i:
+                cleared = cleared * den
+        for exps, coeff in cleared.terms.items():
+            rows.setdefault(sum(exps), {})[i] = coeff
+    row_list = [rows[d] for d in sorted(rows)]
+    rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
+    return rank, [tuple(vec.get(i, Fraction(0)) for i in range(len(pairs)))
+                  for vec in kern]
+
+
 def _random_family(rng):
     pairs = []
     for _ in range(rng.randint(1, 7)):
@@ -298,7 +325,11 @@ def test_independence_rank_matches_the_scalar_oracle():
     rng = random.Random(404)
     for _ in range(320):
         pairs = _random_family(rng)
-        assert independence_rank(pairs) == scalar_independence_rank(pairs)
+        got = independence_rank(pairs)
+        assert got == polynomial_independence_rank(pairs)
+        assert got == scalar_independence_rank(pairs)
+        for rel in got[1]:
+            assert all(type(c) is Fraction for c in rel)
 
 
 def test_independence_rank_builds_no_scalar(monkeypatch):
@@ -312,3 +343,24 @@ def test_independence_rank_builds_no_scalar(monkeypatch):
         ((1, 1), (2, 2), (0, 3), (1, 2), (3, 1)))
     assert rank == 3
     assert relations == [(-2, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
+
+
+def test_independence_of_199_distinct_pairs_is_fast():
+    # by elimination, 59 such pairs took about 2 s
+    pairs = tuple((k, 1) for k in range(1, 200))
+    start = time.perf_counter()
+    rank, relations = independence_rank(pairs)
+    assert time.perf_counter() - start < 1.0
+    assert rank == 199 and relations == []
+
+
+def test_independence_at_the_pair_bound():
+    # the dense relations are the one cost that grows: about 0.02 s here
+    pairs = ((1, 1),) * MAX_PAIRS
+    start = time.perf_counter()
+    rank, relations = independence_rank(pairs)
+    assert time.perf_counter() - start < 1.0
+    assert rank == 1 and len(relations) == MAX_PAIRS - 1
+    assert relations[-1][0] == -1 and relations[-1][-1] == 1
+    with pytest.raises(OutOfRange):
+        independence_rank(pairs + ((1, 1),))

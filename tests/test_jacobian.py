@@ -66,6 +66,17 @@ def test_fermat_slice_dimensions():
     assert ring.quotient_basis(9).basis == ()
 
 
+def test_reduced_monomials_filter_the_full_slice():
+    # oracle: every degree-k monomial, in the same descending grlex order,
+    # kept when no exponent exceeds cap
+    for nvars in range(6):
+        for cap in range(4):
+            for k in range(-1, nvars * cap + 2):
+                want = tuple(m for m in monomials_of_degree(nvars, k)
+                             if all(e <= cap for e in m))
+                assert reduced_monomials(nvars, k, cap) == want
+
+
 def test_sevenfold_middle_dimensions():
     ring = fermat(3, 9)
     assert ring.quotient_basis(3).dimension == 84
