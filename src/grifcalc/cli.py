@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +48,14 @@ class _HelpExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token as a value only if it starts with "-" and
+        # looks like a number; widen that to "-" then a digit, so that
+        # --pairs "-2,1;1,1" and --a -1/2 parse.  No option name here
+        # starts that way.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -29,22 +29,6 @@ from .linalg import (
 from .scalar import Scalar, parse as parse_scalar, scalar_to_string
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(nvars, k):
-    """All exponent tuples of total degree k, descending graded-lex."""
-    if k < 0:
-        return ()
-    if nvars == 0:
-        return ((),) if k == 0 else ()
-    if nvars == 1:
-        return ((k,),)
-    out = []
-    for e0 in range(k, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, k - e0):
-            out.append((e0,) + rest)
-    return tuple(out)
-
-
 def reduced_monomials(nvars, k, cap):
     """Degree-k exponent tuples with every entry <= cap, descending grlex."""
     if k < 0 or k > nvars * cap:
@@ -68,6 +52,11 @@ def reduced_monomials(nvars, k, cap):
 
     fill(0, k)
     return tuple(out)
+
+
+def monomials_of_degree(nvars, k):
+    """All exponent tuples of total degree k, descending graded-lex."""
+    return reduced_monomials(nvars, k, k)
 
 
 def ambient_dimension(nvars, k):
@@ -298,9 +287,10 @@ class GradedBasis:
     """Monomial basis of one graded slice of a Jacobian ring.
 
     pivots is None for the Fermat fast path (the ideal slice is monomial);
-    otherwise it holds the reduced pivot rows of the ideal slice together
-    with the ambient columns, given as {monomial: column} in column order,
-    so |basis| + len(pivots) = dim_ambient.
+    otherwise it maps each pivot column, in increasing order, to its
+    reduced row of the ideal slice, and columns gives the ambient columns
+    as {monomial: column} in column order, so |basis| + len(pivots) =
+    dim_ambient.
     """
 
     __slots__ = ("degree", "basis", "dim_ambient", "columns", "column_index",
@@ -366,19 +356,18 @@ class HypersurfaceRing:
         cols = monomials_of_degree(self.nvars, k)
         col_index = {m: i for i, m in enumerate(cols)}
         rows = []
-        shift = k - (self.degree - 1)
+        shifts = monomials_of_degree(self.nvars, k - (self.degree - 1))
         partials = [self.polynomial.partial(i) for i in range(self.nvars)]
         for g in partials:
-            for m in monomials_of_degree(self.nvars, shift):
+            for m in shifts:
                 row = {}
                 for e, c in g.terms.items():
                     ne = tuple(x + y for x, y in zip(e, m))
                     row[col_index[ne]] = c
                 if row:
                     rows.append(row)
-        pivots = rref(rows, FRACTION_FIELD)
-        pivot_cols = {pc for pc, _ in pivots}
-        basis = tuple(m for i, m in enumerate(cols) if i not in pivot_cols)
+        pivots = dict(rref(rows, FRACTION_FIELD))
+        basis = tuple(m for i, m in enumerate(cols) if i not in pivots)
         return GradedBasis(k, basis, len(cols), columns=col_index,
                            pivots=pivots)
 
@@ -395,11 +384,11 @@ class HypersurfaceRing:
             return HomogeneousPolynomial(p.nvars, p.degree, terms)
         gb = self.quotient_basis(p.degree)
         vec = {gb.column_index[e]: c for e, c in p.terms.items()}
-        for pc, prow in gb.pivots:
-            coef = vec.pop(pc, None)
-            if not coef:
-                continue
-            for c, v in prow.items():
+        # a reduced row meets no other pivot column, so the pivot columns
+        # of vec are the only ones to clear
+        for pc in sorted(c for c in vec if c in gb.pivots):
+            coef = vec.pop(pc)
+            for c, v in gb.pivots[pc].items():
                 if c == pc:
                     continue
                 s = vec.get(c, 0) - coef * v

@@ -7,7 +7,11 @@ FRACTION_FIELD: exact over int and Fraction entries, Scalar entries
 
 There is one elimination kernel with one pivot rule: a Markowitz fill-in
 estimate with deterministic tie-breaking, so every result is reproducible
-run to run.  How the kernel updates a row depends only on the entry types:
+run to run.  The kernel keeps a column -> rows index, so a pivot step
+visits only the rows that hold the pivot column, and it keeps each row's
+best pivot key in a heap, recomputing only the keys that the step can
+change (Markowitz 1957).  How the kernel updates a row depends only on
+the entry types:
 
 - When every entry is an int or a Fraction (over FRACTION_FIELD), each
   row is cleared to a primitive integer row and eliminated fraction-free
@@ -21,13 +25,15 @@ run to run.  How the kernel updates a row depends only on the entry types:
 
 Scaling a row by a nonzero factor never changes its zero pattern, so both
 updates choose the same pivots, and the reduced rows, which the pivot
-columns determine, are the same.
+columns determine, are the same.  rref's back-substitution uses the same
+kind of index over the rows already reduced.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -88,24 +94,26 @@ def _integer_rows(rows):
     return out
 
 
-def _field_update(row, factor, prow, field, col_count):
-    """row -= factor * prow in the field's arithmetic, in place."""
+def _field_update(row, ri, factor, prow, field, col_rows):
+    """row -= factor * prow in the field's arithmetic, in place; col_rows
+    keeps listing ri under exactly the columns of row."""
     for c, v in prow.items():
         w = field.sub(row.get(c, field.zero), field.mul(factor, v))
         if field.is_zero(w):
             if c in row:
                 del row[c]
-                col_count[c] -= 1
+                col_rows[c].remove(ri)
         else:
             if c not in row:
-                col_count[c] += 1
+                col_rows[c].add(ri)
             row[c] = w
 
 
-def _integer_update(row, coef, pv, prow, col_count):
+def _integer_update(row, ri, coef, pv, prow, col_rows):
     """row <- (pv/g) row - (coef/g) prow over the integers, g = gcd(pv,
-    coef), then row divided by its content, in place.  Returns the factor
-    pv/g and the content, whose quotient scales the row."""
+    coef), then row divided by its content, in place; col_rows keeps
+    listing ri under exactly the columns of row.  Returns the factor pv/g
+    and the content, whose quotient scales the row."""
     g = gcd(pv, coef)
     a = pv // g
     if a != 1:
@@ -116,30 +124,16 @@ def _integer_update(row, coef, pv, prow, col_count):
         w = row.get(c, 0) - b * v
         if w:
             if c not in row:
-                col_count[c] += 1
+                col_rows[c].add(ri)
             row[c] = w
         elif c in row:
             del row[c]
-            col_count[c] -= 1
+            col_rows[c].remove(ri)
     content = gcd(*row.values())
     if content > 1:
         for c in row:
             row[c] //= content
     return a, content
-
-
-def _pick_pivot(active, col_count):
-    """Markowitz pivot: minimize (row_fill-1)*(col_fill-1), ties by (col, row)."""
-    best = None
-    best_key = None
-    for ri, row in active.items():
-        rfill = len(row)
-        for c in row:
-            key = ((rfill - 1) * (col_count[c] - 1), c, ri)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (ri, c)
-    return best
 
 
 def _eliminate(rows, field):
@@ -154,6 +148,12 @@ def _eliminate(rows, field):
     (num, den) of ints meaning num/den when it runs on primitive integer
     rows.  Rows that become empty drop out,
     and yielded rows are not touched again.
+
+    The pivot is the entry that minimizes (row_fill-1)*(col_fill-1), ties
+    broken by (col, row).  Each active row's best (cost, col, row) sits in
+    a heap; an entry is live while it is still its row's key.  A pivot
+    changes the fill of its own columns only, so only the rows it updates
+    and the rows holding one of its columns get new keys.
     """
     prepared = _integer_rows(rows) if field is FRACTION_FIELD else None
     if prepared is None:
@@ -161,31 +161,56 @@ def _eliminate(rows, field):
                      None) for r in rows]
     active = {i: r for i, (r, _) in enumerate(prepared) if r}
     scales = [s for _, s in prepared]
-    col_count = Counter()
-    for row in active.values():
-        col_count.update(row.keys())
+    col_rows = defaultdict(set)  # column -> ids of the active rows in it
+    for ri, row in active.items():
+        for c in row:
+            col_rows[c].add(ri)
+    keys = {}
+
+    def key_of(ri):
+        # in a row of two or more entries the cost grows with the column
+        # fill, so the least (fill, col) is the least (cost, col)
+        row = active[ri]
+        fill, c = min((len(col_rows[c]), c) for c in row)
+        key = ((len(row) - 1) * (fill - 1), c, ri)
+        keys[ri] = key
+        return key
+
+    heap = [key_of(ri) for ri in active]
+    heapify(heap)
     while active:
-        ri, pc = _pick_pivot(active, col_count)
+        key = heappop(heap)
+        _, pc, ri = key
+        if keys.get(ri) is not key:
+            continue
+        del keys[ri]
         prow = active.pop(ri)
         for c in prow:
-            col_count[c] -= 1
+            col_rows[c].remove(ri)
         pv = prow[pc]
         yield ri, pc, prow, scales[ri]
-        for rj in list(active):
+        stale = set()
+        for rj in sorted(col_rows[pc]):
             row = active[rj]
-            coef = row.get(pc)
-            if coef is None:
-                continue
+            coef = row[pc]
             scale = scales[rj]
             if scale is None:
-                _field_update(row, field.div(coef, pv), prow, field,
-                              col_count)
+                _field_update(row, rj, field.div(coef, pv), prow, field,
+                              col_rows)
             else:
-                a, content = _integer_update(row, coef, pv, prow, col_count)
+                a, content = _integer_update(row, rj, coef, pv, prow,
+                                             col_rows)
                 scale[0] *= a
                 scale[1] *= content
-            if not row:
+            if row:
+                stale.add(rj)
+            else:
                 del active[rj]
+                del keys[rj]
+        for c in prow:
+            stale.update(col_rows[c])
+        for rj in stale:
+            heappush(heap, key_of(rj))
 
 
 def rref(rows, field):
@@ -198,22 +223,23 @@ def rref(rows, field):
     """
     done = []
     integral = False
-    spare = Counter()  # back-substitution keeps no column counts
+    col_rows = defaultdict(set)  # column -> positions in done of its rows
     for _, pc, prow, scale in _eliminate(rows, field):
+        holders = sorted(col_rows[pc])
         if scale is None:
             inv = field.div(field.one, prow[pc])
             prow = {c: field.mul(v, inv) for c, v in prow.items()}
-            for _, qrow in done:
-                coef = qrow.get(pc)
-                if coef is not None:
-                    _field_update(qrow, coef, prow, field, spare)
+            for qi in holders:
+                qrow = done[qi][1]
+                _field_update(qrow, qi, qrow[pc], prow, field, col_rows)
         else:
             integral = True
             pv = prow[pc]
-            for _, qrow in done:
-                coef = qrow.get(pc)
-                if coef is not None:
-                    _integer_update(qrow, coef, pv, prow, spare)
+            for qi in holders:
+                qrow = done[qi][1]
+                _integer_update(qrow, qi, qrow[pc], pv, prow, col_rows)
+        for c in prow:
+            col_rows[c].add(len(done))
         done.append((pc, prow))
     done.sort(key=lambda t: t[0])
     if integral:

@@ -197,6 +197,26 @@ def test_zero_zero_pair_is_a_usage_error_everywhere(tmp_path):
         assert "(0, 0)" in out, argv
 
 
+def test_values_starting_with_a_minus_sign_parse_when_separated(tmp_path):
+    skip = [t for g in ("hodge", "fermat", "nl", "kermu") for t in ("--skip", g)]
+    for head, option, value in ((["independence"], "--pairs", "-2,1;1,1"),
+                                (["nl", "independence"], "--pairs",
+                                 "-2,1;-1/2,3"),
+                                (["nl", "deltanu"], "--a", "-1/2"),
+                                (["nl", "det"], "--b", "-3/4"),
+                                (["report", "--stable"] + skip, "--pairs",
+                                 "-2,1;1,1")):
+        tail = ["--json", "--cache", str(tmp_path / "c")]
+        joined = run_command(head + ["%s=%s" % (option, value)] + tail)
+        assert joined[0] == 0, joined
+        assert run_command(head + [option, value] + tail) == joined
+    code, out = run_command(["nl", "deltanu", "--a", "-1/2", "--b", "1"])
+    assert (code, out) == (0, "-1/(2*h-1)")
+    # an option name in the value slot is still a missing value
+    code, out = run_command(["nl", "deltanu", "--a", "--json"])
+    assert code == 2 and "expected one argument" in out
+
+
 def test_kermu_verify_span_json():
     code, out = run_command(["kermu", "verify", "--vars", "6", "--method",
                              "span", "--json"])
@@ -522,7 +542,7 @@ def test_fuzzed_command_lines_exit_cleanly():
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out, argv
         ran += code != 2
-    # 87 of these 300 lines get past parsing and validation; the floor
+    # 89 of these 300 lines get past parsing and validation; the floor
     # keeps the generator from decaying into a parser-only test
     assert ran >= 80
     # about 3.5 s here; the bound leaves room for a loaded machine

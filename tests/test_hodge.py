@@ -141,6 +141,21 @@ def test_complete_intersection_size_is_bounded():
         assert code == 2 and "at most %d" % top in out
 
 
+def test_slowest_accepted_complete_intersection_answers_in_time():
+    # distinct degrees share no series power, so 20 distinct degrees at the
+    # largest dimension are the dearest input the bound accepts
+    top, dmax = MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE
+    degrees = tuple(range(dmax - top + 1, dmax + 1))
+    start = time.perf_counter()
+    code, out = _hodge_ci(degrees, top)
+    # about 3 s here; the budget leaves room for a loaded machine
+    assert time.perf_counter() - start < 30.0
+    assert code == 0
+    doc = json.loads(out)
+    prim = HodgeVector(top, tuple(doc["prim"]))
+    assert doc["euler"] == full_diamond_euler(CIData(degrees, top), prim)
+
+
 def test_codimension_two_intersections():
     assert ci_prim_hodge(CIData((2, 2), 1)).values == (1, 1)
     assert ci_prim_hodge(CIData((3, 3), 3)).values == (1, 73, 73, 1)

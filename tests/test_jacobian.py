@@ -77,6 +77,26 @@ def test_reduced_monomials_filter_the_full_slice():
                 assert reduced_monomials(nvars, k, cap) == want
 
 
+def _recursive_monomials(nvars, k):
+    # oracle: the enumerator as it was before it shared the filler of
+    # reduced_monomials, without its suffix cache
+    if k < 0:
+        return ()
+    if nvars == 0:
+        return ((),) if k == 0 else ()
+    if nvars == 1:
+        return ((k,),)
+    return tuple((e0,) + rest for e0 in range(k, -1, -1)
+                 for rest in _recursive_monomials(nvars - 1, k - e0))
+
+
+def test_monomials_of_degree_match_the_recursion():
+    for nvars in range(7):
+        for k in range(-2, 8):
+            assert monomials_of_degree(nvars, k) == \
+                _recursive_monomials(nvars, k), (nvars, k)
+
+
 def test_sevenfold_middle_dimensions():
     ring = fermat(3, 9)
     assert ring.quotient_basis(3).dimension == 84
@@ -142,6 +162,44 @@ def test_fermat_vs_generic_path_agreement():
                     nvars, rng.choice(monomials_of_degree(nvars, k)))
                 gap = fast.normal_form(probe) - slow.normal_form(probe)
                 assert slow.normal_form(gap).is_zero()
+
+
+def _normal_form_over_every_pivot(ring, p):
+    # oracle: the walk over all pivot rows in column order, as normal_form
+    # had it before it visited only the pivot columns present
+    gb = ring.quotient_basis(p.degree)
+    vec = {gb.column_index[e]: c for e, c in p.terms.items()}
+    for pc, prow in sorted(gb.pivots.items()):
+        coef = vec.pop(pc, None)
+        if not coef:
+            continue
+        for c, v in prow.items():
+            if c == pc:
+                continue
+            s = vec.get(c, 0) - coef * v
+            if not s:
+                vec.pop(c, None)
+            else:
+                vec[c] = s
+    terms = {gb.columns[ci]: coeff for ci, coeff in vec.items() if coeff}
+    return HomogeneousPolynomial(p.nvars, p.degree, terms)
+
+
+def test_normal_form_matches_the_walk_over_every_pivot():
+    rng = random.Random(1957)
+    for d, nvars, extra in [(3, 5, 4), (4, 4, 3)]:
+        ring = HypersurfaceRing(HomogeneousPolynomial.from_terms(
+            nvars, _perturbed_terms(rng, d, nvars, extra)))
+        assert not ring.fermat_flag
+        for k in range(ring.socle_degree + 2):
+            monos = monomials_of_degree(nvars, k)
+            for _ in range(3):
+                terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                         for m in rng.sample(monos, min(6, len(monos)))}
+                p = HomogeneousPolynomial.from_terms(nvars, terms, degree=k)
+                got = ring.normal_form(p)
+                want = _normal_form_over_every_pivot(ring, p)
+                assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_normal_form_is_multiplicative_modulo_ideal():
@@ -324,7 +382,8 @@ def test_perturbed_form_fraction_matches_scalar_wrapped_oracle():
             gp, gw = plain.quotient_basis(k), wrapped.quotient_basis(k)
             assert gp.basis == gw.basis and gp.pivots == gw.pivots
             assert all(isinstance(v, Fraction)
-                       for _, prow in gp.pivots or () for v in prow.values())
+                       for prow in (gp.pivots or {}).values()
+                       for v in prow.values())
             for m in rng.sample(monomials_of_degree(nvars, k),
                                 min(4, ambient_dimension(nvars, k))):
                 probe = HomogeneousPolynomial.monomial(

@@ -47,7 +47,7 @@ def form_payload(nvars, degree, extra):
         gb = ring.quotient_basis(k)
         slices.append({"degree": k,
                        "basis": [list(m) for m in gb.basis],
-                       "pivot_columns": [pc for pc, _ in gb.pivots]})
+                       "pivot_columns": list(gb.pivots)})
         for m in monomials_of_degree(nvars, k)[::NF_STRIDE]:
             nf = ring.normal_form(HomogeneousPolynomial.monomial(nvars, m))
             normal_forms.append([list(m), nf.to_json()["terms"]])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from grifcalc.invariant import distinguished_triple, iso_matrix
 from grifcalc.jacobian import HomogeneousPolynomial, monomials_of_degree
 from grifcalc.linalg import (
     FRACTION_FIELD,
@@ -568,6 +569,47 @@ def test_integer_rows_match_the_fraction_oracle_on_slices():
         for k in range(degree - 1, nvars * (degree - 2) + 2):
             _assert_matches_fraction_oracle(
                 *_slice_rows(nvars, degree, extra, k))
+
+
+def _pivot_sequence(pivots):
+    return [(ri, pc) for ri, pc, _, _ in pivots]
+
+
+def _seeded_perturbation(rng, nvars, degree, count):
+    # count rational terms on monomials off the Fermat support
+    monos = [m for m in monomials_of_degree(nvars, degree) if max(m) < degree]
+    return {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                        rng.randint(1, 9))
+            for m in rng.sample(monos, count)}
+
+
+def test_pivot_sequence_matches_the_full_rescan_on_integer_slices():
+    # the three form shapes of the jring-generic benchmark, every slice
+    # whose ideal part is nonempty
+    rng = random.Random(1957)
+    for nvars, degree, count in ((5, 3, 12), (6, 3, 4), (4, 4, 4)):
+        extra = _seeded_perturbation(rng, nvars, degree, count)
+        for k in range(degree - 1, nvars * (degree - 2) + 1):
+            rows, _ = _slice_rows(nvars, degree, extra, k)
+            want = fraction_eliminate(_as_fractions(rows), FRACTION_FIELD)
+            got = list(_eliminate(rows, FRACTION_FIELD))
+            assert all(scale is not None for _, _, _, scale in got)
+            assert _pivot_sequence(got) == _pivot_sequence(want), \
+                (nvars, degree, k)
+
+
+def test_pivot_sequence_matches_the_full_rescan_on_scalar_rows():
+    a = Scalar.param("a")
+    cases = [iso_matrix(distinguished_triple()).rows_as_dicts()]
+    extra = {(1, 1, 1, 0): a, (0, 2, 0, 1): Fraction(-2, 5)}
+    for k in range(2, 5):
+        cases.append(_slice_rows(4, 3, extra, k)[0])
+    for rows in cases:
+        assert any(isinstance(v, Scalar) for r in rows for v in r.values())
+        want = fraction_eliminate(rows, FRACTION_FIELD)
+        got = list(_eliminate(rows, FRACTION_FIELD))
+        assert all(scale is None for _, _, _, scale in got)
+        assert _pivot_sequence(got) == _pivot_sequence(want)
 
 
 def test_int_entries_divide_exactly_beside_a_scalar():
