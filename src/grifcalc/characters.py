@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidCharacter, NotReducedMonomial
-from .jacobian import HomogeneousPolynomial, monomial_string
+from .jacobian import HomogeneousPolynomial, monomial_string, reduced_monomials
 from .scalar import Scalar
 
 
@@ -118,32 +117,12 @@ def enumerate_type(d, nvars, ptype):
         raise ValueError("negative Hodge type (%d, %d)" % (p, q))
     if d < 3:
         raise InvalidCharacter("degree must be >= 3, got %d" % d)
-    target = (q + 1) * d
-    out = []
-    for entries in _sum_compositions(d, nvars, target):
-        out.append(Character(d, entries))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sum_compositions(d, nvars, target):
-    # tuples in [1, d-1]^nvars with the exact sum, lex order by construction
-    results = []
-    entries = [0] * nvars
-
-    def rec(i, remaining):
-        if i == nvars:
-            if remaining == 0:
-                results.append(tuple(entries))
-            return
-        lo = max(1, remaining - (d - 1) * (nvars - 1 - i))
-        hi = min(d - 1, remaining - (nvars - 1 - i))
-        for a in range(lo, hi + 1):
-            entries[i] = a
-            rec(i + 1, remaining - a)
-
-    rec(0, target)
-    return tuple(results)
+    # the residue map sends these characters to the reduced monomials of
+    # degree (q+1)d - nvars, exponent a_i - 1 each; ascending lex order
+    # reverses the monomials' descending grlex
+    monos = reduced_monomials(nvars, (q + 1) * d - nvars, d - 2)
+    return [Character(d, tuple(e + 1 for e in exps))
+            for exps in reversed(monos)]
 
 
 def orbit_partition(chars):

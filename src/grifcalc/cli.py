@@ -29,13 +29,13 @@ from .errors import GrifcalcError, OutOfRange
 from .hodge import MAX_HYPERSURFACE_SIZE, CIData, bounded_slice_dimension, \
     ci_prim_hodge, euler_characteristic, hypersurface_prim_hodge
 from .invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
-                        distinguished_triple, independence_rank, iso_det,
-                        iso_matrix)
+                        distinguished_triple, iso_det, iso_matrix)
 from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                        monomial_string, pairing_matrix)
 from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
-                     ReportOptions, full_report, kermu_payload)
+                     ReportOptions, full_report, independence_payload,
+                     kermu_payload)
 from .scalar import parse as parse_scalar, scalar_to_string
 
 
@@ -239,24 +239,29 @@ def _triple_from_args(args):
     return distinguished_triple(a, b)
 
 
-# The largest Fermat ring and slices a jring command builds.  A slice is
-# enumerated monomial by monomial, each tuple filled once from one exponent
-# list, and pairing takes one normal form per product of a j-slice and a
-# k-slice monomial; 20,000 of either cost well under a second.  The ring
-# itself holds nvars exponent tuples of nvars entries, and its degree is
-# bounded as for hypersurfaces, which keeps the slice count itself cheap.
+# The largest Fermat ring and slices a jring or fermat command builds.  A
+# slice is enumerated monomial by monomial, each tuple filled once from one
+# exponent list, and pairing takes one normal form per product of a j-slice
+# and a k-slice monomial; 20,000 of either cost well under a second, and a
+# census lists one character per slice monomial.  The ring itself holds
+# nvars exponent tuples of nvars entries, and its degree is bounded as for
+# hypersurfaces, which keeps the slice count itself cheap.
 MAX_JRING_VARS = 32
 MAX_JRING_MONOMIALS = 20_000
 
 
-def _check_jring_size(args):
+def _check_slice_size(args):
     """Raise OutOfRange before building a ring or slice above the bounds."""
     nvars, degree = getattr(args, "vars"), args.degree
+    command = "%s %s" % (args.command, args.action)
     if nvars > MAX_JRING_VARS or degree > MAX_HYPERSURFACE_SIZE:
-        raise OutOfRange("jring needs at most %d variables and degree at "
-                         "most %d" % (MAX_JRING_VARS, MAX_HYPERSURFACE_SIZE))
+        raise OutOfRange("%s needs at most %d variables and degree at most %d"
+                         % (command, MAX_JRING_VARS, MAX_HYPERSURFACE_SIZE))
     cap = degree - 2
-    if args.action == "basis":
+    if args.action == "classes":
+        k = (args.ptype[1] + 1) * degree - nvars
+        count = bounded_slice_dimension(nvars, k, cap)
+    elif args.action == "basis":
         count = bounded_slice_dimension(nvars, args.k, cap)
     elif args.action == "pairing":
         dj = bounded_slice_dimension(nvars, args.j, cap)
@@ -265,12 +270,12 @@ def _check_jring_size(args):
     else:
         return  # a Fermat normal form builds no slice
     if count > MAX_JRING_MONOMIALS:
-        raise OutOfRange("jring %s would build %d monomials, more than %d"
-                         % (args.action, count, MAX_JRING_MONOMIALS))
+        raise OutOfRange("%s would build %d monomials, more than %d"
+                         % (command, count, MAX_JRING_MONOMIALS))
 
 
 def _cmd_jring(args):
-    _check_jring_size(args)
+    _check_slice_size(args)
     ring = HypersurfaceRing.fermat(args.degree, getattr(args, "vars"))
     if args.action == "basis":
         basis = ring.quotient_basis(args.k)
@@ -312,6 +317,7 @@ def _cmd_hodge(args):
 def _cmd_fermat(args):
     if args.degree < 3:
         raise UsageError("character census needs degree >= 3")
+    _check_slice_size(args)
     chars = enumerate_type(args.degree, getattr(args, "vars"), args.ptype)
     if not args.orbits:
         payload = {"character_count": len(chars),
@@ -343,17 +349,12 @@ def _cmd_fermat(args):
 
 def _cmd_nl(args):
     if args.action == "independence":
-        rank, relations = independence_rank(args.pairs)
-        payload = {
-            "pairs": [[str(a), str(b)] for a, b in args.pairs],
-            "rank": rank,
-            "relations": [[str(c) for c in rel] for rel in relations],
-        }
+        payload = independence_payload(args.pairs)
         if args.json:
             return 0, _dump(payload)
-        lines = ["rank %d of %d values" % (rank, len(args.pairs))]
-        for rel in relations:
-            lines.append("relation: " + ", ".join(str(c) for c in rel))
+        lines = ["rank %d of %d values" % (payload["rank"], len(args.pairs))]
+        for rel in payload["relations"]:
+            lines.append("relation: " + ", ".join(rel))
         return 0, "\n".join(lines)
 
     triple = _triple_from_args(args)

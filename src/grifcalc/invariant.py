@@ -10,8 +10,9 @@ isomorphism R^1 -> R^7.
 delta_nu evaluates the induced invariant on tensors w = sum Q_i (x) R_i in
 the kernel of the multiplication map R^3 (x) R^3 -> R^6: each summand
 contributes the socle coefficient of P * Q_i * f^{-1}(P * R_i), where f is
-multiplication by P*e from R^1 to R^7 and the inverse is computed by a
-solve through the pairing matrix, which also proves M invertible.
+multiplication by P*e from R^1 to R^7.  In the R^1 basis that is
+<s(P*Q_i), y_i> with M y_i = s(P*R_i), s(v) being the socle pairing of v
+against R^1; the solve through M also proves M invertible.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DegenerateDenominator, DegreeMismatch, NotIsomorphism,
-                     OutOfRange)
+from .errors import DegenerateDenominator, NotIsomorphism, OutOfRange
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
@@ -95,8 +95,7 @@ def distinguished_tensor(swap=False):
 def iso_matrix(triple):
     """Pairing matrix of P*e on R^1 x R^1 (8 x 8, symmetric)."""
     ring = HypersurfaceRing.fermat(3, NVARS)
-    pe = ring.normal_form(triple.p * triple.e)
-    return pairing_matrix(ring, pe, 1, 1)
+    return pairing_matrix(ring, triple.p * triple.e, 1, 1)
 
 
 def iso_det(triple):
@@ -130,37 +129,36 @@ def rho_check(triple, seed=0):
     return rank(m.rows_as_dicts(), FRACTION_FIELD) == m.ncols
 
 
+def _socle_row(ring, v):
+    """s(v): the socle pairing of a degree-7 form v against the R^1 basis,
+    row 0 of its pairing matrix on R^0 x R^1."""
+    m = pairing_matrix(ring, v, 0, 1)
+    return [m.entry(0, j) for j in range(m.ncols)]
+
+
 def delta_nu(triple, w):
     """Invariant of a kernel tensor w = sum c_i * Q_i (x) R_i.
 
-    Raises NotInKernel when the multiplication map does not kill w, and
-    NotIsomorphism when the pairing matrix of the triple is singular, which
-    the solve through it detects; no determinant is taken.
+    Raises DegreeMismatch unless w is a degree (3, 3) tensor over 8
+    variables, NotInKernel when the multiplication map does not kill w,
+    and NotIsomorphism when the pairing matrix of the triple is singular,
+    which the solve through it detects; no determinant is taken.
     """
     ring = HypersurfaceRing.fermat(3, NVARS)
     if w.is_zero():
         return ZERO
-    if w.nvars != NVARS or w.left_degree != 3 or w.right_degree != 3:
-        raise DegreeMismatch("delta_nu expects degree (3, 3) tensors over 8 variables")
     tensor_in_kernel(ring, w)
     m = iso_matrix(triple)
     rows = m.rows_as_dicts()
-    n = m.ncols
-    basis1 = ring.quotient_basis(1).basis
-    soc = ring.socle_monomial()
     total = ZERO
     for c, q, r in w.summands:
-        u = ring.normal_form(triple.p * r)
-        rhs = []
-        for mono in basis1:
-            rhs.append(ring.normal_form(u.mul_monomial(mono)).coefficient(soc))
         try:
-            y = solve(rows, n, rhs, FRACTION_FIELD)
+            y = solve(rows, m.ncols, _socle_row(ring, triple.p * r),
+                      FRACTION_FIELD)
         except ValueError:
             raise NotIsomorphism("pairing matrix is singular for this triple")
-        pre = HomogeneousPolynomial.from_terms(
-            NVARS, {basis1[j]: y[j] for j in range(n)}, degree=1)
-        val = ring.socle_coefficient(triple.p * q * pre)
+        s_q = _socle_row(ring, triple.p * q)
+        val = sum((sj * yj for sj, yj in zip(s_q, y) if sj), ZERO)
         total = total + val * c
     return total
 

@@ -408,14 +408,6 @@ class HypersurfaceRing:
             raise ValueError("socle has dimension %d, expected 1" % gb.dimension)
         return gb.basis[0]
 
-    def socle_coefficient(self, p):
-        """Coefficient of the socle monomial in normal_form(p)."""
-        if p.degree != self.socle_degree:
-            raise DegreeMismatch("degree %d is not the socle degree %d"
-                                 % (p.degree, self.socle_degree))
-        nf = self.normal_form(p)
-        return nf.coefficient(self.socle_monomial())
-
     def monomial_basis_polynomial(self, exps, coeff=1):
         p = HomogeneousPolynomial.monomial(self.nvars, exps, coeff)
         if self.fermat_flag and max(exps) > self.degree - 2:

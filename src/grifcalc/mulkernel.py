@@ -60,7 +60,8 @@ def _increasing(idx, size):
 class RankOneGenerator:
     """A decomposable tensor named by its family and index tuples:
     (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
-    swap_binomial.  left and right build the polynomial sides on demand."""
+    swap_binomial.  left and right build the polynomial sides once, on
+    first use."""
 
     family_tag: str
     indices: tuple
@@ -99,11 +100,11 @@ class RankOneGenerator:
         return (index_monomial(n, base + (a,))
                 + index_monomial(n, base + (k,), (1, -1)[which]))
 
-    @property
+    @functools.cached_property
     def left(self):
         return self._side(0)
 
-    @property
+    @functools.cached_property
     def right(self):
         return self._side(1)
 
@@ -170,17 +171,24 @@ class Certificate:
     standard: dict
 
 
-def mu_apply(ring, w):
-    """Image of a tensor sum under multiplication, as a reduced form."""
+def _check_cubic_tensor(ring, w):
+    """Raise DegreeMismatch unless ring is a cubic Fermat ring and w is
+    zero or a degree (3, 3) tensor over the ring's variables."""
     if not (ring.fermat_flag and ring.degree == 3):
-        raise DegreeMismatch("mu_apply is defined on cubic Fermat rings")
+        raise DegreeMismatch("tensors of R^3 (x) R^3 need a cubic Fermat ring")
     if w.is_zero():
-        return HomogeneousPolynomial.zero(ring.nvars, 6)
+        return
     if w.nvars != ring.nvars:
         raise DegreeMismatch("tensor over %d variables, ring over %d"
                              % (w.nvars, ring.nvars))
     if w.left_degree != 3 or w.right_degree != 3:
-        raise DegreeMismatch("mu_apply expects degree (3, 3) tensors")
+        raise DegreeMismatch("expected a degree (3, 3) tensor, got (%d, %d)"
+                             % (w.left_degree, w.right_degree))
+
+
+def mu_apply(ring, w):
+    """Image of a tensor sum under multiplication, as a reduced form."""
+    _check_cubic_tensor(ring, w)
     out = HomogeneousPolynomial.zero(ring.nvars, 6)
     for c, l, r in w.summands:
         out = out + ring.normal_form(l * r).scale(c)
@@ -284,14 +292,7 @@ def standardize(ring, w):
     Indices bubble across the tensor sign by the exchange identity; a
     tensor whose sides share an index is a monomial_pair move itself.
     """
-    if not (ring.fermat_flag and ring.degree == 3):
-        raise DegreeMismatch("standardize is defined on cubic Fermat rings")
-    if not w.is_zero():
-        if w.nvars != ring.nvars:
-            raise DegreeMismatch("tensor over %d variables, ring over %d"
-                                 % (w.nvars, ring.nvars))
-        if w.left_degree != 3 or w.right_degree != 3:
-            raise DegreeMismatch("standardize expects degree (3, 3) tensors")
+    _check_cubic_tensor(ring, w)
     terms = {}
     for (el, er), coeff in sorted(w.monomial_expansion().items()):
         left = _support(el)

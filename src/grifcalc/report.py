@@ -232,16 +232,22 @@ def _check_kermu(options, mode):
     return bool(payload["verdict"]), payload
 
 
-def _check_independence(options):
-    pairs = tuple(tuple(p) for p in options.pairs)
+def independence_payload(pairs):
+    """independence_rank(pairs) as a JSON payload, every rational a
+    string."""
     rank, relations = independence_rank(pairs)
-    ok = rank == len(pairs)
-    return ok, {
+    return {
         "pairs": [[str(a), str(b)] for a, b in pairs],
         "rank": rank,
         "relations": [[str(c) for c in rel] for rel in relations],
-        "independent": ok,
     }
+
+
+def _check_independence(options):
+    pairs = tuple(tuple(p) for p in options.pairs)
+    payload = independence_payload(pairs)
+    payload["independent"] = ok = payload["rank"] == len(pairs)
+    return ok, payload
 
 
 def _check_vanishing(options):

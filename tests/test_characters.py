@@ -139,3 +139,38 @@ def test_quintic_characters_also_supported():
     assert len(chars) == hv.values[1] == 101
     orbit = galois_orbit(chars[0])
     assert len(orbit) in (1, 2, 4)
+
+
+def oracle_sum_compositions(d, nvars, target):
+    """The census enumerator before enumerate_type read the reduced
+    monomials: tuples in [1, d-1]^nvars with the exact sum, lex order by
+    construction."""
+    results = []
+    entries = [0] * nvars
+
+    def rec(i, remaining):
+        if i == nvars:
+            if remaining == 0:
+                results.append(tuple(entries))
+            return
+        lo = max(1, remaining - (d - 1) * (nvars - 1 - i))
+        hi = min(d - 1, remaining - (nvars - 1 - i))
+        for a in range(lo, hi + 1):
+            entries[i] = a
+            rec(i + 1, remaining - a)
+
+    rec(0, target)
+    return tuple(results)
+
+
+def test_enumerate_type_matches_the_composition_oracle():
+    cases = 0
+    for d in range(3, 9):
+        for nvars in range(1, 8):
+            for q in range(nvars - 1):
+                chars = enumerate_type(d, nvars, (nvars - 2 - q, q))
+                got = tuple(c.entries for c in chars)
+                expected = oracle_sum_compositions(d, nvars, (q + 1) * d)
+                assert got == expected, (d, nvars, q)
+                cases += 1
+    assert cases == 6 * 21

@@ -547,3 +547,38 @@ def test_fuzzed_command_lines_exit_cleanly():
     assert ran >= 80
     # about 3.5 s here; the bound leaves room for a loaded machine
     assert time.perf_counter() - start < 20.0
+
+
+def _census(degree, nvars, ptype, *flags):
+    return run_command(["fermat", "classes", "--degree", str(degree),
+                        "--vars", str(nvars), "--type",
+                        "%d,%d" % ptype] + list(flags))
+
+
+def test_fermat_census_size_is_bounded():
+    # one character per monomial of the slice k = (q+1)d - nvars, counted
+    # before anything is enumerated: these used to recurse past the
+    # interpreter's limit or run on past 10 s
+    code, out = _census(3, 2000, (1332, 666))
+    assert code == 2 and "at most %d variables" % MAX_JRING_VARS in out
+    assert "fermat classes" in out
+    for degree, nvars, ptype in ((3, 30, (14, 14)), (50, 10, (4, 4))):
+        k = (ptype[1] + 1) * degree - nvars
+        count = bounded_slice_dimension(nvars, k, degree - 2)
+        assert count > MAX_JRING_MONOMIALS
+        code, out = _census(degree, nvars, ptype)
+        assert code == 2 and "more than %d" % MAX_JRING_MONOMIALS in out
+    code, out = _census(MAX_HYPERSURFACE_SIZE + 1, 3, (1, 0))
+    assert code == 2 and "degree at most %d" % MAX_HYPERSURFACE_SIZE in out
+
+
+def test_slowest_accepted_census_answers_in_time():
+    # degree 97 on three variables: 4,560 characters meeting 95 Galois
+    # orbits of 96 members, about 3.5 s here; the budget leaves room for a
+    # loaded machine
+    start = time.perf_counter()
+    code, out = _census(97, 3, (1, 0), "--orbits", "--json")
+    assert time.perf_counter() - start < 30.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["character_count"] == bounded_slice_dimension(3, 94, 95)

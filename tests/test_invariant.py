@@ -14,8 +14,10 @@ from grifcalc.errors import (DegenerateDenominator, DegreeMismatch,
 from grifcalc.invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
                                 distinguished_triple, independence_rank,
                                 iso_det, iso_matrix, rho_check)
-from grifcalc.jacobian import HomogeneousPolynomial, TensorSum
-from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel
+from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
+                               TensorSum, pairing_matrix)
+from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel, solve
+from grifcalc.mulkernel import index_monomial, tensor_in_kernel
 from grifcalc.scalar import ParamPolynomial, Scalar, parse, scalar_to_string
 
 ONE = Scalar.from_fraction(1)
@@ -191,6 +193,145 @@ def test_invariant_takes_no_determinant(monkeypatch):
     for swap in (False, True):
         value = delta_nu(distinguished_triple(), distinguished_tensor(swap))
         assert scalar_to_string(value) == "a*b/(b*h+a)"
+
+
+def oracle_delta_nu(triple, w):
+    """delta_nu as it was before it read both sides off pairing_matrix: the
+    right-hand side built pairing by pairing, the preimage written out as a
+    degree-1 form, and the socle coefficient of the triple product."""
+    ring = HypersurfaceRing.fermat(3, 8)
+    if w.is_zero():
+        return scalar.ZERO
+    if w.nvars != 8 or w.left_degree != 3 or w.right_degree != 3:
+        raise DegreeMismatch("delta_nu expects degree (3, 3) tensors over "
+                             "8 variables")
+    tensor_in_kernel(ring, w)
+    m = pairing_matrix(ring, ring.normal_form(triple.p * triple.e), 1, 1)
+    rows = m.rows_as_dicts()
+    n = m.ncols
+    basis1 = ring.quotient_basis(1).basis
+    soc = ring.socle_monomial()
+    total = scalar.ZERO
+    for c, q, r in w.summands:
+        u = ring.normal_form(triple.p * r)
+        rhs = []
+        for mono in basis1:
+            rhs.append(ring.normal_form(u.mul_monomial(mono)).coefficient(soc))
+        try:
+            y = solve(rows, n, rhs, FRACTION_FIELD)
+        except ValueError:
+            raise NotIsomorphism("pairing matrix is singular for this triple")
+        pre = HomogeneousPolynomial.from_terms(
+            8, {basis1[j]: y[j] for j in range(n)}, degree=1)
+        val = ring.normal_form(triple.p * q * pre).coefficient(soc)
+        total = total + val * c
+    return total
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+# complements of the four monomials of P: a monomial tensor q (x) r pairs
+# to a nonzero value only when q and r each lie inside one of them
+_P_COMPLEMENTS = ((4, 5, 6, 7), (0, 1, 2, 3), (3, 5, 6, 7), (0, 1, 2, 4))
+
+
+def _seen_by_p(triple):
+    return any(set(triple) <= set(c) for c in _P_COMPLEMENTS)
+
+
+def _random_move(rng):
+    """A pair or swap move over 8 variables with at least one monomial
+    tensor whose sides P can see."""
+    while True:
+        if rng.random() < 0.5:
+            left = sorted(rng.sample(rng.choice(_P_COMPLEMENTS), 3))
+            right = sorted(rng.sample(rng.choice(_P_COMPLEMENTS), 3))
+            if set(left) & set(right):
+                return index_monomial(8, left), index_monomial(8, right)
+            continue
+        a, k = rng.sample(range(8), 2)
+        free = [i for i in range(8) if i not in (a, k)]
+        t = tuple(rng.sample(free, 2))
+        u = tuple(rng.sample(free, 2))
+        if any(_seen_by_p(t + (x,)) and _seen_by_p(u + (y,))
+               for x in (a, k) for y in (a, k)):
+            return (index_monomial(8, t + (a,)) + index_monomial(8, t + (k,)),
+                    index_monomial(8, u + (a,)) - index_monomial(8, u + (k,)))
+
+
+def _random_kernel_tensor(rng, nmoves):
+    """A sum of nmoves pair and swap moves over 8 variables, each with a
+    Fraction, constant Scalar or parametric Scalar coefficient."""
+    summands = []
+    for _ in range(nmoves):
+        q, r = _random_move(rng)
+        c = _random_fraction(rng) or Fraction(1)
+        kind = rng.randrange(3)
+        if kind == 1:
+            c = Scalar.from_fraction(c)
+        elif kind == 2:
+            c = Scalar.param(rng.choice("Ah")) * c
+        summands.append((c, q, r))
+    return TensorSum(summands)
+
+
+def test_delta_nu_matches_the_oracle_on_the_distinguished_tensor():
+    triple = distinguished_triple()
+    for swap in (False, True):
+        w = distinguished_tensor(swap)
+        assert delta_nu(triple, w) == oracle_delta_nu(triple, w)
+
+
+def test_delta_nu_matches_the_oracle_on_numeric_triples():
+    rng = random.Random(14)
+    pairs = [(1, 0), (-1, 1), (Fraction(-2, 3), Fraction(-5, 2))]
+    pairs += [(_random_fraction(rng) or 1, _random_fraction(rng))
+              for _ in range(6)]
+    for a, b in pairs:
+        triple = distinguished_triple(a, b)
+        for swap in (False, True):
+            w = distinguished_tensor(swap)
+            value = delta_nu(triple, w)
+            assert value == oracle_delta_nu(triple, w), (a, b, swap)
+            assert scalar_to_string(value) == scalar_to_string(
+                oracle_delta_nu(triple, w))
+
+
+def test_delta_nu_matches_the_oracle_on_multi_summand_kernel_tensors():
+    rng = random.Random(41)
+    triples = [distinguished_triple()]
+    triples += [distinguished_triple(_random_fraction(rng) or 1,
+                                     _random_fraction(rng))
+                for _ in range(5)]
+    nonzero = 0
+    for triple in triples:
+        for _ in range(2):
+            w = _random_kernel_tensor(rng, rng.randint(2, 5))
+            value = delta_nu(triple, w)
+            assert value == oracle_delta_nu(triple, w)
+            assert scalar_to_string(value) == scalar_to_string(
+                oracle_delta_nu(triple, w))
+            nonzero += not value.is_zero()
+    # the comparison means little on tensors the invariant kills
+    assert nonzero >= 4
+
+
+def test_delta_nu_and_the_oracle_both_need_an_isomorphism():
+    for b in (1, Fraction(-3, 2)):
+        triple = distinguished_triple(0, b)
+        for fn in (delta_nu, oracle_delta_nu):
+            with pytest.raises(NotIsomorphism):
+                fn(triple, q_tensor_r())
+
+
+def test_delta_nu_rejects_a_tensor_over_six_variables():
+    # a kernel tensor of the 6-variable cubic ring, where no triple lives
+    w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
+                         index_monomial(6, (0, 4, 5)))
+    with pytest.raises(DegreeMismatch):
+        delta_nu(distinguished_triple(), w)
 
 
 def test_independence_spec_examples():
