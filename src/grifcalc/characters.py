@@ -128,11 +128,13 @@ def enumerate_type(d, nvars, ptype):
 def orbit_partition(chars):
     """Distinct Galois orbits meeting the given characters, sorted by
     least member."""
-    seen = {}
+    orbits, covered = {}, set()
     for c in chars:
-        orb = galois_orbit(c)
-        seen[orb.members[0]] = orb
-    return [seen[k] for k in sorted(seen)]
+        if c not in covered:
+            orb = galois_orbit(c)
+            covered.update(orb.members)
+            orbits[orb.members[0]] = orb
+    return [orbits[k] for k in sorted(orbits)]
 
 
 # Coefficient symbols for the two distinguished orbits on the cubic

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from .errors import (
     DivisionByZero,
+    OutOfRange,
     ParseError,
     PoleAtSpecialization,
     UnboundParameter,
@@ -176,8 +177,9 @@ class ParamPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def evaluate(self, assignment):
@@ -676,6 +678,45 @@ def _tokenize(text):
     return tokens
 
 
+# The largest power parse computes, checked before the power is taken: the
+# exponent literal, and bounds on the total degree, the term count and the
+# coefficient bits of the power's numerator and denominator.
+MAX_PARSE_EXPONENT = 1000
+MAX_PARSE_DEGREE = 100
+MAX_PARSE_TERMS = 1000
+MAX_PARSE_BITS = 4096
+
+
+def _power_fits(p, n):
+    """Whether p^n stays inside the parse bounds.  For p with t terms in k
+    parameters, of total degrees lo..e and coefficients of absolute sum c,
+    p^n has total degree n*e; at most C(n+t-1, t-1) terms, and no more
+    than the monomials of degree n*lo..n*e; and coefficients of at most n
+    bits per bit of c."""
+    if not p.terms:
+        return True
+    t, k = len(p.terms), len(p.params)
+    degrees = [sum(exps) for exps in p.terms]
+    lo, e = min(degrees), max(degrees)
+    terms = math.comb(n + t - 1, t - 1)
+    if k:
+        terms = min(terms, math.comb(n * e + k, k)
+                    - math.comb(n * lo + k - 1, k))
+    c = sum(abs(x) for x in p.terms.values())
+    return (n * e <= MAX_PARSE_DEGREE and terms <= MAX_PARSE_TERMS
+            and n * c.bit_length() <= MAX_PARSE_BITS)
+
+
+def _check_power(value, n, text):
+    if n > MAX_PARSE_EXPONENT or not (_power_fits(value.num, n)
+                                      and _power_fits(value.den, n)):
+        raise OutOfRange(
+            "power above the bound in %r: exponent at most %d, and a result "
+            "of degree at most %d, at most %d terms and %d-bit coefficients"
+            % (text, MAX_PARSE_EXPONENT, MAX_PARSE_DEGREE, MAX_PARSE_TERMS,
+               MAX_PARSE_BITS))
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -735,6 +776,7 @@ class _Parser:
             kind, n = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal in %r" % self.text)
+            _check_power(value, n, self.text)
             value = value ** n
         return value
 
@@ -755,7 +797,8 @@ def parse(text):
     """Parse an expression over integers and parameter symbols to a Scalar.
 
     Grammar: + - * / ^ with the usual precedence, parentheses, nonnegative
-    integer exponents.  Round-trips with scalar_to_string().
+    integer exponents.  Round-trips with scalar_to_string().  A power that
+    could pass a MAX_PARSE_* bound raises OutOfRange before it is taken.
     """
     if not isinstance(text, str):
         raise ParseError("expected a string, got %r" % (text,))

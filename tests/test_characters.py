@@ -174,3 +174,22 @@ def test_enumerate_type_matches_the_composition_oracle():
                 assert got == expected, (d, nvars, q)
                 cases += 1
     assert cases == 6 * 21
+
+
+def oracle_orbit_partition(chars):
+    """orbit_partition before it skipped covered characters: one Galois
+    orbit per character."""
+    seen = {}
+    for c in chars:
+        orb = galois_orbit(c)
+        seen[orb.members[0]] = orb
+    return [seen[k] for k in sorted(seen)]
+
+
+def test_orbit_partition_matches_the_one_orbit_per_character_oracle():
+    # 95 orbits meeting the census 48 times each, a degree-11 census on
+    # six variables whose orbits leave it, and the report's census
+    for d, nvars, ptype in ((97, 3, (1, 0)), (11, 6, (3, 1)),
+                            (3, 8, (3, 3))):
+        chars = enumerate_type(d, nvars, ptype)
+        assert orbit_partition(chars) == oracle_orbit_partition(chars), d

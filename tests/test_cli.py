@@ -12,6 +12,7 @@ import pytest
 from grifcalc.cli import MAX_JRING_MONOMIALS, MAX_JRING_VARS, run_command
 from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
 from grifcalc.invariant import MAX_PAIRS
+from grifcalc.scalar import MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -330,6 +331,18 @@ def _square_free_poly(nvars, degree):
         {"exps": [1] * degree + [0] * (nvars - degree), "coeff": "a"}]})
 
 
+def test_jring_poly_coefficient_powers_are_bounded():
+    # a coefficient whose power could pass a parser bound exits 2 before
+    # the power is computed
+    for coeff in ("(a+b)^3000", "((a+b)^40)^40", "2^200000000"):
+        poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+            {"exps": [1, 0], "coeff": coeff}]})
+        start = time.perf_counter()
+        code, out = _jring("nf", 2, 3, "--poly", poly)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "power above the bound" in out
+
+
 def test_jring_basis_size_is_bounded():
     # the quartic slice at k = 46 in 25 variables has 19,850 monomials and
     # is the costliest accepted slice: 0.5 s here, the budget leaves room
@@ -439,6 +452,12 @@ def test_report_unknown_skip_token_is_a_usage_error():
 
 
 _FUZZ_GROUPS = ("hodge", "fermat", "nl", "kermu", "independence")
+# coefficient powers at each parser bound and just past it
+_BOUND_COEFFS = ("1^%d" % MAX_PARSE_EXPONENT,
+                 "1^%d" % (MAX_PARSE_EXPONENT + 1),
+                 "(a+b)^%d" % MAX_PARSE_DEGREE,
+                 "(a+b)^%d" % (MAX_PARSE_DEGREE + 1),
+                 "(a+b+c)^43", "(a+b+c)^44", "255^512", "255^513")
 
 
 def _fuzz_argv(rng):
@@ -457,7 +476,8 @@ def _fuzz_argv(rng):
             for _ in range(degree):
                 exps[rng.randrange(nvars)] += 1
             terms.append({"exps": exps, "coeff": rng.choice(
-                ["1", "-2", "1/3", "a", "0", "1/0", "x^"])})
+                ["1", "-2", "1/3", "a", "0", "1/0", "x^"]
+                + [rng.choice(_BOUND_COEFFS)] * 3)})
         doc = {"nvars": nvars, "degree": degree, "terms": terms}
         return rng.choice([json.dumps(doc)] * 14 + [
             "{", "[]", "3", '{"nvars": 2}', json.dumps({"terms": terms}),
@@ -542,7 +562,7 @@ def test_fuzzed_command_lines_exit_cleanly():
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out, argv
         ran += code != 2
-    # 89 of these 300 lines get past parsing and validation; the floor
+    # 101 of these 300 lines get past parsing and validation; the floor
     # keeps the generator from decaying into a parser-only test
     assert ran >= 80
     # about 3.5 s here; the bound leaves room for a loaded machine
@@ -573,12 +593,14 @@ def test_fermat_census_size_is_bounded():
 
 
 def test_slowest_accepted_census_answers_in_time():
-    # degree 97 on three variables: 4,560 characters meeting 95 Galois
-    # orbits of 96 members, about 3.5 s here; the budget leaves room for a
-    # loaded machine
+    # degree 19 on 13 variables: 18,564 characters, each alone in its
+    # Galois orbit of 18 members.  Of the largest accepted census at each
+    # variable count 3..32 it is the dearest, about 8.5 s here; the budget
+    # leaves room for a loaded machine
     start = time.perf_counter()
-    code, out = _census(97, 3, (1, 0), "--orbits", "--json")
+    code, out = _census(19, 13, (11, 0), "--orbits", "--json")
     assert time.perf_counter() - start < 30.0
     assert code == 0
     doc = json.loads(out)
-    assert doc["character_count"] == bounded_slice_dimension(3, 94, 95)
+    assert doc["character_count"] == bounded_slice_dimension(13, 6, 17)
+    assert doc["orbit_count"] == doc["character_count"]

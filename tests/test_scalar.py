@@ -1,17 +1,23 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from grifcalc.errors import (
     DivisionByZero,
+    OutOfRange,
     ParseError,
     PoleAtSpecialization,
     UnboundParameter,
     ZeroDenominator,
 )
 from grifcalc.scalar import (
+    MAX_PARSE_BITS,
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_EXPONENT,
+    MAX_PARSE_TERMS,
     ParamPolynomial,
     Scalar,
     _grlex_key,
@@ -126,6 +132,35 @@ def test_parse_precedence():
     assert parse("-a^2") == -(sym("a") ** 2)
     assert parse("6/4") == rat(3, 2)
     assert parse("a/b/c") == sym("a") / (sym("b") * sym("c"))
+
+
+def test_parse_computes_the_largest_accepted_powers():
+    # one power at each bound: the exponent literal, the total degree, the
+    # term count of a numerator and of a denominator, and the coefficient
+    # bits (255 has 8 bits); a power of a homogeneous base has terms of
+    # one degree only, so its term count is that of (a+b)^100
+    assert math.comb(43 + 2, 2) <= MAX_PARSE_TERMS < math.comb(44 + 2, 2)
+    assert 255 ** 512 < 2 ** MAX_PARSE_BITS
+    start = time.perf_counter()
+    assert parse("1^%d" % MAX_PARSE_EXPONENT) == rat(1)
+    assert len(parse("(a+b)^%d" % MAX_PARSE_DEGREE).num.terms) == 101
+    assert parse("((a+b)^10)^10") == parse("(a+b)^100")
+    assert len(parse("(a+b+c)^43").num.terms) == 990
+    assert len(parse("(1/(a+b+c))^43").den.terms) == 990
+    assert parse("255^512") == rat(255 ** 512)
+    # 0.3 s here; the budget leaves room for a loaded machine
+    assert time.perf_counter() - start < 5.0
+
+
+def test_parse_refuses_powers_just_past_the_bounds():
+    for text in ("1^%d" % (MAX_PARSE_EXPONENT + 1),
+                 "(a+b)^%d" % (MAX_PARSE_DEGREE + 1), "(a+b+c)^44",
+                 "(1/(a+b+c))^44", "255^513",
+                 "(a+b)^3000", "((a+b)^40)^40", "2^200000000"):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="power above the bound"):
+            parse(text)
+        assert time.perf_counter() - start < 1.0, text
 
 
 def test_poly_gcd_basic():
