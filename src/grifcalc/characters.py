@@ -157,9 +157,6 @@ class SymbolicClass(object):
     symbols: tuple
     polynomial: HomogeneousPolynomial
 
-    def symbol_for(self, char):
-        return self.symbols[self.orbit.members.index(char)]
-
     def __str__(self):
         pairs = []
         for char, sym in zip(self.orbit.members, self.symbols):

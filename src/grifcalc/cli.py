@@ -21,6 +21,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from ._version import __version__
 from .cache import Cache
@@ -261,6 +262,9 @@ def _check_slice_size(args):
     if args.action == "classes":
         k = (args.ptype[1] + 1) * degree - nvars
         count = bounded_slice_dimension(nvars, k, cap)
+        if args.orbits:
+            # each character's orbit lists its multiples by the units mod d
+            count *= sum(gcd(t, degree) == 1 for t in range(1, degree))
     elif args.action == "basis":
         count = bounded_slice_dimension(nvars, args.k, cap)
     elif args.action == "pairing":

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeMismatch, NotReducedMonomial
+from .errors import DegreeMismatch
 from .linalg import (
     FRACTION_FIELD,
     determinant as _det_rows,
@@ -309,10 +309,6 @@ class GradedBasis:
     def dimension(self):
         return len(self.basis)
 
-    @property
-    def ideal_rank(self):
-        return self.dim_ambient - len(self.basis)
-
 
 class HypersurfaceRing:
     """Jacobian ring of a homogeneous form, sliced by degree on demand."""
@@ -407,14 +403,6 @@ class HypersurfaceRing:
         if gb.dimension != 1:
             raise ValueError("socle has dimension %d, expected 1" % gb.dimension)
         return gb.basis[0]
-
-    def monomial_basis_polynomial(self, exps, coeff=1):
-        p = HomogeneousPolynomial.monomial(self.nvars, exps, coeff)
-        if self.fermat_flag and max(exps) > self.degree - 2:
-            raise NotReducedMonomial(
-                "monomial %s has an exponent above %d"
-                % (monomial_string(exps), self.degree - 2))
-        return p
 
     def __repr__(self):
         kind = "fermat" if self.fermat_flag else "general"

@@ -1,40 +1,37 @@
 """Sparse exact linear algebra over the field of fractions.
 
-Matrices are lists of sparse rows (dict column -> coefficient).  Each
-routine takes its field as a parameter, and the one field is
-FRACTION_FIELD: exact over int and Fraction entries, Scalar entries
-(rational functions in parameters) or a mix of them.
+Matrices are lists of sparse rows (dict column -> coefficient) of ints,
+Fractions, Scalars (rational functions in parameters) or a mix of them.
+The one field is FRACTION_FIELD.  It feeds only kernel_basis, solve and
+determinant's unit, zero and sign, and the field parameters stay until
+the benchmark tracer, which wraps rref(rows, field) and RowReducer, no
+longer needs them.
 
-There is one elimination kernel with one pivot rule: a Markowitz fill-in
-estimate with deterministic tie-breaking, so every result is reproducible
-run to run.  The kernel keeps a column -> rows index, so a pivot step
-visits only the rows that hold the pivot column, and it keeps each row's
-best pivot key in a heap, recomputing only the keys that the step can
-change (Markowitz 1957).  How the kernel updates a row depends only on
-the entry types:
-
-- When every entry is an int or a Fraction (over FRACTION_FIELD), each
-  row is cleared to a primitive integer row and eliminated fraction-free
-  in the style of Bareiss (1968), with the multipliers cross-cancelled
-  (Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(pv, coef),
-  r <- (pv/g) r - (coef/g) prow, then r is divided by its content.  rref
-  builds its Fraction entries once, at the end, and determinant divides
-  out the row scales that the pass tracks.
-- When any entry is a Scalar, the field update r <- r - (coef/pv) prow
-  runs in the field's own arithmetic.
-
-Scaling a row by a nonzero factor never changes its zero pattern, so both
-updates choose the same pivots, and the reduced rows, which the pivot
-columns determine, are the same.  rref's back-substitution uses the same
-kind of index over the rows already reduced.
+There is one elimination kernel with one pivot rule and one row update.
+The pivot is a Markowitz fill-in estimate with deterministic tie-breaking
+(Markowitz 1957); a column -> rows index and a heap of row keys let a
+pivot step visit only the rows holding its column and recompute only the
+keys it can change.  Rows are eliminated fraction-free over an integral
+domain D (Bareiss 1968; Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, ch. 9): Z when every entry is an int or a Fraction, and
+Z[params], the int-coefficient ParamPolynomials, once a Scalar occurs.
+Each row is cleared of its denominators and divided by its content; with
+g = gcd(pv, coef) in D the update is r <- (pv/g) r - (coef/g) prow, then
+r is divided by its content (Knuth, TAOCP vol. 2, 4.5.1).  Every row
+stays a nonzero multiple of the field update's row r - (coef/pv) prow, so
+the zero patterns, the pivots and the reduced rows are the field
+update's.  rref builds its Fractions or Scalars once, at the end, and
+determinant one per pivot, from the row scales that the pass tracks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
+
+from .scalar import ParamPolynomial, Scalar, poly_gcd_z
 
 
 class FractionField:
@@ -74,54 +71,68 @@ class FractionField:
 FRACTION_FIELD = FractionField()
 
 
-def _integer_rows(rows):
-    """Each row cleared of zeros and denominators and divided by its
-    content, as (integer row, [num, den]) with the integer row num/den
-    times the input row; None when an entry is neither an int nor a
-    Fraction."""
-    if not all(isinstance(v, (int, Fraction))
-               for r in rows for v in r.values()):
-        return None
+# An integral domain D: its zero, its one, its gcd of any number of
+# elements, an entry's (num, den) over D, and the field element num/den.
+_Domain = namedtuple("_Domain", "zero one gcd parts quotient")
+
+
+def _scalar_parts(v):
+    v = v if isinstance(v, Scalar) else Scalar.from_fraction(v)
+    return v.num, v.den
+
+
+_INTEGERS = _Domain(0, 1, gcd, lambda v: (v.numerator, v.denominator),
+                    Fraction)
+_PARAM_POLYNOMIALS = _Domain(ParamPolynomial.constant(0),
+                             ParamPolynomial.constant(1), poly_gcd_z,
+                             _scalar_parts, Scalar)
+
+
+def _domain(rows):
+    """Z when every entry is an int or a Fraction, else Z[params]."""
+    if all(isinstance(v, (int, Fraction)) for r in rows for v in r.values()):
+        return _INTEGERS
+    return _PARAM_POLYNOMIALS
+
+
+def _divide_content(row, domain):
+    """Divide row by the gcd of its entries in place; return that gcd."""
+    content = domain.gcd(*row.values())
+    if content != domain.one:
+        for c in row:
+            row[c] //= content
+    return content
+
+
+def _cleared_rows(rows, domain):
+    """Each row cleared of zeros, multiplied by the lcm of its
+    denominators in D and divided by its content, as (row over D, [num,
+    den]) with the row over D num/den times the input row."""
     out = []
     for r in rows:
-        r = {c: v for c, v in r.items() if v}
-        mult = lcm(*(v.denominator for v in r.values()))
-        r = {c: v.numerator * (mult // v.denominator) for c, v in r.items()}
-        content = gcd(*r.values())
-        if content > 1:
-            r = {c: v // content for c, v in r.items()}
-        out.append((r, [mult, content]))
+        r = {c: domain.parts(v) for c, v in r.items() if v}
+        mult = domain.one
+        for _, d in r.values():
+            mult *= d // domain.gcd(mult, d)
+        r = {c: n * (mult // d) for c, (n, d) in r.items()}
+        out.append((r, [mult, _divide_content(r, domain)]))
     return out
 
 
-def _field_update(row, ri, factor, prow, field, col_rows):
-    """row -= factor * prow in the field's arithmetic, in place; col_rows
-    keeps listing ri under exactly the columns of row."""
-    for c, v in prow.items():
-        w = field.sub(row.get(c, field.zero), field.mul(factor, v))
-        if field.is_zero(w):
-            if c in row:
-                del row[c]
-                col_rows[c].remove(ri)
-        else:
-            if c not in row:
-                col_rows[c].add(ri)
-            row[c] = w
-
-
-def _integer_update(row, ri, coef, pv, prow, col_rows):
-    """row <- (pv/g) row - (coef/g) prow over the integers, g = gcd(pv,
-    coef), then row divided by its content, in place; col_rows keeps
-    listing ri under exactly the columns of row.  Returns the factor pv/g
-    and the content, whose quotient scales the row."""
-    g = gcd(pv, coef)
+def _update(row, ri, coef, pv, prow, col_rows, domain):
+    """row <- (pv/g) row - (coef/g) prow over D, g = gcd(pv, coef), then
+    row divided by its content, in place; col_rows keeps listing ri under
+    exactly the columns of row.  Returns the factor pv/g and the content,
+    whose quotient scales the row."""
+    g = domain.gcd(pv, coef)
     a = pv // g
-    if a != 1:
+    if a != domain.one:
         for c in row:
             row[c] *= a
     b = coef // g
+    zero = domain.zero
     for c, v in prow.items():
-        w = row.get(c, 0) - b * v
+        w = row.get(c, zero) - b * v
         if w:
             if c not in row:
                 col_rows[c].add(ri)
@@ -129,25 +140,19 @@ def _integer_update(row, ri, coef, pv, prow, col_rows):
         elif c in row:
             del row[c]
             col_rows[c].remove(ri)
-    content = gcd(*row.values())
-    if content > 1:
-        for c in row:
-            row[c] //= content
-    return a, content
+    return a, _divide_content(row, domain)
 
 
-def _eliminate(rows, field):
-    """Markowitz forward elimination over the field.
+def _eliminate(rows, domain):
+    """Markowitz forward elimination over the domain D.
 
     Yields (row_index, pivot_col, pivot_row, scale) for each pivot in
-    turn, row_index counting the input rows.  pivot_row is scale times the
-    pivot row of the elimination that updates every remaining row r with
-    an entry in pivot_col as r -= (r[pivot_col] / pivot_value) * pivot_row.
-    scale is None when the kernel runs that field update itself (some
-    entry is a Scalar, or the field is not FRACTION_FIELD), and a pair
-    (num, den) of ints meaning num/den when it runs on primitive integer
-    rows.  Rows that become empty drop out,
-    and yielded rows are not touched again.
+    turn, row_index counting the input rows.  pivot_row is a row over D,
+    and scale = [num, den] over D means that pivot_row is num/den times
+    the pivot row of the elimination that updates every remaining row r
+    with an entry in pivot_col as r -= (r[pivot_col] / pivot_value) *
+    pivot_row.  Rows that become empty drop out, and yielded rows are not
+    touched again.
 
     The pivot is the entry that minimizes (row_fill-1)*(col_fill-1), ties
     broken by (col, row).  Each active row's best (cost, col, row) sits in
@@ -155,10 +160,7 @@ def _eliminate(rows, field):
     changes the fill of its own columns only, so only the rows it updates
     and the rows holding one of its columns get new keys.
     """
-    prepared = _integer_rows(rows) if field is FRACTION_FIELD else None
-    if prepared is None:
-        prepared = [({c: v for c, v in r.items() if not field.is_zero(v)},
-                     None) for r in rows]
+    prepared = _cleared_rows(rows, domain)
     active = {i: r for i, (r, _) in enumerate(prepared) if r}
     scales = [s for _, s in prepared]
     col_rows = defaultdict(set)  # column -> ids of the active rows in it
@@ -192,16 +194,11 @@ def _eliminate(rows, field):
         stale = set()
         for rj in sorted(col_rows[pc]):
             row = active[rj]
-            coef = row[pc]
+            a, content = _update(row, rj, row[pc], pv, prow, col_rows,
+                                 domain)
             scale = scales[rj]
-            if scale is None:
-                _field_update(row, rj, field.div(coef, pv), prow, field,
-                              col_rows)
-            else:
-                a, content = _integer_update(row, rj, coef, pv, prow,
-                                             col_rows)
-                scale[0] *= a
-                scale[1] *= content
+            scale[0] *= a
+            scale[1] *= content
             if row:
                 stale.add(rj)
             else:
@@ -214,38 +211,27 @@ def _eliminate(rows, field):
 
 
 def rref(rows, field):
-    """Reduced row echelon form of sparse rows over the field.
+    """Reduced row echelon form of sparse rows over the field of fractions.
 
     Returns a list of (pivot_col, row_dict) sorted by pivot column; each
     row_dict has 1 at its pivot column and support only on non-pivot columns
-    elsewhere.  Input rows are not modified.  Integer rows are
-    back-substituted fraction-free and turned into Fraction rows last.
+    elsewhere.  Input rows are not modified.  The rows are back-substituted
+    fraction-free over D and turned into Fraction or Scalar rows last.
     """
+    domain = _domain(rows)
     done = []
-    integral = False
     col_rows = defaultdict(set)  # column -> positions in done of its rows
-    for _, pc, prow, scale in _eliminate(rows, field):
-        holders = sorted(col_rows[pc])
-        if scale is None:
-            inv = field.div(field.one, prow[pc])
-            prow = {c: field.mul(v, inv) for c, v in prow.items()}
-            for qi in holders:
-                qrow = done[qi][1]
-                _field_update(qrow, qi, qrow[pc], prow, field, col_rows)
-        else:
-            integral = True
-            pv = prow[pc]
-            for qi in holders:
-                qrow = done[qi][1]
-                _integer_update(qrow, qi, qrow[pc], pv, prow, col_rows)
+    for _, pc, prow, _ in _eliminate(rows, domain):
+        pv = prow[pc]
+        for qi in sorted(col_rows[pc]):
+            qrow = done[qi][1]
+            _update(qrow, qi, qrow[pc], pv, prow, col_rows, domain)
         for c in prow:
             col_rows[c].add(len(done))
         done.append((pc, prow))
     done.sort(key=lambda t: t[0])
-    if integral:
-        done = [(pc, {c: Fraction(v, row[pc]) for c, v in row.items()})
-                for pc, row in done]
-    return done
+    return [(pc, {c: domain.quotient(v, row[pc]) for c, v in row.items()})
+            for pc, row in done]
 
 
 def rank(rows, field):
@@ -280,29 +266,21 @@ def rank_and_kernel(rows, ncols, field):
 def determinant(rows, n, field):
     """Determinant of an n x n sparse matrix: the product of the pivots of
     the Markowitz elimination times the sign of the pivot permutation.
-    An integer pivot row's pivot is divided by the row's scale."""
+    Each pivot row's pivot is divided by the row's scale."""
     if len(rows) != n:
         raise ValueError("matrix is not square")
+    domain = _domain(rows)
     det = field.one
     perm = []
-    for ri, pc, prow, scale in _eliminate(rows, field):
-        pv = prow[pc]
-        if scale is not None:
-            pv = Fraction(pv * scale[1], scale[0])
-        det = field.mul(det, pv)
+    for ri, pc, prow, scale in _eliminate(rows, domain):
+        det *= domain.quotient(prow[pc] * scale[1], scale[0])
         perm.append((ri, pc))
     if len(perm) != n:
         return field.zero
     # sign of the permutation row index -> pivot column, by inversion count
-    rows_order = [pc for _, pc in sorted(perm)]
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows_order[i] > rows_order[j]:
-                sign = -sign
-    if sign < 0:
-        det = field.neg(det)
-    return det
+    order = [pc for _, pc in sorted(perm)]
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
+    return field.neg(det) if odd else det
 
 
 def solve(rows, n, rhs, field):

@@ -21,7 +21,8 @@ form without normalizing from scratch: a product cross-cancels as in
 Henrici (1956) and Knuth, TAOCP vol. 2, 4.5.1, so only gcd(n1, d2) and
 gcd(n2, d1) are taken; a sum takes g = gcd(d1, d2) and then only
 gcd(t, g) of its numerator t; an inverse or a power only moves signs; and
-poly_gcd returns 1 at once when either argument is a nonzero constant.
+poly_gcd returns 1 at once when either argument is a nonzero constant, and
+the least exponents when either is a monomial.
 
 Plain rationals are handled by fractions.Fraction; a Scalar with no
 parameters wraps one exactly, compares and hashes equal to it, and mixes
@@ -167,6 +168,10 @@ class ParamPolynomial:
         return ParamPolynomial(params, out)
 
     __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        # the exact quotient: ArithmeticError when other does not divide self
+        return self if _is_one(other) else _exact_div(self, other)
 
     def __pow__(self, n):
         n = int(n)
@@ -321,7 +326,9 @@ def _coeffs_gcd(coeffs):
 
 
 def _main_primitive(coeffs):
-    g = _coeffs_gcd(coeffs)
+    # with the integer content, or univariate remainders grow exponentially
+    g = _coeffs_gcd(coeffs) * math.gcd(*(v for c in coeffs.values()
+                                         for v in c.terms.values()))
     if _is_one(g):
         return coeffs
     return {d: _exact_div(c, g) for d, c in coeffs.items()}
@@ -363,6 +370,11 @@ def poly_gcd(p, q):
     if not p.params or not q.params:
         # the primitive part of a nonzero constant is 1
         return _ONE_POLY
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # a monomial's divisors are monomials: take the least exponents
+        params, tp, tq = _unify(p, q)
+        low = tuple(map(min, *tp, *tq))
+        return ParamPolynomial(*_prune(params, {low: 1}))
     _, p = _content_primitive(p)
     _, q = _content_primitive(q)
     params = tuple(sorted(set(p.params) | set(q.params)))
@@ -380,6 +392,19 @@ def poly_gcd(p, q):
         B = _main_primitive(R) if R else R
     res = _main_join(A, main) * cg
     return _positive_lead(_content_primitive(res)[1])
+
+
+def poly_gcd_z(*polys):
+    """Gcd in Z[params] of int-coefficient polynomials: poly_gcd of their
+    primitive parts times the gcd of their integer contents, with a
+    positive grlex-leading coefficient (0 when every argument is 0)."""
+    g = _ZERO_POLY
+    for p in polys:
+        if g.is_zero():
+            g = _positive_lead(p)
+        elif p and not _is_one(g):
+            g = poly_gcd(g, p) * math.gcd(*g.terms.values(), *p.terms.values())
+    return g
 
 
 def _normalize_pair(num, den):
@@ -668,7 +693,11 @@ def _tokenize(text):
         if not m:
             raise ParseError("bad character at position %d in %r" % (pos, text))
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # past Python's int string conversion limit
+                raise ParseError("integer literal of %d digits at position %d "
+                                 "is too long" % (len(m.group(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:

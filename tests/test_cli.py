@@ -476,7 +476,7 @@ def _fuzz_argv(rng):
             for _ in range(degree):
                 exps[rng.randrange(nvars)] += 1
             terms.append({"exps": exps, "coeff": rng.choice(
-                ["1", "-2", "1/3", "a", "0", "1/0", "x^"]
+                ["1", "-2", "1/3", "a", "0", "1/0", "x^", "1" * 5000]
                 + [rng.choice(_BOUND_COEFFS)] * 3)})
         doc = {"nvars": nvars, "degree": degree, "terms": terms}
         return rng.choice([json.dumps(doc)] * 14 + [
@@ -562,7 +562,7 @@ def test_fuzzed_command_lines_exit_cleanly():
         assert code in (0, 1, 2), argv
         assert "Traceback" not in out, argv
         ran += code != 2
-    # 101 of these 300 lines get past parsing and validation; the floor
+    # 96 of these 300 lines get past parsing and validation; the floor
     # keeps the generator from decaying into a parser-only test
     assert ran >= 80
     # about 3.5 s here; the bound leaves room for a loaded machine
@@ -593,14 +593,29 @@ def test_fermat_census_size_is_bounded():
 
 
 def test_slowest_accepted_census_answers_in_time():
-    # degree 19 on 13 variables: 18,564 characters, each alone in its
-    # Galois orbit of 18 members.  Of the largest accepted census at each
-    # variable count 3..32 it is the dearest, about 8.5 s here; the budget
-    # leaves room for a loaded machine
+    # degree 8 on 29 variables: 4,495 characters, each alone in its Galois
+    # orbit of 4 members, 17,980 members in all.  Of the largest accepted
+    # census at each variable count 3..32 it is the dearest, about 0.9 s
+    # here; the budget leaves room for a loaded machine
     start = time.perf_counter()
-    code, out = _census(19, 13, (11, 0), "--orbits", "--json")
+    code, out = _census(8, 29, (3, 24), "--orbits", "--json")
     assert time.perf_counter() - start < 30.0
     assert code == 0
     doc = json.loads(out)
-    assert doc["character_count"] == bounded_slice_dimension(13, 6, 17)
+    assert doc["character_count"] == bounded_slice_dimension(29, 171, 6)
     assert doc["orbit_count"] == doc["character_count"]
+    assert all(len(orb["members"]) == 4 for orb in doc["orbits"])
+
+
+def test_census_bound_counts_orbit_members():
+    # 5,005 characters pass the bound alone, but with --orbits each lists
+    # its 4 multiples by the units mod 8: 20,020 members, one past it
+    assert _census(8, 10, (1, 7))[0] == 0
+    code, out = _census(8, 10, (1, 7), "--orbits")
+    assert code == 2 and "20020" in out
+    assert "more than %d" % MAX_JRING_MONOMIALS in out
+    # 18,564 orbits of 18 members, which used to take about 8.5 s
+    start = time.perf_counter()
+    code, out = _census(19, 13, (11, 0), "--orbits")
+    assert code == 2 and "more than %d" % MAX_JRING_MONOMIALS in out
+    assert time.perf_counter() - start < 1.0

@@ -2,16 +2,18 @@
 maps, socle pairings, and rank/kernel extraction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from grifcalc.errors import DegreeMismatch, NotReducedMonomial
+from grifcalc.errors import DegreeMismatch
 from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                LinearMap, TensorSum, ambient_dimension,
                                determinant, monomials_of_degree, mult_map,
                                pairing_matrix, rank_kernel,
                                reduced_monomials)
+from grifcalc.linalg import FRACTION_FIELD, determinant as rows_determinant
 from grifcalc.scalar import Scalar, parse
 
 
@@ -108,7 +110,10 @@ def test_dimension_plus_ideal_rank_is_ambient():
     ring = fermat(3, 6)
     for k in range(0, 8):
         basis = ring.quotient_basis(k)
-        assert basis.dimension + basis.ideal_rank == ambient_dimension(6, k)
+        assert basis.dim_ambient == ambient_dimension(6, k)
+        # the ideal slice is spanned by the monomials with an x_i^2
+        assert basis.dim_ambient - basis.dimension == sum(
+            max(m) >= 2 for m in monomials_of_degree(6, k))
 
 
 def test_gorenstein_duality_small_fermat_rings():
@@ -220,8 +225,10 @@ def test_normal_form_idempotent_and_degree_checked():
     p = HomogeneousPolynomial.monomial(4, (2, 1, 1, 0))
     nf = ring.normal_form(p)
     assert ring.normal_form(nf) == nf
-    with pytest.raises(NotReducedMonomial):
-        ring.monomial_basis_polynomial((2, 0, 0, 0))
+    square = HomogeneousPolynomial.monomial(4, (2, 0, 0, 0))
+    assert ring.normal_form(square).is_zero()
+    with pytest.raises(DegreeMismatch):
+        ring.normal_form(HomogeneousPolynomial.monomial(3, (1, 1, 1)))
 
 
 def test_mult_map_rank_onto_socle():
@@ -398,6 +405,27 @@ def test_perturbed_form_fraction_matches_scalar_wrapped_oracle():
         assert mp == mw
         det = determinant(mp)
         assert det == determinant(mw) and not det.is_zero()
+
+
+def test_two_parameter_pairing_determinant_answers_in_time():
+    # entries are rational functions in a and b with many denominators;
+    # one gcd of the product of all the pivots took over a minute
+    a, b = Scalar.param("a"), Scalar.param("b")
+    terms = {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+             (0, 0, 0, 3): 1, (1, 1, 1, 0): a, (0, 2, 0, 1): b,
+             (1, 0, 1, 1): Fraction(3, 7)}
+    ring = HypersurfaceRing(HomogeneousPolynomial.from_terms(4, terms))
+    unit = HomogeneousPolynomial.monomial(4, (0, 0, 0, 0))
+    start = time.perf_counter()
+    m = pairing_matrix(ring, unit, 2, 2)
+    det = determinant(m)
+    # about 0.7 s here; the budget leaves room for a loaded machine
+    assert time.perf_counter() - start < 10.0
+    for point in ({"a": 2, "b": 3}, {"a": Fraction(-1, 2), "b": 5}):
+        rows = [{c: v.specialize(point) if isinstance(v, Scalar) else v
+                 for c, v in row.items()} for row in m.rows_as_dicts()]
+        assert det.specialize(point) == rows_determinant(rows, m.nrows,
+                                                         FRACTION_FIELD)
 
 
 def test_determinant_of_rational_map_is_a_scalar():

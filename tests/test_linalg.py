@@ -9,6 +9,7 @@ from grifcalc.jacobian import HomogeneousPolynomial, monomials_of_degree
 from grifcalc.linalg import (
     FRACTION_FIELD,
     RowReducer,
+    _domain,
     _eliminate,
     determinant,
     kernel_basis,
@@ -17,7 +18,7 @@ from grifcalc.linalg import (
     rref,
     solve,
 )
-from grifcalc.scalar import ONE, ZERO, Scalar
+from grifcalc.scalar import ONE, ZERO, ParamPolynomial, Scalar
 
 
 def dense_to_rows(mat):
@@ -278,26 +279,27 @@ def test_fraction_field_matches_scalar_only_oracle_randomized():
         rows = _random_rational_rows(rng, n, ncols, rng.randint(1, n))
         srows = _as_scalars(rows)
         cases = [(rows, FRACTION_FIELD), (srows, FRACTION_FIELD)]
-        want = rref(srows, SCALAR_ONLY_FIELD)
+        want = fraction_rref(srows, SCALAR_ONLY_FIELD)
         for rows_in, field in cases:
             got = rref(rows_in, field)
             assert got == want
             r, kern = rank_and_kernel(rows_in, ncols, field)
-            assert r == rank(srows, SCALAR_ONLY_FIELD) == len(want)
+            assert r == rank(rows_in, field) == len(want)
             assert kern == kernel_basis(want, ncols, SCALAR_ONLY_FIELD)
         assert all(isinstance(v, Fraction)
                    for _, prow in rref(rows, FRACTION_FIELD)
                    for v in prow.values())
         square = [{c: v for c, v in r.items() if c < n} for r in rows]
         ssquare = _as_scalars(square)
-        det = determinant(ssquare, n, SCALAR_ONLY_FIELD)
+        det = fraction_determinant(ssquare, n, SCALAR_ONLY_FIELD)
         for rows_in in (square, ssquare):
             assert determinant(rows_in, n, FRACTION_FIELD) == det
         if det:
             rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                    for _ in range(n)]
-            x = solve(ssquare, n, [Scalar.from_fraction(v) for v in rhs],
-                      SCALAR_ONLY_FIELD)
+            x = fraction_solve(ssquare, n,
+                               [Scalar.from_fraction(v) for v in rhs],
+                               SCALAR_ONLY_FIELD)
             assert solve(square, n, rhs, FRACTION_FIELD) == x
             assert solve(ssquare, n, rhs, FRACTION_FIELD) == x
         oracle = RowReducer(SCALAR_ONLY_FIELD)
@@ -320,12 +322,13 @@ def test_fraction_field_matches_scalar_only_oracle_with_parameters():
             {0: a * b, 2: Fraction(-3)}]
     srows = [{c: v if isinstance(v, Scalar) else Scalar.from_fraction(v)
               for c, v in r.items()} for r in rows]
-    assert rref(rows, FRACTION_FIELD) == rref(srows, SCALAR_ONLY_FIELD)
+    assert (rref(rows, FRACTION_FIELD)
+            == fraction_rref(srows, SCALAR_ONLY_FIELD))
     assert (determinant(rows, 3, FRACTION_FIELD)
-            == determinant(srows, 3, SCALAR_ONLY_FIELD))
+            == fraction_determinant(srows, 3, SCALAR_ONLY_FIELD))
     rhs = [Fraction(1), a, Fraction(0)]
     assert (solve(rows, 3, rhs, FRACTION_FIELD)
-            == solve(srows, 3, [ONE, a, ZERO], SCALAR_ONLY_FIELD))
+            == fraction_solve(srows, 3, [ONE, a, ZERO], SCALAR_ONLY_FIELD))
 
 
 # Oracle: the Fraction elimination as linalg had it before rational rows
@@ -520,7 +523,7 @@ def _assert_matches_fraction_oracle(rows, ncols):
     assert all(type(v) is Fraction for _, r in got for v in r.values())
     # the same pivots in the same order, each row a rescaled oracle row
     pivots = list(fraction_eliminate(_as_fractions(rows), FRACTION_FIELD))
-    mine = list(_eliminate(rows, FRACTION_FIELD))
+    mine = list(_eliminate(rows, _domain(rows)))
     assert [(ri, pc) for ri, pc, _, _ in mine] == \
         [(ri, pc) for ri, pc, _, _ in pivots]
     for (_, _, prow, (num, den)), (_, _, _, orow) in zip(mine, pivots):
@@ -575,6 +578,17 @@ def _pivot_sequence(pivots):
     return [(ri, pc) for ri, pc, _, _ in pivots]
 
 
+def _assert_matches_oracle_pivots(rows):
+    # the same pivots in the same order, each pivot row over D num/den
+    # times the oracle's pivot row
+    want = list(fraction_eliminate(rows, FRACTION_FIELD))
+    got = list(_eliminate(rows, _domain(rows)))
+    assert _pivot_sequence(got) == _pivot_sequence(want)
+    for (_, _, prow, (num, den)), (_, _, _, orow) in zip(got, want):
+        assert list(prow) == list(orow)
+        assert {c: Scalar(v * den, num) for c, v in prow.items()} == orow
+
+
 def _seeded_perturbation(rng, nvars, degree, count):
     # count rational terms on monomials off the Fermat support
     monos = [m for m in monomials_of_degree(nvars, degree) if max(m) < degree]
@@ -592,8 +606,9 @@ def test_pivot_sequence_matches_the_full_rescan_on_integer_slices():
         for k in range(degree - 1, nvars * (degree - 2) + 1):
             rows, _ = _slice_rows(nvars, degree, extra, k)
             want = fraction_eliminate(_as_fractions(rows), FRACTION_FIELD)
-            got = list(_eliminate(rows, FRACTION_FIELD))
-            assert all(scale is not None for _, _, _, scale in got)
+            got = list(_eliminate(rows, _domain(rows)))
+            assert all(type(v) is int
+                       for _, _, prow, _ in got for v in prow.values())
             assert _pivot_sequence(got) == _pivot_sequence(want), \
                 (nvars, degree, k)
 
@@ -606,10 +621,7 @@ def test_pivot_sequence_matches_the_full_rescan_on_scalar_rows():
         cases.append(_slice_rows(4, 3, extra, k)[0])
     for rows in cases:
         assert any(isinstance(v, Scalar) for r in rows for v in r.values())
-        want = fraction_eliminate(rows, FRACTION_FIELD)
-        got = list(_eliminate(rows, FRACTION_FIELD))
-        assert all(scale is None for _, _, _, scale in got)
-        assert _pivot_sequence(got) == _pivot_sequence(want)
+        _assert_matches_oracle_pivots(rows)
 
 
 def test_int_entries_divide_exactly_beside_a_scalar():
@@ -620,8 +632,74 @@ def test_int_entries_divide_exactly_beside_a_scalar():
     rows = [{0: 2, 1: a}, {0: 3, 1: 1}]
     srows = [{c: v if isinstance(v, Scalar) else Scalar.from_fraction(v)
               for c, v in r.items()} for r in rows]
-    assert rref(rows, FRACTION_FIELD) == rref(srows, SCALAR_ONLY_FIELD)
+    assert (rref(rows, FRACTION_FIELD)
+            == fraction_rref(srows, SCALAR_ONLY_FIELD))
     assert (determinant(rows, 2, FRACTION_FIELD)
-            == determinant(srows, 2, SCALAR_ONLY_FIELD))
+            == fraction_determinant(srows, 2, SCALAR_ONLY_FIELD))
     x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0], FRACTION_FIELD)
     assert all(type(v) is Fraction for v in x)
+
+
+def _random_parametric_rows(rng, syms, nrows, ncols):
+    # sparse rows of Fractions, small polynomials and quotients in the
+    # parameters, with explicit zeros and rows that depend on others
+    def entry():
+        v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            v = v + rng.choice(syms) * rng.randint(-2, 2)
+        if rng.random() < 0.2:
+            v = v / (rng.choice(syms) + rng.randint(1, 3))
+        return v
+
+    rows = [{j: entry() for j in range(ncols) if rng.random() < 0.5}
+            for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        r, q = rng.sample(rows, 2)
+        k = rng.choice(syms) + rng.randint(-1, 1)
+        rows[rng.randrange(nrows)] = {c: r.get(c, 0) * k + q.get(c, 0)
+                                      for c in set(r) | set(q)}
+    return rows
+
+
+def test_parametric_rows_match_the_field_oracle_randomized():
+    rng = random.Random(1992)
+    a, b = Scalar.param("a"), Scalar.param("b")
+    singular = 0
+    for syms in ((a,), (a, b)):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            rows = _random_parametric_rows(rng, syms, nrows, ncols)
+            if not any(isinstance(v, Scalar)
+                       for r in rows for v in r.values()):
+                rows.append({0: syms[-1]})
+            snapshot = [dict(r) for r in rows]
+            want = fraction_rref(rows, FRACTION_FIELD)
+            got = rref(rows, FRACTION_FIELD)
+            assert rows == snapshot
+            assert got == want
+            assert all(type(v) is Scalar for _, r in got for v in r.values())
+            _assert_matches_oracle_pivots(rows)
+            assert all(type(v) is ParamPolynomial
+                       for _, _, prow, _ in _eliminate(rows, _domain(rows))
+                       for v in prow.values())
+            r, kern = rank_and_kernel(rows, ncols, FRACTION_FIELD)
+            assert r == len(want)
+            assert kern == kernel_basis(want, ncols, FRACTION_FIELD)
+            n = min(len(rows), ncols)
+            square = [{c: v for c, v in row.items() if c < n}
+                      for row in rows[:n]]
+            det = determinant(square, n, FRACTION_FIELD)
+            assert det == fraction_determinant(square, n, FRACTION_FIELD)
+            rhs = [Fraction(i - 2, 3) + syms[i % len(syms)] * (i % 2)
+                   for i in range(n)]
+            if det:
+                x = solve(square, n, rhs, FRACTION_FIELD)
+                assert x == fraction_solve(square, n, rhs, FRACTION_FIELD)
+            else:
+                singular += 1
+                with pytest.raises(ValueError):
+                    solve(square, n, rhs, FRACTION_FIELD)
+                with pytest.raises(ValueError):
+                    fraction_solve(square, n, rhs, FRACTION_FIELD)
+    # singular and nonsingular squares are both exercised
+    assert 5 < singular < 75

@@ -26,6 +26,7 @@ from grifcalc.scalar import (
     _unify,
     parse,
     poly_gcd,
+    poly_gcd_z,
     polynomial_to_string,
     scalar_to_string,
 )
@@ -161,6 +162,15 @@ def test_parse_refuses_powers_just_past_the_bounds():
         with pytest.raises(OutOfRange, match="power above the bound"):
             parse(text)
         assert time.perf_counter() - start < 1.0, text
+
+
+def test_parse_refuses_an_integer_literal_past_the_conversion_limit():
+    # Python's int() refuses a literal this long; parse reports it as a
+    # parse error naming the literal's length
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse("1" * 5000)
+    with pytest.raises(ParseError, match="5000 digits at position 2"):
+        parse("a*" + "7" * 5000)
 
 
 def test_poly_gcd_basic():
@@ -339,6 +349,45 @@ def test_poly_gcd_matches_the_oracle_randomized():
         assert polynomial_to_string(got) == polynomial_to_string(want)
         assert all(type(c) is int for c in got.terms.values()), got
     assert shared > 100
+
+
+def test_poly_gcd_matches_the_oracle_on_monomials_and_long_sequences():
+    # a monomial argument takes the least exponents, and a univariate
+    # pseudo-remainder sequence divides out its integer content
+    rng = random.Random(1968)
+    start = time.perf_counter()
+    for case in range(200):
+        names = rng.sample(["a", "b", "h"], rng.randint(1, 3))
+        c = _random_poly(rng, names, rng.randint(1, 2), 2)
+        if case % 2:
+            p = _random_poly(rng, names, 1, 3)
+            q = _random_poly(rng, rng.sample(["a", "b", "h"], 2), 3, 2)
+        else:
+            # degree 4 to 8 in one parameter, a long sequence of remainders
+            p = _random_poly(rng, ["a"], 5, rng.randint(2, 4))
+            q = _random_poly(rng, ["a"], 5, rng.randint(2, 4))
+        p, q = p * c, q * c
+        got = poly_gcd(p, q)
+        assert got == oracle_poly_gcd(p, q), (p, q)
+        assert all(type(v) is int for v in got.terms.values()), got
+    assert time.perf_counter() - start < 10.0
+
+
+def test_poly_gcd_z_keeps_the_integer_content_and_divides_exactly():
+    a, b = ParamPolynomial.symbol("a"), ParamPolynomial.symbol("b")
+    p = (a + b) * (a - b) * 6
+    q = (a + b) * (a + b) * -4
+    g = poly_gcd_z(p, q)
+    assert g == (a + b) * 2
+    assert p // g == (a - b) * 3 and q // g == (a + b) * -2
+    assert poly_gcd_z(p) == poly_gcd_z(-p) == p
+    assert poly_gcd_z(a * 3, a * b * 6, ParamPolynomial.constant(0)) == a * 3
+    assert poly_gcd_z(a * 2, ParamPolynomial.constant(5)) == \
+        ParamPolynomial.constant(1)
+    assert poly_gcd_z().is_zero()
+    assert p // ParamPolynomial.constant(1) is p
+    with pytest.raises(ArithmeticError):
+        p // (a + b * 2)
 
 
 def _random_scalar(rng, depth=0):
