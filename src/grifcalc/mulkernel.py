@@ -22,7 +22,9 @@ and what a swap leaves beside them is an edge of a graph, so the rank is
 a component count, exact at every size) or by rewriting every kernel
 basis vector to its standard form with a certificate of moves that
 verify_certificate replays.  Neither builds the mu matrix, and both expand
-a generator through _move_terms.
+a generator through _move_terms.  Both run on index tuples: the count
+builds no objects, and standardization builds only what it returns, the
+certificate moves and the StandardTensors that survive.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 from .errors import DegreeMismatch, NotInKernel, OutOfRange
 from .jacobian import (
@@ -42,6 +45,7 @@ from .jacobian import (
 MIN_NVARS = 4
 MAX_NVARS = 9
 FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
+_SIGNS = (Fraction(1), Fraction(-1))
 
 
 def index_monomial(nvars, indices, coeff=1):
@@ -53,7 +57,10 @@ def index_monomial(nvars, indices, coeff=1):
 
 
 def _increasing(idx, size):
-    return len(idx) == size and all(idx[j] < idx[j + 1] for j in range(size - 1))
+    """Whether idx is a tuple of size (2 or 3) increasing nonnegative ints."""
+    return (type(idx) is tuple and len(idx) == size
+            and type(idx[0]) is type(idx[1]) is type(idx[-1]) is int
+            and 0 <= idx[0] < idx[1] and idx[-2] < idx[-1])
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,15 @@ class RankOneGenerator:
     def shape_ok(self):
         """The index condition that puts the tensor in ker(mu): increasing
         triples sharing an index, or increasing pairs t, u with a != k
-        outside t and u."""
+        outside t and u; every entry a tuple of nonnegative ints."""
         if self.family_tag == "monomial_pair":
             left, right = self.indices
-            return (_increasing(left, 3) and _increasing(right, 3)
-                    and bool(set(left) & set(right)))
+            return (_increasing(left, 3) and _increasing(right, 3) and (
+                left[0] in right or left[1] in right or left[2] in right))
         t, u, a, k = self.indices
-        return (_increasing(t, 2) and _increasing(u, 2) and a != k
-                and a not in t + u and k not in t + u)
+        return (_increasing(t, 2) and _increasing(u, 2)
+                and type(a) is type(k) is int and 0 <= a and 0 <= k and a != k
+                and a not in t and a not in u and k not in t and k not in u)
 
     @property
     def nvars(self):
@@ -96,9 +104,12 @@ class RankOneGenerator:
         if self.family_tag == "monomial_pair":
             return index_monomial(n, self.indices[which])
         base, a, k = self.indices[which], self.indices[2], self.indices[3]
-        # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right
-        return (index_monomial(n, base + (a,))
-                + index_monomial(n, base + (k,), (1, -1)[which]))
+        # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right, in one
+        # constructor call; a == k (no kernel shape) gives 2*t*x_a and 0
+        ea, ek = (tuple(map((base + (i,)).count, range(n))) for i in (a, k))
+        terms = ({ea: _SIGNS[0], ek: _SIGNS[which]} if a != k
+                 else {} if which else {ea: 2 * _SIGNS[0]})
+        return HomogeneousPolynomial(n, sum(ea), terms)
 
     @functools.cached_property
     def left(self):
@@ -113,22 +124,25 @@ class RankOneGenerator:
         return ring.normal_form(self.left * self.right).is_zero()
 
 
-def _with(duo, i):
-    """The increasing triple of an increasing pair and one more index."""
-    p, q = duo
-    return (i, p, q) if i < p else (p, i, q) if i < q else (p, q, i)
+# _WITH[duo][i] is the increasing triple of an increasing pair duo and one
+# more index i, for every index below MAX_NVARS
+_WITH = {duo: tuple(tuple(sorted(duo + (i,))) for i in range(MAX_NVARS))
+         for duo in itertools.combinations(range(MAX_NVARS), 2)}
 
 
-def _move_terms(gen):
-    """A shape-valid generator expanded into monomial tensors
-    {(left_triple, right_triple): +-1}: one term for a pair, four for a
-    swap."""
-    if gen.family_tag == "monomial_pair":
-        return {gen.indices: 1}
-    t, u, a, k = gen.indices
-    ta, tk = _with(t, a), _with(t, k)
-    ua, uk = _with(u, a), _with(u, k)
-    return {(ta, ua): 1, (ta, uk): -1, (tk, ua): 1, (tk, uk): -1}
+def _move_terms(family_tag, indices):
+    """The generator (family_tag, indices), shape-valid, expanded into
+    monomial tensors ((left_triple, right_triple), +-1): one term for a
+    pair, four for a swap."""
+    if family_tag == "monomial_pair":
+        return ((tuple(indices), 1),)
+    t, u, a, k = indices
+    try:
+        ta, tk, ua, uk = _WITH[t][a], _WITH[t][k], _WITH[u][a], _WITH[u][k]
+    except (KeyError, IndexError):  # an index of a ring past MAX_NVARS
+        ta, tk, ua, uk = (tuple(sorted(d + (i,)))
+                          for d, i in ((t, a), (t, k), (u, a), (u, k)))
+    return (((ta, ua), 1), ((ta, uk), -1), ((tk, ua), 1), ((tk, uk), -1))
 
 
 @dataclass(frozen=True)
@@ -205,19 +219,25 @@ def _triples(nvars):
     return list(itertools.combinations(range(nvars), 3))
 
 
-def _generators(nvars, family=None):
-    """Every shape-valid generator over nvars variables, pairs first."""
+def _shapes(nvars, family=None):
+    """(family_tag, indices) of every shape-valid generator over nvars
+    variables, pairs first."""
     if family in (None, "monomial_pair"):
         triples = _triples(nvars)
         for left, right in itertools.product(triples, triples):
-            if set(left) & set(right):
-                yield RankOneGenerator("monomial_pair", (left, right))
+            if not set(left).isdisjoint(right):
+                yield "monomial_pair", (left, right)
     if family in (None, "swap_binomial"):
         duos = list(itertools.combinations(range(nvars), 2))
         for t, u in itertools.product(duos, duos):
             free = [i for i in range(nvars) if i not in t + u]
             for a, k in itertools.permutations(free, 2):
-                yield RankOneGenerator("swap_binomial", (t, u, a, k))
+                yield "swap_binomial", (t, u, a, k)
+
+
+def _generators(nvars, family=None):
+    """_shapes as RankOneGenerators."""
+    return itertools.starmap(RankOneGenerator, _shapes(nvars, family))
 
 
 def rank_one_generators(nvars, family=None):
@@ -242,7 +262,7 @@ def _mu_kernel(nvars):
     triples = _triples(nvars)
     for left in triples:
         for right in triples:
-            if set(left) & set(right):
+            if not set(left).isdisjoint(right):
                 yield {(left, right): 1}
                 continue
             six = tuple(sorted(left + right))
@@ -274,9 +294,11 @@ def swap_identity_holds(nvars):
     for gen in _generators(nvars):
         if not gen.in_kernel():
             return False
-        view = TensorSum.simple(gen.left, gen.right).monomial_expansion()
-        if {(_support(el), _support(er)): c
-                for (el, er), c in view.items()} != _move_terms(gen):
+        left = [(_support(e), c) for e, c in gen.left.terms.items()]
+        right = [(_support(e), c) for e, c in gen.right.terms.items()]
+        view = {(l, r): cl * cr for l, cl in left for r, cr in right}
+        terms = _move_terms(gen.family_tag, gen.indices)
+        if len(terms) != len(view) or dict(terms) != view:
             return False
     return True
 
@@ -306,32 +328,30 @@ def standardize(ring, w):
 def _standardize_supports(nvars, terms):
     """standardize on {(left_triple, right_triple): coeff} with increasing
     triples, in that order."""
-    std = {}
+    sums = {}
     moves = []
     for (left, right), coeff in terms.items():
-        if set(left) & set(right):
+        if not set(left).isdisjoint(right):
             moves.append((RankOneGenerator("monomial_pair", (left, right)),
                           coeff))
             continue
         # t*x_k (x) u*x_a = swap - t*x_a (x) u*x_a + t*x_k (x) u*x_k
         #                   + t*x_a (x) u*x_k
         while left[-1] > right[0]:
-            t, k = left[:2], left[-1]
-            u, a = right[1:], right[0]
-            ta, uk = _with(t, a), _with(u, k)
-            moves.append((RankOneGenerator("swap_binomial", (t, u, a, k)),
-                          coeff))
-            moves.append((RankOneGenerator("monomial_pair", (ta, _with(u, a))),
-                          -coeff))
-            moves.append((RankOneGenerator("monomial_pair", (_with(t, k), uk)),
-                          coeff))
-            left, right = ta, uk
-        key = StandardTensor(nvars, left + right)
-        total = std.get(key, 0) + coeff
+            swap = left[:2], right[1:], right[0], left[-1]
+            expansion = _move_terms("swap_binomial", swap)
+            (ta_ua, _), (ta_uk, _), _, (tk_uk, _) = expansion
+            moves.append((RankOneGenerator("swap_binomial", swap), coeff))
+            moves.append((RankOneGenerator("monomial_pair", ta_ua), -coeff))
+            moves.append((RankOneGenerator("monomial_pair", tk_uk), coeff))
+            left, right = ta_uk
+        six = left + right
+        total = sums.get(six, 0) + coeff
         if total:
-            std[key] = total
+            sums[six] = total
         else:
-            std.pop(key, None)
+            sums.pop(six, None)
+    std = {StandardTensor(nvars, six): c for six, c in sums.items()}
     return std, Certificate(tuple(moves), terms, std)
 
 
@@ -356,15 +376,14 @@ def verify_certificate(cert):
     lie in ker(mu) and that _move_terms expands them faithfully are the
     ring lemmas swap_identity_holds proves."""
     residual = dict(cert.terms)
-    claimed = [((st.left_indices, st.right_indices), c)
-               for st, c in cert.standard.items()]
+    for st, c in cert.standard.items():
+        key = st.left_indices, st.right_indices
+        residual[key] = residual.get(key, 0) - c
     for gen, coeff in cert.moves:
         if not gen.shape_ok():
             return False
-        claimed.extend((key, sign * coeff)
-                       for key, sign in _move_terms(gen).items())
-    for key, c in claimed:
-        residual[key] = residual.get(key, 0) - c
+        for key, sign in _move_terms(gen.family_tag, gen.indices):
+            residual[key] = residual.get(key, 0) - sign * coeff
     return not any(residual.values())
 
 
@@ -408,35 +427,31 @@ def _span_rank(nvars, kernel_dim):
     components (Biggs, Algebraic Graph Theory, ch. 4), in every field.  Any
     other shape raises ArithmeticError: the count would not hold for it."""
     pairs = set()
-    for gen in _generators(nvars, "monomial_pair"):
-        terms = _move_terms(gen)
-        if len(terms) != 1 or set(terms.values()) - {1, -1}:
-            raise ArithmeticError("pair %r is not a unit vector" % (gen,))
-        pairs.update(terms)
+    for shape in _shapes(nvars, "monomial_pair"):
+        terms = _move_terms(*shape)
+        if len(terms) != 1 or terms[0][1] not in (1, -1):
+            raise ArithmeticError("pair %r is not a unit vector" % (shape,))
+        pairs.add(terms[0][0])
     parent = {}
 
     def root(x):
-        path = []
-        while x in parent:
-            path.append(x)
-            x = parent[x]
-        for y in path:
-            parent[y] = x
+        while x in parent:  # path halving
+            parent[x] = x = parent.get(parent[x], parent[x])
         return x
 
     rank = len(pairs)
     streamed = 0
-    for gen in _generators(nvars, "swap_binomial"):
+    for shape in _shapes(nvars, "swap_binomial"):
         if rank >= kernel_dim:
             break
         streamed += 1
-        rest = {c: s for c, s in _move_terms(gen).items() if c not in pairs}
+        rest = [cs for cs in _move_terms(*shape) if cs[0] not in pairs]
         if not rest:
             continue
-        if sorted(rest.values()) != [-1, 1]:
+        if len(rest) != 2 or {rest[0][1], rest[1][1]} != {1, -1}:
             raise ArithmeticError("swap %r leaves %r beside the pair columns, "
-                                  "not e_x - e_y" % (gen, rest))
-        x, y = map(root, rest)
+                                  "not e_x - e_y" % (shape, rest))
+        x, y = root(rest[0][0]), root(rest[1][0])
         if x != y:
             parent[x] = y
             rank += 1

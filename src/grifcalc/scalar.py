@@ -707,43 +707,46 @@ def _tokenize(text):
     return tokens
 
 
-# The largest power parse computes, checked before the power is taken: the
-# exponent literal, and bounds on the total degree, the term count and the
-# coefficient bits of the power's numerator and denominator.
+# The largest power, product or quotient parse computes, checked before it
+# is taken: the exponent literal, and bounds on the total degree, the term
+# count and the coefficient bits of the result's numerator and denominator.
 MAX_PARSE_EXPONENT = 1000
 MAX_PARSE_DEGREE = 100
 MAX_PARSE_TERMS = 1000
 MAX_PARSE_BITS = 4096
 
 
-def _power_fits(p, n):
-    """Whether p^n stays inside the parse bounds.  For p with t terms in k
-    parameters, of total degrees lo..e and coefficients of absolute sum c,
-    p^n has total degree n*e; at most C(n+t-1, t-1) terms, and no more
-    than the monomials of degree n*lo..n*e; and coefficients of at most n
-    bits per bit of c."""
-    if not p.terms:
-        return True
-    t, k = len(p.terms), len(p.params)
-    degrees = [sum(exps) for exps in p.terms]
-    lo, e = min(degrees), max(degrees)
-    terms = math.comb(n + t - 1, t - 1)
+def _fits(factors):
+    """Whether the product of p^n over factors (p, n) stays inside the
+    parse bounds.  For p with t terms in k parameters, of total degrees
+    lo..e and coefficients of absolute sum c, p^n has total degree n*e; at
+    most C(n+t-1, t-1) terms, and no more than the monomials of degree
+    n*lo..n*e; and coefficients of at most n bits per bit of c.  Over a
+    product, degrees and bits add, term counts multiply, and the monomial
+    cap counts every parameter that occurs; a zero factor counts as 1."""
+    lo = e = bits = 0
+    terms, params = 1, set()
+    for p, n in factors:
+        if p.terms:
+            t, degrees = len(p.terms), [sum(exps) for exps in p.terms]
+            lo, e = lo + n * min(degrees), e + n * max(degrees)
+            terms *= math.comb(n + t - 1, t - 1)
+            bits += n * sum(map(abs, p.terms.values())).bit_length()
+            params.update(p.params)
+    k = len(params)
     if k:
-        terms = min(terms, math.comb(n * e + k, k)
-                    - math.comb(n * lo + k - 1, k))
-    c = sum(abs(x) for x in p.terms.values())
-    return (n * e <= MAX_PARSE_DEGREE and terms <= MAX_PARSE_TERMS
-            and n * c.bit_length() <= MAX_PARSE_BITS)
+        terms = min(terms, math.comb(e + k, k) - math.comb(lo + k - 1, k))
+    return (e <= MAX_PARSE_DEGREE and terms <= MAX_PARSE_TERMS
+            and bits <= MAX_PARSE_BITS)
 
 
-def _check_power(value, n, text):
-    if n > MAX_PARSE_EXPONENT or not (_power_fits(value.num, n)
-                                      and _power_fits(value.den, n)):
+def _check_fits(what, text, num, den, n=1):
+    if n > MAX_PARSE_EXPONENT or not (_fits(num) and _fits(den)):
         raise OutOfRange(
-            "power above the bound in %r: exponent at most %d, and a result "
+            "%s above the bound in %r: exponent at most %d, and a result "
             "of degree at most %d, at most %d terms and %d-bit coefficients"
-            % (text, MAX_PARSE_EXPONENT, MAX_PARSE_DEGREE, MAX_PARSE_TERMS,
-               MAX_PARSE_BITS))
+            % (what, text, MAX_PARSE_EXPONENT, MAX_PARSE_DEGREE,
+               MAX_PARSE_TERMS, MAX_PARSE_BITS))
 
 
 class _Parser:
@@ -784,12 +787,12 @@ class _Parser:
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             _, op = self.take()
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs.is_zero():
-                    raise ParseError("division by zero in %r" % self.text)
-                value = value / rhs
+            if op == "/" and rhs.is_zero():
+                raise ParseError("division by zero in %r" % self.text)
+            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+            _check_fits("product" if op == "*" else "quotient", self.text,
+                        ((value.num, 1), (num, 1)), ((value.den, 1), (den, 1)))
+            value = value * rhs if op == "*" else value / rhs
         return value
 
     def factor(self):
@@ -805,7 +808,8 @@ class _Parser:
             kind, n = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal in %r" % self.text)
-            _check_power(value, n, self.text)
+            _check_fits("power", self.text, [(value.num, n)],
+                        [(value.den, n)], n)
             value = value ** n
         return value
 
@@ -826,8 +830,9 @@ def parse(text):
     """Parse an expression over integers and parameter symbols to a Scalar.
 
     Grammar: + - * / ^ with the usual precedence, parentheses, nonnegative
-    integer exponents.  Round-trips with scalar_to_string().  A power that
-    could pass a MAX_PARSE_* bound raises OutOfRange before it is taken.
+    integer exponents.  Round-trips with scalar_to_string().  A power,
+    product or quotient that could pass a MAX_PARSE_* bound raises
+    OutOfRange before it is taken.
     """
     if not isinstance(text, str):
         raise ParseError("expected a string, got %r" % (text,))

@@ -343,6 +343,31 @@ def test_jring_poly_coefficient_powers_are_bounded():
         assert code == 2 and "power above the bound" in out
 
 
+def test_jring_poly_coefficient_products_are_bounded():
+    # a coefficient whose product or quotient could pass a parser bound
+    # exits 2 before it is taken; thirty factors (a+b)^100 took 10.9 s
+    # before products were bounded, and now stop at the second factor
+    for coeff in ("(a+b)^50*(a+b)^51", "1/(a+b)^50/(a+b)^51",
+                  "(a+b+c)^22*(a+b+c)^22", "255^256*255^257"):
+        poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+            {"exps": [1, 0], "coeff": coeff}]})
+        code, out = _jring("nf", 2, 3, "--poly", poly)
+        assert code == 2 and "above the bound" in out, coeff
+    poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+        {"exps": [1, 0], "coeff": "*".join(["(a+b)^100"] * 30)}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["grifcalc.cli"].__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "grifcalc.cli", "jring", "nf",
+                           "--vars", "2", "--degree", "3", "--poly", poly],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert "product above the bound" in proc.stdout + proc.stderr
+
+
 def test_jring_basis_size_is_bounded():
     # the quartic slice at k = 46 in 25 variables has 19,850 monomials and
     # is the costliest accepted slice: 0.5 s here, the budget leaves room

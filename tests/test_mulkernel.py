@@ -19,8 +19,8 @@ from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
                                 index_monomial, _generators, _move_terms,
-                                _mu_kernel, _standardize_supports, _support,
-                                _triples, _with)
+                                _mu_kernel, _span_rank, _standardize_supports,
+                                _support, _triples)
 from grifcalc.scalar import Scalar
 
 ONE = Scalar.from_fraction(1)
@@ -257,10 +257,33 @@ def test_verify_certificate_checks_shapes_of_balanced_moves():
                     ((0, 1), (2, 3), 4, 4)):  # a == k
         gen = RankOneGenerator("swap_binomial", indices)
         assert not gen.shape_ok()
-        assert not verify_certificate(Certificate(((gen, 1),),
-                                                  _move_terms(gen), {}))
+        terms = dict(_move_terms(gen.family_tag, gen.indices))
+        assert not verify_certificate(Certificate(((gen, 1),), terms, {}))
     gen = RankOneGenerator("swap_binomial", ((0, 1), (2, 3), 4, 5))
-    assert verify_certificate(Certificate(((gen, 1),), _move_terms(gen), {}))
+    terms = dict(_move_terms(gen.family_tag, gen.indices))
+    assert verify_certificate(Certificate(((gen, 1),), terms, {}))
+
+
+def test_verify_certificate_rejects_malformed_index_entries():
+    # an entry that is not a tuple of nonnegative ints of the right length
+    # fails the shape test, so the replay answers False instead of raising
+    for tag, indices in (("monomial_pair", (1, 2)),
+                         ("monomial_pair", ((0, 1), (0, 2, 3))),
+                         ("monomial_pair", ([0, 1, 2], (0, 3, 4))),
+                         ("monomial_pair", ((0, 1, 2.0), (0, 3, 4))),
+                         ("monomial_pair", (("a", "b", "c"), ("a", "d", "e"))),
+                         ("monomial_pair", ((-1, 0, 1), (-1, 2, 3))),
+                         ("monomial_pair", (None, None)),
+                         ("swap_binomial", (1, 2, 3, 4)),
+                         ("swap_binomial", ((0, 1, 2), (3, 4), 5, 6)),
+                         ("swap_binomial", ([0, 1], (2, 3), 4, 5)),
+                         ("swap_binomial", ((0, 1), (2, 3), 4.0, 5)),
+                         ("swap_binomial", ((0, 1), (2, 3), "a", 5)),
+                         ("swap_binomial", ((0, 1), (2, 3), -1, 5)),
+                         ("swap_binomial", ((0, 1), (2, 3), True, 5))):
+        gen = RankOneGenerator(tag, indices)
+        assert gen.shape_ok() is False, indices
+        assert verify_certificate(Certificate(((gen, 1),), {}, {})) is False
 
 
 def test_kernel_certificates_replay_and_mutants_fail():
@@ -278,8 +301,8 @@ def test_move_terms_match_polynomial_view():
     for nvars in (4, 5, 6):
         for gen in rank_one_generators(nvars):
             assert gen.shape_ok()
-            assert _move_terms(gen) == _index_expansion(
-                [(1, gen.left, gen.right)]), gen
+            assert dict(_move_terms(gen.family_tag, gen.indices)) == \
+                _index_expansion([(1, gen.left, gen.right)]), gen
 
 
 def test_shape_predicate_agrees_with_in_kernel():
@@ -297,6 +320,12 @@ def test_shape_predicate_agrees_with_in_kernel():
         for a, k in itertools.product(range(6), range(6)):
             gen = RankOneGenerator("swap_binomial", (t, u, a, k))
             sides = (gen.left, gen.right)
+            # each side in one constructor call equals the sum of its two
+            # monomials, also where a == k adds or cancels them
+            assert sides == tuple(
+                index_monomial(gen.nvars, base + (a,))
+                + index_monomial(gen.nvars, base + (k,), sign)
+                for base, sign in ((t, 1), (u, -1))), gen
             two_square_free = all(
                 len(side.terms) == 2 and max(map(max, side.terms)) == 1
                 for side in sides)
@@ -306,6 +335,32 @@ def test_shape_predicate_agrees_with_in_kernel():
 def test_swap_identity():
     for nvars in (6, 7):
         assert swap_identity_holds(nvars)
+
+
+def _scaled_swap_term(at, factor):
+    # _move_terms with the coefficient of every swap's term number `at`
+    # multiplied by factor: (ta, uk) is term 1, (tk, ua) term 2
+    move_terms = mulkernel._move_terms
+
+    def mutant(family_tag, indices):
+        terms = move_terms(family_tag, indices)
+        if family_tag == "swap_binomial":
+            key, sign = terms[at]
+            terms = terms[:at] + ((key, factor * sign),) + terms[at + 1:]
+        return terms
+    return mutant
+
+
+def test_swap_identity_refuses_a_wrong_expansion(monkeypatch):
+    # the lemma compares _move_terms with the polynomial sides term by
+    # term: a flipped sign or a term listed twice must fail it
+    move_terms = mulkernel._move_terms
+    for mutant in (_scaled_swap_term(1, -1),
+                   lambda tag, indices: move_terms(tag, indices) * 2):
+        monkeypatch.setattr(mulkernel, "_move_terms", mutant)
+        swap_identity_holds.cache_clear()
+        assert swap_identity_holds(6) is False
+    swap_identity_holds.cache_clear()
 
 
 def test_span_equals_kernel_exact_small():
@@ -326,7 +381,8 @@ def _reducer_span_rank(nvars, field):
 
     def add(gen):
         reducer.add({tindex[l] * n3 + tindex[r]: value[sign]
-                     for (l, r), sign in _move_terms(gen).items()})
+                     for (l, r), sign in _move_terms(gen.family_tag,
+                                                     gen.indices)})
 
     for gen in _generators(nvars, "monomial_pair"):
         add(gen)
@@ -352,16 +408,191 @@ def test_component_count_matches_row_reduction():
 def test_component_count_refuses_other_shapes(monkeypatch):
     # the count holds only for +-(e_x - e_y) beside the pair columns; a
     # doubled entry that survives the projection must not be counted
-    def doubled(gen):
-        terms = _move_terms(gen)
-        if gen.family_tag == "swap_binomial":
-            t, u, a, k = gen.indices
-            terms[_with(t, k), _with(u, a)] *= 2
-        return terms
-
-    monkeypatch.setattr(mulkernel, "_move_terms", doubled)
+    monkeypatch.setattr(mulkernel, "_move_terms", _scaled_swap_term(2, 2))
     with pytest.raises(ArithmeticError):
         span_equals_kernel(6)
+
+
+def test_component_count_refuses_a_flipped_sign(monkeypatch):
+    # e_x + e_y beside the pair columns is not an edge of the graph either
+    monkeypatch.setattr(mulkernel, "_move_terms", _scaled_swap_term(1, -1))
+    with pytest.raises(ArithmeticError):
+        span_equals_kernel(6)
+
+
+def test_span_stream_builds_no_generator_objects(monkeypatch):
+    # the span count runs on index tuples: a RankOneGenerator made anywhere
+    # on its path would raise here
+    def refuse(self):
+        raise AssertionError("RankOneGenerator built in the span stream")
+
+    monkeypatch.setattr(RankOneGenerator, "__post_init__", refuse)
+    assert _span_rank(9, 6972) == (5376, 29602, 6972)
+
+
+# The parent implementation of the span stream and of standardization,
+# verbatim apart from a _parent prefix on its names: generator objects,
+# dict move terms and a running sum keyed by StandardTensor.
+def _parent_with(duo, i):
+    """The increasing triple of an increasing pair and one more index."""
+    p, q = duo
+    return (i, p, q) if i < p else (p, i, q) if i < q else (p, q, i)
+
+
+def _parent_move_terms(gen):
+    """A shape-valid generator expanded into monomial tensors
+    {(left_triple, right_triple): +-1}: one term for a pair, four for a
+    swap."""
+    if gen.family_tag == "monomial_pair":
+        return {gen.indices: 1}
+    t, u, a, k = gen.indices
+    ta, tk = _parent_with(t, a), _parent_with(t, k)
+    ua, uk = _parent_with(u, a), _parent_with(u, k)
+    return {(ta, ua): 1, (ta, uk): -1, (tk, ua): 1, (tk, uk): -1}
+
+
+def _parent_generators(nvars, family=None):
+    """Every shape-valid generator over nvars variables, pairs first."""
+    if family in (None, "monomial_pair"):
+        triples = _triples(nvars)
+        for left, right in itertools.product(triples, triples):
+            if set(left) & set(right):
+                yield RankOneGenerator("monomial_pair", (left, right))
+    if family in (None, "swap_binomial"):
+        duos = list(itertools.combinations(range(nvars), 2))
+        for t, u in itertools.product(duos, duos):
+            free = [i for i in range(nvars) if i not in t + u]
+            for a, k in itertools.permutations(free, 2):
+                yield RankOneGenerator("swap_binomial", (t, u, a, k))
+
+
+def _parent_span_rank(nvars, kernel_dim):
+    pairs = set()
+    for gen in _parent_generators(nvars, "monomial_pair"):
+        terms = _parent_move_terms(gen)
+        if len(terms) != 1 or set(terms.values()) - {1, -1}:
+            raise ArithmeticError("pair %r is not a unit vector" % (gen,))
+        pairs.update(terms)
+    parent = {}
+
+    def root(x):
+        path = []
+        while x in parent:
+            path.append(x)
+            x = parent[x]
+        for y in path:
+            parent[y] = x
+        return x
+
+    rank = len(pairs)
+    streamed = 0
+    for gen in _parent_generators(nvars, "swap_binomial"):
+        if rank >= kernel_dim:
+            break
+        streamed += 1
+        rest = {c: s for c, s in _parent_move_terms(gen).items()
+                if c not in pairs}
+        if not rest:
+            continue
+        if sorted(rest.values()) != [-1, 1]:
+            raise ArithmeticError("swap %r leaves %r beside the pair columns, "
+                                  "not e_x - e_y" % (gen, rest))
+        x, y = map(root, rest)
+        if x != y:
+            parent[x] = y
+            rank += 1
+    return len(pairs), streamed, rank
+
+
+def _parent_standardize_supports(nvars, terms):
+    std = {}
+    moves = []
+    for (left, right), coeff in terms.items():
+        if set(left) & set(right):
+            moves.append((RankOneGenerator("monomial_pair", (left, right)),
+                          coeff))
+            continue
+        while left[-1] > right[0]:
+            t, k = left[:2], left[-1]
+            u, a = right[1:], right[0]
+            ta, uk = _parent_with(t, a), _parent_with(u, k)
+            moves.append((RankOneGenerator("swap_binomial", (t, u, a, k)),
+                          coeff))
+            moves.append((RankOneGenerator("monomial_pair",
+                                           (ta, _parent_with(u, a))), -coeff))
+            moves.append((RankOneGenerator("monomial_pair",
+                                           (_parent_with(t, k), uk)), coeff))
+            left, right = ta, uk
+        key = StandardTensor(nvars, left + right)
+        total = std.get(key, 0) + coeff
+        if total:
+            std[key] = total
+        else:
+            std.pop(key, None)
+    return std, Certificate(tuple(moves), terms, std)
+
+
+def _parent_verify_certificate(cert):
+    residual = dict(cert.terms)
+    claimed = [((st.left_indices, st.right_indices), c)
+               for st, c in cert.standard.items()]
+    for gen, coeff in cert.moves:
+        if not gen.shape_ok():
+            return False
+        claimed.extend((key, sign * coeff)
+                       for key, sign in _parent_move_terms(gen).items())
+    for key, c in claimed:
+        residual[key] = residual.get(key, 0) - c
+    return not any(residual.values())
+
+
+def test_span_stream_matches_the_parent_oracle():
+    for nvars in range(MIN_NVARS, MAX_NVARS + 1):
+        kernel_dim = kernel_dimension(nvars)[0]
+        assert _span_rank(nvars, kernel_dim) == \
+            _parent_span_rank(nvars, kernel_dim), nvars
+    assert list(_generators(6)) == list(_parent_generators(6))
+
+
+def _moves(cert):
+    return [(gen.family_tag, gen.indices, coeff) for gen, coeff in cert.moves]
+
+
+def test_standardization_matches_the_parent_oracle():
+    # every kernel certificate: the same moves in the same order, the same
+    # terms and standard part, and the same replay verdict, also on a
+    # mutant and on a vector pushed off the kernel
+    for nvars in range(MIN_NVARS, 9):
+        off = {}
+        for vec in _mu_kernel(nvars):
+            if len(vec) == 2:  # its non-standard split alone
+                off = {key: c for key, c in vec.items() if c > 0}
+            std, cert = _standardize_supports(nvars, vec)
+            old_std, old_cert = _parent_standardize_supports(nvars, vec)
+            assert _moves(cert) == _moves(old_cert)
+            assert (std, cert.terms, cert.standard) == \
+                (old_std, old_cert.terms, old_cert.standard)
+            assert verify_certificate(cert) is True
+            assert _parent_verify_certificate(old_cert) is True
+            if cert.moves:
+                gen, coeff = cert.moves[-1]
+                bad = _mutated(cert, cert.moves[:-1] + ((gen, coeff + 1),))
+                assert verify_certificate(bad) is False
+                assert _parent_verify_certificate(bad) is False
+        if nvars < 6:  # no sextet, so every split is a kernel vector
+            continue
+        std, cert = _standardize_supports(nvars, off)
+        old_std, old_cert = _parent_standardize_supports(nvars, off)
+        assert _moves(cert) == _moves(old_cert) and std == old_std != {}
+        assert verify_certificate(cert) == \
+            _parent_verify_certificate(old_cert) is True
+    # indices past MAX_NVARS, as in a larger ring, miss the triple table
+    big = {((9, 10, 11), (0, 1, 2)): 3, ((2, 5, 11), (0, 10, 12)): -1}
+    std, cert = _standardize_supports(13, big)
+    old_std, old_cert = _parent_standardize_supports(13, big)
+    assert _moves(cert) == _moves(old_cert) and std == old_std != {}
+    assert verify_certificate(cert) is _parent_verify_certificate(old_cert)
+    assert verify_certificate(cert) is True
 
 
 def test_span_equals_kernel_modp_nine_variables():

@@ -164,6 +164,37 @@ def test_parse_refuses_powers_just_past_the_bounds():
         assert time.perf_counter() - start < 1.0, text
 
 
+def test_parse_computes_the_largest_accepted_products():
+    # one product or quotient at each bound, estimated before it is taken:
+    # degrees add (a numerator and a denominator of degree 100), term
+    # counts multiply up to the monomial count (990 terms of degree 43 in
+    # three parameters), and coefficient bits add (255^512 < 2^4096)
+    start = time.perf_counter()
+    assert parse("(a+b)^50*(a+b)^50") == parse("(a+b)^100")
+    assert parse("1/(a+b)^50/(a+b)^50") == parse("(1/(a+b))^100")
+    assert len(parse("(a+b+c)^21*(a+b+c)^22").num.terms) == 990
+    assert len(parse("(a+b+c)^21/(1/(a+b+c)^22)").num.terms) == 990
+    assert parse("255^256*255^256") == rat(255 ** 512)
+    assert parse("*".join(["(a+b)"] * MAX_PARSE_DEGREE)) == \
+        parse("(a+b)^%d" % MAX_PARSE_DEGREE)
+    # 0.3 s here; the budget leaves room for a loaded machine
+    assert time.perf_counter() - start < 5.0
+
+
+def test_parse_refuses_products_just_past_the_bounds():
+    for text, what in (("(a+b)^50*(a+b)^51", "product"),
+                       ("1/(a+b)^50/(a+b)^51", "quotient"),
+                       ("(a+b+c)^22*(a+b+c)^22", "product"),
+                       ("(a+b+c)^22/(1/(a+b+c)^22)", "quotient"),
+                       ("255^256*255^257", "product"),
+                       ("*".join(["(a+b)"] * (MAX_PARSE_DEGREE + 1)), "product"),
+                       ("*".join(["(a+b)^100"] * 30), "product")):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="%s above the bound" % what):
+            parse(text)
+        assert time.perf_counter() - start < 1.0, text
+
+
 def test_parse_refuses_an_integer_literal_past_the_conversion_limit():
     # Python's int() refuses a literal this long; parse reports it as a
     # parse error naming the literal's length
