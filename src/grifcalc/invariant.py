@@ -30,7 +30,7 @@ from .jacobian import (
     mult_map,
     pairing_matrix,
 )
-from .linalg import FRACTION_FIELD, rank, solve
+from .linalg import rank, solve
 from .mulkernel import index_monomial, tensor_in_kernel
 from .scalar import ZERO, Scalar
 
@@ -126,7 +126,7 @@ def rho_check(triple, seed=0):
     if e_specialized.is_zero():
         return False
     m = mult_map(ring, e_specialized, 1)
-    return rank(m.rows_as_dicts(), FRACTION_FIELD) == m.ncols
+    return rank(m.rows_as_dicts()) == m.ncols
 
 
 def _socle_row(ring, v):
@@ -153,8 +153,7 @@ def delta_nu(triple, w):
     total = ZERO
     for c, q, r in w.summands:
         try:
-            y = solve(rows, m.ncols, _socle_row(ring, triple.p * r),
-                      FRACTION_FIELD)
+            y = solve(rows, m.ncols, _socle_row(ring, triple.p * r))
         except ValueError:
             raise NotIsomorphism("pairing matrix is singular for this triple")
         s_q = _socle_row(ring, triple.p * q)

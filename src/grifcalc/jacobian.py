@@ -65,12 +65,12 @@ def ambient_dimension(nvars, k):
     return math.comb(nvars - 1 + k, k)
 
 
-def monomial_string(exps, prefix="x"):
+def monomial_string(exps):
     parts = []
     for i, e in enumerate(exps):
         if e == 0:
             continue
-        parts.append("%s%d" % (prefix, i) if e == 1 else "%s%d^%d" % (prefix, i, e))
+        parts.append("x%d" % i if e == 1 else "x%d^%d" % (i, e))
     return "*".join(parts) if parts else "1"
 
 
@@ -218,7 +218,7 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(self.nvars, self.degree - 1, terms)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), FRACTION_FIELD.zero)
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -279,7 +279,7 @@ def _fermat_terms(d, nvars):
     for i in range(nvars):
         e = [0] * nvars
         e[i] = d
-        terms[tuple(e)] = FRACTION_FIELD.one
+        terms[tuple(e)] = Fraction(1)
     return terms
 
 
@@ -433,7 +433,7 @@ class LinearMap:
         return len(self.domain)
 
     def entry(self, i, j):
-        return self.entries.get((i, j), FRACTION_FIELD.zero)
+        return self.entries.get((i, j), Fraction(0))
 
     def rows_as_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
@@ -513,8 +513,8 @@ def rank_kernel(linmap):
     parameters.
     """
     n = linmap.ncols
-    r, kern = rank_and_kernel(linmap.rows_as_dicts(), n, FRACTION_FIELD)
-    vecs = [tuple(v.get(c, FRACTION_FIELD.zero) for c in range(n))
+    r, kern = rank_and_kernel(linmap.rows_as_dicts(), n)
+    vecs = [tuple(v.get(c, Fraction(0)) for c in range(n))
             for v in kern]
     return r, vecs
 
@@ -524,7 +524,7 @@ def determinant(linmap):
     if linmap.nrows != linmap.ncols:
         raise ValueError("determinant of a %d x %d map"
                          % (linmap.nrows, linmap.ncols))
-    det = _det_rows(linmap.rows_as_dicts(), linmap.nrows, FRACTION_FIELD)
+    det = _det_rows(linmap.rows_as_dicts(), linmap.nrows)
     return det if isinstance(det, Scalar) else Scalar(det)
 
 

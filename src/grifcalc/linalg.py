@@ -1,11 +1,10 @@
 """Sparse exact linear algebra over the field of fractions.
 
 Matrices are lists of sparse rows (dict column -> coefficient) of ints,
-Fractions, Scalars (rational functions in parameters) or a mix of them.
-The one field is FRACTION_FIELD.  It feeds only kernel_basis, solve and
-determinant's unit, zero and sign, and the field parameters stay until
-the benchmark tracer, which wraps rref(rows, field) and RowReducer, no
-longer needs them.
+Fractions, Scalars (rational functions in parameters) or a mix of them,
+over the one field Q(params).  Only rref(rows, field) and
+RowReducer(field) take a field, and FRACTION_FIELD exists for them alone,
+because the benchmark tracer calls rref(rows, field) and wraps RowReducer.
 
 There is one elimination kernel with one pivot rule and one row update.
 The pivot is a Markowitz fill-in estimate with deterministic tie-breaking
@@ -40,10 +39,6 @@ class FractionField:
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
 
     @staticmethod
     def sub(a, b):
@@ -234,11 +229,11 @@ def rref(rows, field):
             for pc, row in done]
 
 
-def rank(rows, field):
-    return len(rref(rows, field))
+def rank(rows):
+    return len(rref(rows, FRACTION_FIELD))
 
 
-def kernel_basis(pivot_rows, ncols, field):
+def kernel_basis(pivot_rows, ncols):
     """Kernel basis vectors (one per free column) from an rref.
 
     Vectors come out as sparse dicts, ordered by their free column index.
@@ -249,41 +244,41 @@ def kernel_basis(pivot_rows, ncols, field):
     for f in range(ncols):
         if f in pivot_cols:
             continue
-        vec = {f: field.one}
+        vec = {f: Fraction(1)}
         for pc, prow in pivot_rows:
             v = prow.get(f)
             if v is not None:
-                vec[pc] = field.neg(v)
+                vec[pc] = -v
         vecs.append(vec)
     return vecs
 
 
-def rank_and_kernel(rows, ncols, field):
-    pr = rref(rows, field)
-    return len(pr), kernel_basis(pr, ncols, field)
+def rank_and_kernel(rows, ncols):
+    pr = rref(rows, FRACTION_FIELD)
+    return len(pr), kernel_basis(pr, ncols)
 
 
-def determinant(rows, n, field):
+def determinant(rows, n):
     """Determinant of an n x n sparse matrix: the product of the pivots of
     the Markowitz elimination times the sign of the pivot permutation.
     Each pivot row's pivot is divided by the row's scale."""
     if len(rows) != n:
         raise ValueError("matrix is not square")
     domain = _domain(rows)
-    det = field.one
+    det = Fraction(1)
     perm = []
     for ri, pc, prow, scale in _eliminate(rows, domain):
         det *= domain.quotient(prow[pc] * scale[1], scale[0])
         perm.append((ri, pc))
     if len(perm) != n:
-        return field.zero
+        return Fraction(0)
     # sign of the permutation row index -> pivot column, by inversion count
     order = [pc for _, pc in sorted(perm)]
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) % 2
-    return field.neg(det) if odd else det
+    return -det if odd else det
 
 
-def solve(rows, n, rhs, field):
+def solve(rows, n, rhs):
     """Solve A x = rhs for square nonsingular A given as sparse rows.
 
     rhs is a dense list of length n.  Returns a dense list.  Raises
@@ -296,18 +291,18 @@ def solve(rows, n, rhs, field):
     aug = []
     for i, r in enumerate(rows):
         row = dict(r)
-        if not field.is_zero(rhs[i]):
-            row[n] = field.neg(rhs[i])
+        if rhs[i]:
+            row[n] = -rhs[i]
         aug.append(row)
-    r, kern = rank_and_kernel(aug, n + 1, field)
+    r, kern = rank_and_kernel(aug, n + 1)
     v = kern[0] if r == n else {}
     scale = v.get(n)
     if scale is None:
         raise ValueError("singular matrix in solve()")
-    x = [field.zero] * n
+    x = [Fraction(0)] * n
     for c, value in v.items():
         if c < n:
-            x[c] = value if scale == field.one else field.div(value, scale)
+            x[c] = value if scale == 1 else value / scale
     return x
 
 

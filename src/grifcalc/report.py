@@ -17,7 +17,7 @@ check and can be zeroed for byte-reproducible output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .characters import (Character, enumerate_type, galois_orbit,
@@ -58,8 +58,7 @@ class CheckResult(object):
     details: dict
 
     def to_json(self):
-        return {"check_id": self.check_id, "status": self.status,
-                "details": self.details}
+        return asdict(self)
 
 
 @dataclass
@@ -73,11 +72,7 @@ class ReportDocument(object):
         return any(c.status == "fail" for c in self.checks)
 
     def to_json(self):
-        return {
-            "tool_version": self.tool_version,
-            "checks": [c.to_json() for c in self.checks],
-            "timings": self.timings,
-        }
+        return asdict(self)
 
 
 @dataclass

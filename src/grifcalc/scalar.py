@@ -325,10 +325,11 @@ def _coeffs_gcd(coeffs):
     return g
 
 
-def _main_primitive(coeffs):
-    # with the integer content, or univariate remainders grow exponentially
-    g = _coeffs_gcd(coeffs) * math.gcd(*(v for c in coeffs.values()
-                                         for v in c.terms.values()))
+def _main_primitive(coeffs, content):
+    # content is _coeffs_gcd(coeffs); divide by it times the integer
+    # content, or univariate remainders grow exponentially
+    g = content * math.gcd(*(v for c in coeffs.values()
+                             for v in c.terms.values()))
     if _is_one(g):
         return coeffs
     return {d: _exact_div(c, g) for d, c in coeffs.items()}
@@ -381,15 +382,16 @@ def poly_gcd(p, q):
     main = params[0]
     A = _main_split(p, main)
     B = _main_split(q, main)
-    cg = poly_gcd(_coeffs_gcd(A), _coeffs_gcd(B))
-    A = _main_primitive(A)
-    B = _main_primitive(B)
+    cA, cB = _coeffs_gcd(A), _coeffs_gcd(B)
+    cg = poly_gcd(cA, cB)
+    A = _main_primitive(A, cA)
+    B = _main_primitive(B, cB)
     if max(A) < max(B):
         A, B = B, A
     while B:
         R = _prem(A, B)
         A = B
-        B = _main_primitive(R) if R else R
+        B = _main_primitive(R, _coeffs_gcd(R)) if R else R
     res = _main_join(A, main) * cg
     return _positive_lead(_content_primitive(res)[1])
 
@@ -707,9 +709,10 @@ def _tokenize(text):
     return tokens
 
 
-# The largest power, product or quotient parse computes, checked before it
-# is taken: the exponent literal, and bounds on the total degree, the term
-# count and the coefficient bits of the result's numerator and denominator.
+# The largest power, product, quotient or sum parse computes, checked
+# before it is taken: the exponent literal, and bounds on the total degree,
+# the term count and the coefficient bits of the result's numerator and
+# denominator.
 MAX_PARSE_EXPONENT = 1000
 MAX_PARSE_DEGREE = 100
 MAX_PARSE_TERMS = 1000
@@ -779,6 +782,13 @@ class _Parser:
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             _, op = self.take()
             rhs = self.term()
+            # x + y forms x.num*y.den + y.num*x.den over x.den*y.den, or
+            # over the one denominator when both are equal
+            den = ((value.den, 1),) if value.den == rhs.den else (
+                (value.den, 1), (rhs.den, 1))
+            what = "sum" if op == "+" else "difference"
+            _check_fits(what, self.text, ((value.num, 1), (rhs.den, 1)), den)
+            _check_fits(what, self.text, ((rhs.num, 1), (value.den, 1)), den)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -831,8 +841,8 @@ def parse(text):
 
     Grammar: + - * / ^ with the usual precedence, parentheses, nonnegative
     integer exponents.  Round-trips with scalar_to_string().  A power,
-    product or quotient that could pass a MAX_PARSE_* bound raises
-    OutOfRange before it is taken.
+    product, quotient, sum or difference that could pass a MAX_PARSE_*
+    bound raises OutOfRange before it is taken.
     """
     if not isinstance(text, str):
         raise ParseError("expected a string, got %r" % (text,))

@@ -343,6 +343,19 @@ def test_jring_poly_coefficient_powers_are_bounded():
         assert code == 2 and "power above the bound" in out
 
 
+def _jring_nf_subprocess(coeff):
+    # `jring nf` on the form coeff*x0 in a fresh interpreter
+    poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+        {"exps": [1, 0], "coeff": coeff}]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["grifcalc.cli"].__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "grifcalc.cli", "jring", "nf",
+                           "--vars", "2", "--degree", "3", "--poly", poly],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_jring_poly_coefficient_products_are_bounded():
     # a coefficient whose product or quotient could pass a parser bound
     # exits 2 before it is taken; thirty factors (a+b)^100 took 10.9 s
@@ -353,19 +366,31 @@ def test_jring_poly_coefficient_products_are_bounded():
             {"exps": [1, 0], "coeff": coeff}]})
         code, out = _jring("nf", 2, 3, "--poly", poly)
         assert code == 2 and "above the bound" in out, coeff
-    poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
-        {"exps": [1, 0], "coeff": "*".join(["(a+b)^100"] * 30)}]})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["grifcalc.cli"].__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "grifcalc.cli", "jring", "nf",
-                           "--vars", "2", "--degree", "3", "--poly", poly],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _jring_nf_subprocess("*".join(["(a+b)^100"] * 30))
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 2
     assert "product above the bound" in proc.stdout + proc.stderr
+
+
+def test_jring_poly_coefficient_sums_are_bounded():
+    # a sum of fractions multiplies denominators; twenty terms
+    # 1/(a+i*b+c)^5 took 9.8 s before sums were bounded, and now stop at
+    # the ninth term
+    def coefficient(n):
+        return "+".join("1/(a+%d*b+c)^5" % i for i in range(1, n + 1))
+
+    poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+        {"exps": [1, 0], "coeff": coefficient(9)}]})
+    code, out = _jring("nf", 2, 3, "--poly", poly)
+    assert code == 2 and "sum above the bound" in out
+    start = time.perf_counter()
+    proc = _jring_nf_subprocess(coefficient(20))
+    # about 0.7 s with Python 3.11; the budget leaves room for a loaded
+    # machine
+    assert time.perf_counter() - start < 3.0
+    assert proc.returncode == 2
+    assert "sum above the bound" in proc.stdout + proc.stderr
 
 
 def test_jring_basis_size_is_bounded():

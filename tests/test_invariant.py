@@ -16,7 +16,7 @@ from grifcalc.invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
                                 iso_det, iso_matrix, rho_check)
 from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                TensorSum, pairing_matrix)
-from grifcalc.linalg import FRACTION_FIELD, rank_and_kernel, solve
+from grifcalc.linalg import rank_and_kernel, solve
 from grifcalc.mulkernel import index_monomial, tensor_in_kernel
 from grifcalc.scalar import ParamPolynomial, Scalar, parse, scalar_to_string
 
@@ -218,7 +218,7 @@ def oracle_delta_nu(triple, w):
         for mono in basis1:
             rhs.append(ring.normal_form(u.mul_monomial(mono)).coefficient(soc))
         try:
-            y = solve(rows, n, rhs, FRACTION_FIELD)
+            y = solve(rows, n, rhs)
         except ValueError:
             raise NotIsomorphism("pairing matrix is singular for this triple")
         pre = HomogeneousPolynomial.from_terms(
@@ -410,7 +410,7 @@ def scalar_independence_rank(pairs):
             for exps, coeff in poly.terms.items():
                 rows.setdefault(exps[0], {})[i] = coeff / scale
     row_list = [rows[d] for d in sorted(rows)]
-    rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
+    rank, kern = rank_and_kernel(row_list, len(pairs))
     return rank, [tuple(vec.get(i, Fraction(0)) for i in range(len(pairs)))
                   for vec in kern]
 
@@ -436,7 +436,7 @@ def polynomial_independence_rank(pairs):
         for exps, coeff in cleared.terms.items():
             rows.setdefault(sum(exps), {})[i] = coeff
     row_list = [rows[d] for d in sorted(rows)]
-    rank, kern = rank_and_kernel(row_list, len(pairs), FRACTION_FIELD)
+    rank, kern = rank_and_kernel(row_list, len(pairs))
     return rank, [tuple(vec.get(i, Fraction(0)) for i in range(len(pairs)))
                   for vec in kern]
 

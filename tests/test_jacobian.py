@@ -13,7 +13,7 @@ from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
                                determinant, monomials_of_degree, mult_map,
                                pairing_matrix, rank_kernel,
                                reduced_monomials)
-from grifcalc.linalg import FRACTION_FIELD, determinant as rows_determinant
+from grifcalc.linalg import determinant as rows_determinant
 from grifcalc.scalar import Scalar, parse
 
 
@@ -424,8 +424,7 @@ def test_two_parameter_pairing_determinant_answers_in_time():
     for point in ({"a": 2, "b": 3}, {"a": Fraction(-1, 2), "b": 5}):
         rows = [{c: v.specialize(point) if isinstance(v, Scalar) else v
                  for c, v in row.items()} for row in m.rows_as_dicts()]
-        assert det.specialize(point) == rows_determinant(rows, m.nrows,
-                                                         FRACTION_FIELD)
+        assert det.specialize(point) == rows_determinant(rows, m.nrows)
 
 
 def test_determinant_of_rational_map_is_a_scalar():

@@ -54,7 +54,7 @@ def test_rref_identity():
 
 def test_rank_and_kernel_small():
     rows = dense_to_rows([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    r, kern = rank_and_kernel(rows, 3, FRACTION_FIELD)
+    r, kern = rank_and_kernel(rows, 3)
     assert r == 2
     assert len(kern) == 1
     v = kern[0]
@@ -69,7 +69,7 @@ def test_kernel_vectors_satisfy_system_randomized():
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         rows = dense_to_rows(mat)
-        r, kern = rank_and_kernel(rows, n, FRACTION_FIELD)
+        r, kern = rank_and_kernel(rows, n)
         assert r + len(kern) == n
         for v in kern:
             for row in rows:
@@ -82,7 +82,7 @@ def test_determinant_matches_leibniz_randomized():
     for _ in range(40):
         n = rng.randint(1, 4)
         mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        got = determinant(dense_to_rows(mat), n, FRACTION_FIELD)
+        got = determinant(dense_to_rows(mat), n)
         assert got == permanent_free_det(mat)
 
 
@@ -90,13 +90,13 @@ def test_determinant_symbolic():
     a = Scalar.param("a")
     b = Scalar.param("b")
     rows = [{0: a, 1: b}, {0: b, 1: a}]
-    det = determinant(rows, 2, FRACTION_FIELD)
+    det = determinant(rows, 2)
     assert det == a * a - b * b
 
 
 def test_solve_small():
     rows = dense_to_rows([[2, 1], [1, 3]])
-    x = solve(rows, 2, [Fraction(5), Fraction(10)], FRACTION_FIELD)
+    x = solve(rows, 2, [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
 
 
@@ -110,14 +110,14 @@ def test_solve_randomized_round_trip():
                 break
         xs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         rhs = [sum(Fraction(mat[i][j]) * xs[j] for j in range(n)) for i in range(n)]
-        got = solve(dense_to_rows(mat), n, rhs, FRACTION_FIELD)
+        got = solve(dense_to_rows(mat), n, rhs)
         assert got == xs
 
 
 def test_solve_accepts_a_system_whose_right_hand_side_is_a_pivot():
     # Markowitz pivoting on [A | rhs] picks the rhs column here; that must
     # not make a nonsingular system look inconsistent
-    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0], FRACTION_FIELD)
+    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0])
     assert x == [Fraction(1, 2), Fraction(1, 2)]
 
 
@@ -131,13 +131,13 @@ def test_solve_matches_determinant_on_sparse_systems():
         rows = [{j: v for j, v in r.items() if v} for r in rows]
         rhs = [Fraction(rng.randint(-4, 4)) if rng.random() < 0.4
                else Fraction(0) for _ in range(n)]
-        if determinant(rows, n, FRACTION_FIELD):
-            x = solve(rows, n, rhs, FRACTION_FIELD)
+        if determinant(rows, n):
+            x = solve(rows, n, rhs)
             assert [sum(v * x[j] for j, v in r.items()) for r in rows] == rhs
         else:
             singular += 1
             with pytest.raises(ValueError):
-                solve(rows, n, rhs, FRACTION_FIELD)
+                solve(rows, n, rhs)
     # both branches are exercised in bulk
     assert 200 < singular < 1000
 
@@ -151,7 +151,7 @@ def test_row_reducer_matches_batch_rank():
         red = RowReducer(FRACTION_FIELD)
         for r in rows:
             red.add(dict(r))
-        assert red.rank == rank(rows, FRACTION_FIELD)
+        assert red.rank == rank(rows)
 
 
 class _IntegersMod6:
@@ -206,7 +206,7 @@ def test_rref_deterministic():
 def test_kernel_basis_unit_at_free_column():
     rows = dense_to_rows([[1, 1, 0, 2]])
     pr = rref(rows, FRACTION_FIELD)
-    kern = kernel_basis(pr, 4, FRACTION_FIELD)
+    kern = kernel_basis(pr, 4)
     free = [min(v) if 0 not in v else None for v in kern]
     assert len(kern) == 3
     for v in kern:
@@ -278,14 +278,14 @@ def test_fraction_field_matches_scalar_only_oracle_randomized():
         ncols = rng.randint(n, 6)
         rows = _random_rational_rows(rng, n, ncols, rng.randint(1, n))
         srows = _as_scalars(rows)
-        cases = [(rows, FRACTION_FIELD), (srows, FRACTION_FIELD)]
         want = fraction_rref(srows, SCALAR_ONLY_FIELD)
-        for rows_in, field in cases:
-            got = rref(rows_in, field)
+        for rows_in in (rows, srows):
+            got = rref(rows_in, FRACTION_FIELD)
             assert got == want
-            r, kern = rank_and_kernel(rows_in, ncols, field)
-            assert r == rank(rows_in, field) == len(want)
-            assert kern == kernel_basis(want, ncols, SCALAR_ONLY_FIELD)
+            r, kern = rank_and_kernel(rows_in, ncols)
+            assert r == rank(rows_in) == len(want)
+            assert kern == fraction_kernel_basis(want, ncols,
+                                                 SCALAR_ONLY_FIELD)
         assert all(isinstance(v, Fraction)
                    for _, prow in rref(rows, FRACTION_FIELD)
                    for v in prow.values())
@@ -293,15 +293,15 @@ def test_fraction_field_matches_scalar_only_oracle_randomized():
         ssquare = _as_scalars(square)
         det = fraction_determinant(ssquare, n, SCALAR_ONLY_FIELD)
         for rows_in in (square, ssquare):
-            assert determinant(rows_in, n, FRACTION_FIELD) == det
+            assert determinant(rows_in, n) == det
         if det:
             rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                    for _ in range(n)]
             x = fraction_solve(ssquare, n,
                                [Scalar.from_fraction(v) for v in rhs],
                                SCALAR_ONLY_FIELD)
-            assert solve(square, n, rhs, FRACTION_FIELD) == x
-            assert solve(ssquare, n, rhs, FRACTION_FIELD) == x
+            assert solve(square, n, rhs) == x
+            assert solve(ssquare, n, rhs) == x
         oracle = RowReducer(SCALAR_ONLY_FIELD)
         reducers = [(RowReducer(FRACTION_FIELD), rows),
                     (RowReducer(FRACTION_FIELD), srows)]
@@ -324,10 +324,10 @@ def test_fraction_field_matches_scalar_only_oracle_with_parameters():
               for c, v in r.items()} for r in rows]
     assert (rref(rows, FRACTION_FIELD)
             == fraction_rref(srows, SCALAR_ONLY_FIELD))
-    assert (determinant(rows, 3, FRACTION_FIELD)
+    assert (determinant(rows, 3)
             == fraction_determinant(srows, 3, SCALAR_ONLY_FIELD))
     rhs = [Fraction(1), a, Fraction(0)]
-    assert (solve(rows, 3, rhs, FRACTION_FIELD)
+    assert (solve(rows, 3, rhs)
             == fraction_solve(srows, 3, [ONE, a, ZERO], SCALAR_ONLY_FIELD))
 
 
@@ -447,6 +447,23 @@ def fraction_determinant(rows, n, field):
     return det
 
 
+def fraction_kernel_basis(pivot_rows, ncols, field):
+    # kernel_basis as linalg had it with a field argument, so that the
+    # oracle field builds its own unit and signs
+    pivot_cols = {pc for pc, _ in pivot_rows}
+    vecs = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = {f: field.one}
+        for pc, prow in pivot_rows:
+            v = prow.get(f)
+            if v is not None:
+                vec[pc] = field.neg(v)
+        vecs.append(vec)
+    return vecs
+
+
 def fraction_solve(rows, n, rhs, field):
     aug = []
     for i, r in enumerate(rows):
@@ -455,7 +472,7 @@ def fraction_solve(rows, n, rhs, field):
             row[n] = field.neg(rhs[i])
         aug.append(row)
     pr = fraction_rref(aug, field)
-    r, kern = len(pr), kernel_basis(pr, n + 1, field)
+    r, kern = len(pr), fraction_kernel_basis(pr, n + 1, field)
     v = kern[0] if r == n else {}
     scale = v.get(n)
     if scale is None:
@@ -530,24 +547,24 @@ def _assert_matches_fraction_oracle(rows, ncols):
         assert list(prow) == list(orow)
         assert all(type(v) is int for v in prow.values())
         assert {c: Fraction(v * den, num) for c, v in prow.items()} == orow
-    r, kern = rank_and_kernel(rows, ncols, FRACTION_FIELD)
+    r, kern = rank_and_kernel(rows, ncols)
     assert r == len(want)
-    assert kern == kernel_basis(want, ncols, FRACTION_FIELD)
+    assert kern == kernel_basis(want, ncols)
     assert all(type(v) is Fraction for vec in kern for v in vec.values())
     n = min(len(rows), ncols)
     square = [{c: v for c, v in row.items() if c < n} for row in rows[:n]]
-    det = determinant(square, n, FRACTION_FIELD)
+    det = determinant(square, n)
     assert type(det) is Fraction
     fsquare = _as_fractions(square)
     assert det == fraction_determinant(fsquare, n, FRACTION_FIELD)
     rhs = [Fraction(i - 2, 3) for i in range(n)]
     if det:
-        x = solve(square, n, rhs, FRACTION_FIELD)
+        x = solve(square, n, rhs)
         assert x == fraction_solve(fsquare, n, rhs, FRACTION_FIELD)
         assert all(type(v) is Fraction for v in x)
     else:
         with pytest.raises(ValueError):
-            solve(square, n, rhs, FRACTION_FIELD)
+            solve(square, n, rhs)
         with pytest.raises(ValueError):
             fraction_solve(fsquare, n, rhs, FRACTION_FIELD)
 
@@ -559,7 +576,7 @@ def test_integer_rows_match_the_fraction_oracle_randomized():
         _assert_matches_fraction_oracle(rows, ncols)
         n = min(len(rows), ncols)
         square = [{c: v for c, v in row.items() if c < n} for row in rows[:n]]
-        singular += not determinant(square, n, FRACTION_FIELD)
+        singular += not determinant(square, n)
     # singular and nonsingular squares are both exercised in bulk
     assert 40 < singular < 140
 
@@ -634,9 +651,9 @@ def test_int_entries_divide_exactly_beside_a_scalar():
               for c, v in r.items()} for r in rows]
     assert (rref(rows, FRACTION_FIELD)
             == fraction_rref(srows, SCALAR_ONLY_FIELD))
-    assert (determinant(rows, 2, FRACTION_FIELD)
+    assert (determinant(rows, 2)
             == fraction_determinant(srows, 2, SCALAR_ONLY_FIELD))
-    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0], FRACTION_FIELD)
+    x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0])
     assert all(type(v) is Fraction for v in x)
 
 
@@ -682,23 +699,23 @@ def test_parametric_rows_match_the_field_oracle_randomized():
             assert all(type(v) is ParamPolynomial
                        for _, _, prow, _ in _eliminate(rows, _domain(rows))
                        for v in prow.values())
-            r, kern = rank_and_kernel(rows, ncols, FRACTION_FIELD)
+            r, kern = rank_and_kernel(rows, ncols)
             assert r == len(want)
-            assert kern == kernel_basis(want, ncols, FRACTION_FIELD)
+            assert kern == kernel_basis(want, ncols)
             n = min(len(rows), ncols)
             square = [{c: v for c, v in row.items() if c < n}
                       for row in rows[:n]]
-            det = determinant(square, n, FRACTION_FIELD)
+            det = determinant(square, n)
             assert det == fraction_determinant(square, n, FRACTION_FIELD)
             rhs = [Fraction(i - 2, 3) + syms[i % len(syms)] * (i % 2)
                    for i in range(n)]
             if det:
-                x = solve(square, n, rhs, FRACTION_FIELD)
+                x = solve(square, n, rhs)
                 assert x == fraction_solve(square, n, rhs, FRACTION_FIELD)
             else:
                 singular += 1
                 with pytest.raises(ValueError):
-                    solve(square, n, rhs, FRACTION_FIELD)
+                    solve(square, n, rhs)
                 with pytest.raises(ValueError):
                     fraction_solve(square, n, rhs, FRACTION_FIELD)
     # singular and nonsingular squares are both exercised

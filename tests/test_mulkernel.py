@@ -116,7 +116,7 @@ def test_closed_form_kernel_matches_row_reduction():
     for nvars in range(MIN_NVARS, MAX_NVARS + 1):
         rows, triples = _mu_rows(nvars)
         n3 = len(triples)
-        rank, kern = rank_and_kernel(rows, n3 * n3, FRACTION_FIELD)
+        rank, kern = rank_and_kernel(rows, n3 * n3)
         assert rank == len(rows) == math.comb(nvars, 6)
         assert kernel_dimension(nvars) == (n3 * n3 - rank, rank, n3)
         expected = [{(triples[c // n3], triples[c % n3]): v

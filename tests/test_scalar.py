@@ -195,6 +195,40 @@ def test_parse_refuses_products_just_past_the_bounds():
         assert time.perf_counter() - start < 1.0, text
 
 
+def _reciprocal_sum(n):
+    return "+".join("1/(a+%d*b+c)^5" % i for i in range(1, n + 1))
+
+
+def test_parse_computes_the_largest_accepted_sums():
+    # a sum x + y is estimated as x.num*y.den + y.num*x.den over
+    # x.den*y.den; eight terms 1/(a+i*b+c)^5 form a denominator of degree
+    # 40 in three parameters, within the 990 monomials of degree 43
+    start = time.perf_counter()
+    got = parse(_reciprocal_sum(8))
+    # about 0.5 s with Python 3.11; the budget leaves room for a loaded
+    # machine
+    assert time.perf_counter() - start < 5.0
+    terms = [sym("a") + i * sym("b") + sym("c") for i in range(1, 9)]
+    assert got == sum((rat(1) / t ** 5 for t in terms), rat(0))
+    # equal denominators stay one denominator, and polynomials have none
+    assert parse("1/(a+b)^60+1/(a+b)^60") == parse("2/(a+b)^60")
+    assert parse("1/(a+b)^60-1/(a+b)^60") == rat(0)
+    assert parse("(a+b+c)^43+(a+b+c)^43") == parse("2*(a+b+c)^43")
+
+
+def test_parse_refuses_sums_just_past_the_bounds():
+    # the ninth term would form a denominator of degree 45 in three
+    # parameters, which has 1,081 monomials
+    for text, what in ((_reciprocal_sum(9), "sum"),
+                       (_reciprocal_sum(8) + "-1/(a+9*b+c)^5", "difference"),
+                       ("1/(a+b)^50+1/(a+2*b)^51", "sum"),
+                       ("(a+b)^60+1/(a+2*b)^41", "sum"),
+                       ("1/(a+2*b)^41-(a+b)^60", "difference"),
+                       ("255^256+1/255^257", "sum")):
+        with pytest.raises(OutOfRange, match="%s above the bound" % what):
+            parse(text)
+
+
 def test_parse_refuses_an_integer_literal_past_the_conversion_limit():
     # Python's int() refuses a literal this long; parse reports it as a
     # parse error naming the literal's length
