@@ -7,8 +7,11 @@ kermu (kernel-spanning verification), independence (alias for
 nl independence), report (the full check sequence).
 
 Exit codes: 0 success, 1 a computation ran and the verified property
-failed, 2 usage or domain error.  run_command returns (exit_code,
-output) without printing; main prints and exits.
+failed, 2 usage or domain error.  Each command handler returns
+(exit_code, payload, text lines), the lines as an iterable that only the
+text output consumes; run_command alone turns them into (exit_code,
+output), the payload as JSON under --json and the lines otherwise,
+without printing; main prints and exits.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from ._version import __version__
@@ -219,6 +223,7 @@ def _build_parser():
     indep = sub.add_parser("independence", parents=[common],
                            help="alias for nl independence")
     indep.add_argument("--pairs", type=_pair_list, required=True)
+    indep.set_defaults(action="independence")
 
     rep = sub.add_parser("report", parents=[common],
                          help="run the full check sequence")
@@ -278,44 +283,38 @@ def _check_slice_size(args):
                          % (command, count, MAX_JRING_MONOMIALS))
 
 
+def _matrix_lines(head, payload):
+    return chain([head], ("(%d, %d) = %s" % (i, j, v)
+                          for i, j, v in payload["entries"]))
+
+
 def _cmd_jring(args):
     _check_slice_size(args)
     ring = HypersurfaceRing.fermat(args.degree, getattr(args, "vars"))
     if args.action == "basis":
         basis = ring.quotient_basis(args.k)
-        payload = {"dimension": basis.dimension,
-                   "monomials": [monomial_string(e) for e in basis.basis]}
-        if args.json:
-            return 0, _dump(payload)
-        lines = ["dimension %d" % basis.dimension]
-        lines.extend(payload["monomials"])
-        return 0, "\n".join(lines)
+        monomials = [monomial_string(e) for e in basis.basis]
+        return (0, {"dimension": basis.dimension, "monomials": monomials},
+                chain(["dimension %d" % basis.dimension], monomials))
     if args.action == "nf":
         result = ring.normal_form(args.poly)
-        return 0, _dump(result.to_json()) if args.json else str(result)
-    matrix = pairing_matrix(ring, args.poly, args.j, args.k)
-    payload = matrix.to_json()
-    if args.json:
-        return 0, _dump(payload)
-    lines = ["%d x %d" % (payload["rows"], payload["cols"])]
-    for i, j, v in payload["entries"]:
-        lines.append("(%d, %d) = %s" % (i, j, v))
-    return 0, "\n".join(lines)
+        return 0, result.to_json(), [str(result)]
+    payload = pairing_matrix(ring, args.poly, args.j, args.k).to_json()
+    return 0, payload, _matrix_lines(
+        "%d x %d" % (payload["rows"], payload["cols"]), payload)
 
 
 def _cmd_hodge(args):
     if args.action == "hypersurface":
         hv = hypersurface_prim_hodge(args.degree, args.dim)
-        if args.json:
-            return 0, _dump({"prim": hv.to_json()})
-        return 0, "primitive middle Hodge numbers: %s" % (list(hv.values),)
+        return 0, {"prim": hv.to_json()}, [
+            "primitive middle Hodge numbers: %s" % (list(hv.values),)]
     ci = CIData(args.degrees, args.dim)
     hv = ci_prim_hodge(ci)
     chi = euler_characteristic(ci)
-    if args.json:
-        return 0, _dump({"prim": hv.to_json(), "euler": chi})
-    return 0, ("primitive middle Hodge numbers: %s\neuler characteristic: %d"
-               % (list(hv.values), chi))
+    return 0, {"prim": hv.to_json(), "euler": chi}, [
+        "primitive middle Hodge numbers: %s" % (list(hv.values),),
+        "euler characteristic: %d" % chi]
 
 
 def _cmd_fermat(args):
@@ -324,14 +323,10 @@ def _cmd_fermat(args):
     _check_slice_size(args)
     chars = enumerate_type(args.degree, getattr(args, "vars"), args.ptype)
     if not args.orbits:
-        payload = {"character_count": len(chars),
-                   "characters": [list(c.entries) for c in chars]}
-        if args.json:
-            return 0, _dump(payload)
-        lines = ["%d characters of type (%d, %d)"
-                 % (len(chars), args.ptype[0], args.ptype[1])]
-        lines.extend(str(list(c.entries)) for c in chars)
-        return 0, "\n".join(lines)
+        characters = [list(c.entries) for c in chars]
+        head = "%d characters of type (%d, %d)" % (len(chars), *args.ptype)
+        return (0, {"character_count": len(chars), "characters": characters},
+                chain([head], map(str, characters)))
     orbits = orbit_partition(chars)
     described = []
     for orb in orbits:
@@ -341,51 +336,43 @@ def _cmd_fermat(args):
         except GrifcalcError:
             entry["class"] = None  # orbit mixes cohomological degrees
         described.append(entry)
-    payload = {"character_count": len(chars), "orbit_count": len(orbits),
-               "orbits": described}
-    if args.json:
-        return 0, _dump(payload)
-    lines = ["%d characters in %d orbits" % (len(chars), len(orbits))]
-    for entry in described:
-        lines.append("%s  ~  %s" % (entry["members"], entry["class"]))
-    return 0, "\n".join(lines)
+    head = "%d characters in %d orbits" % (len(chars), len(orbits))
+    return (0, {"character_count": len(chars), "orbit_count": len(orbits),
+                "orbits": described},
+            chain([head], ("%s  ~  %s" % (entry["members"], entry["class"])
+                           for entry in described)))
 
 
 def _cmd_nl(args):
     if args.action == "independence":
         payload = independence_payload(args.pairs)
-        if args.json:
-            return 0, _dump(payload)
         lines = ["rank %d of %d values" % (payload["rank"], len(args.pairs))]
-        for rel in payload["relations"]:
-            lines.append("relation: " + ", ".join(rel))
-        return 0, "\n".join(lines)
+        lines.extend("relation: " + ", ".join(rel)
+                     for rel in payload["relations"])
+        return 0, payload, lines
 
     triple = _triple_from_args(args)
     if args.action == "matrix":
-        matrix = iso_matrix(triple)
-        payload = matrix.to_json()
-        if args.json:
-            return 0, _dump(payload)
-        lines = ["%d x %d pairing matrix, %d nonzero entries"
-                 % (payload["rows"], payload["cols"], len(payload["entries"]))]
-        for i, j, v in payload["entries"]:
-            lines.append("(%d, %d) = %s" % (i, j, v))
-        return 0, "\n".join(lines)
+        payload = iso_matrix(triple).to_json()
+        return 0, payload, _matrix_lines(
+            "%d x %d pairing matrix, %d nonzero entries"
+            % (payload["rows"], payload["cols"], len(payload["entries"])),
+            payload)
     if args.action == "det":
         _, det = iso_det(triple)
-        if args.symbolic:
-            if det != parse_scalar(DETERMINANT_FACTORED):
-                return 1, ("determinant %s does not match the factored form %s"
-                           % (scalar_to_string(det), DETERMINANT_FACTORED))
+        if not args.symbolic:
+            out = scalar_to_string(det)
+        elif det == parse_scalar(DETERMINANT_FACTORED):
             out = DETERMINANT_FACTORED
         else:
             out = scalar_to_string(det)
-        return 0, _dump({"det": out}) if args.json else out
+            return 1, {"det": out, "expected": DETERMINANT_FACTORED}, [
+                "determinant %s does not match the factored form %s"
+                % (out, DETERMINANT_FACTORED)]
+        return 0, {"det": out}, [out]
     # deltanu
-    value = delta_nu(triple, distinguished_tensor())
-    out = scalar_to_string(value)
-    return 0, _dump({"value": out}) if args.json else out
+    out = scalar_to_string(delta_nu(triple, distinguished_tensor()))
+    return 0, {"value": out}, [out]
 
 
 def _cmd_kermu(args):
@@ -393,22 +380,18 @@ def _cmd_kermu(args):
     mode = "span_rank" if args.method == "span" else "standardize"
     start = time.perf_counter()
     # --cache beats GRIFCALC_CACHE beats .grifcalc-cache/
-    payload = kermu_payload(nvars, mode, Cache(args.cache))
-    elapsed = round(time.perf_counter() - start, 6)
+    payload = dict(kermu_payload(nvars, mode, Cache(args.cache)))
+    elapsed = payload["elapsed"] = round(time.perf_counter() - start, 6)
     verdict = bool(payload["verdict"])
-    out = dict(payload)
-    out["elapsed"] = elapsed
-    code = 0 if verdict else 1
-    if args.json:
-        return code, _dump(out)
     lines = ["mu: R3 x R3 -> R6 with %d variables" % nvars,
              "dim R3 = %d, dim R6 = %d, kernel dimension %d"
-             % (out["dim_r3"], out["dim_r6"], out["kernel_dim"]),
+             % (payload["dim_r3"], payload["dim_r6"], payload["kernel_dim"]),
              "mode %s, verdict %s, %.3fs" % (mode, verdict, elapsed)]
     if mode == "standardize":
         lines.append("standardized %d vectors with %d certificate moves"
-                     % (out["standardized_vectors"], out["certificate_moves"]))
-    return code, "\n".join(lines)
+                     % (payload["standardized_vectors"],
+                        payload["certificate_moves"]))
+    return 0 if verdict else 1, payload, lines
 
 
 def _cmd_report(args):
@@ -428,15 +411,12 @@ def _cmd_report(args):
         cache=Cache(args.cache),
     )
     doc = full_report(options)
-    code = 1 if doc.failed else 0
-    if args.json:
-        return code, _dump(doc.to_json())
     width = max(len(c.check_id) for c in doc.checks)
     lines = ["grifcalc %s" % doc.tool_version]
     for c in doc.checks:
         lines.append("%-*s  %s" % (width, c.check_id, c.status.upper()))
     lines.append("overall: %s" % ("FAIL" if doc.failed else "OK"))
-    return code, "\n".join(lines)
+    return 1 if doc.failed else 0, doc.to_json(), lines
 
 
 _DISPATCH = {
@@ -444,6 +424,7 @@ _DISPATCH = {
     "hodge": _cmd_hodge,
     "fermat": _cmd_fermat,
     "nl": _cmd_nl,
+    "independence": _cmd_nl,
     "kermu": _cmd_kermu,
     "report": _cmd_report,
 }
@@ -456,18 +437,11 @@ def run_command(argv):
     try:
         with contextlib.redirect_stdout(buf):
             args = parser.parse_args(argv)
-            if args.command == "independence":
-                args.action = "independence"
-                args.symbolic = False
-                return _cmd_nl(args)
-            return _DISPATCH[args.command](args)
+            code, payload, lines = _DISPATCH[args.command](args)
+            return code, _dump(payload) if args.json else "\n".join(lines)
     except _HelpExit:
         return 0, buf.getvalue().rstrip("\n")
-    except UsageError as exc:
-        return 2, "error: %s" % exc
-    except GrifcalcError as exc:
-        return 2, "error: %s" % exc
-    except (ValueError, OverflowError) as exc:
+    except (UsageError, GrifcalcError, ValueError, OverflowError) as exc:
         return 2, "error: %s" % exc
 
 

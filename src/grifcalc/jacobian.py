@@ -26,7 +26,8 @@ from .linalg import (
     rank_and_kernel,
     rref,
 )
-from .scalar import Scalar, parse as parse_scalar, scalar_to_string
+from .scalar import (Scalar, parse as parse_scalar, power_product,
+                     scalar_to_string, signed_sum)
 
 
 def reduced_monomials(nvars, k, cap):
@@ -65,19 +66,27 @@ def ambient_dimension(nvars, k):
     return math.comb(nvars - 1 + k, k)
 
 
+@lru_cache(maxsize=None)
+def _variable_names(nvars):
+    # one tuple per variable count, so a slice's monomials share the names
+    return tuple("x%d" % i for i in range(nvars))
+
+
 def monomial_string(exps):
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 0:
-            continue
-        parts.append("x%d" % i if e == 1 else "x%d^%d" % (i, e))
-    return "*".join(parts) if parts else "1"
+    return power_product(_variable_names(len(exps)), exps) or "1"
 
 
 def _coefficient(x):
     """A coefficient as given: a Scalar stays a Scalar, a rational becomes
     a Fraction."""
     return x if isinstance(x, Scalar) else Fraction(x)
+
+
+def _json_int(value):
+    """A JSON integer as is; a float, string or boolean raises TypeError."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError("expected a JSON integer, got %r" % (value,))
+    return value
 
 
 def _parse_coefficient(text):
@@ -245,11 +254,7 @@ class HomogeneousPolynomial:
             else:
                 body = "%s*%s" % (cs, mono)
             chunks.append((sign, body))
-        sign, body = chunks[0]
-        out = [body if sign == "+" else "-" + body]
-        for sign, body in chunks[1:]:
-            out.append(sign + body)
-        return "".join(out)
+        return signed_sum(chunks)
 
     def __repr__(self):
         return "HomogeneousPolynomial(%s)" % self
@@ -264,13 +269,15 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_json(cls, data):
-        nvars = int(data["nvars"])
-        degree = int(data["degree"])
+        nvars = _json_int(data["nvars"])
+        degree = _json_int(data["degree"])
         terms = {}
         for t in data["terms"]:
-            exps = tuple(int(v) for v in t["exps"])
-            coeff = _parse_coefficient(t["coeff"])
-            terms[exps] = terms.get(exps, 0) + coeff
+            exps = tuple(_json_int(v) for v in t["exps"])
+            coeff = t["coeff"]
+            if not isinstance(coeff, str):
+                _json_int(coeff)  # a coefficient is a string or an integer
+            terms[exps] = terms.get(exps, 0) + _parse_coefficient(coeff)
         return cls.from_terms(nvars, terms, degree=degree)
 
 

@@ -635,13 +635,18 @@ ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)
 
 
-def _monomial_string(params, exps):
-    parts = []
-    for name, e in zip(params, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else "%s^%d" % (name, e))
-    return "*".join(parts)
+def power_product(names, exps):
+    """The monomial with these exponents on these names, as "a*b^2"; the
+    empty string when every exponent is 0."""
+    return "*".join(name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, exps) if e)
+
+
+def signed_sum(chunks):
+    """Join (sign, body) pairs, each sign "+" or "-", into one sum such as
+    "a-b+c"; a leading "+" is dropped.  chunks must not be empty."""
+    text = "".join(sign + body for sign, body in chunks)
+    return text[1:] if text.startswith("+") else text
 
 
 def polynomial_to_string(p):
@@ -650,7 +655,7 @@ def polynomial_to_string(p):
     chunks = []
     for e in sorted(p.terms, key=_grlex_key, reverse=True):
         c = p.terms[e]
-        mono = _monomial_string(p.params, e)
+        mono = power_product(p.params, e)
         mag = abs(c)
         if not mono:
             body = str(mag)
@@ -659,11 +664,7 @@ def polynomial_to_string(p):
         else:
             body = "%s*%s" % (mag, mono)
         chunks.append(("-" if c < 0 else "+", body))
-    sign, body = chunks[0]
-    out = [body if sign == "+" else "-" + body]
-    for sign, body in chunks[1:]:
-        out.append(sign + body)
-    return "".join(out)
+    return signed_sum(chunks)
 
 
 _SAFE_DEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z0-9_]*(\^\d+)?)\Z")
@@ -783,12 +784,17 @@ class _Parser:
             _, op = self.take()
             rhs = self.term()
             # x + y forms x.num*y.den + y.num*x.den over x.den*y.den, or
-            # over the one denominator when both are equal
-            den = ((value.den, 1),) if value.den == rhs.den else (
-                (value.den, 1), (rhs.den, 1))
-            what = "sum" if op == "+" else "difference"
-            _check_fits(what, self.text, ((value.num, 1), (rhs.den, 1)), den)
-            _check_fits(what, self.text, ((rhs.num, 1), (value.den, 1)), den)
+            # x.num + y.num over the one denominator when both are equal
+            if value.den == rhs.den:
+                den = ((value.den, 1),)
+                sides = ((value.num, 1),), ((rhs.num, 1),)
+            else:
+                den = ((value.den, 1), (rhs.den, 1))
+                sides = (((value.num, 1), (rhs.den, 1)),
+                         ((rhs.num, 1), (value.den, 1)))
+            for num in sides:
+                _check_fits("sum" if op == "+" else "difference", self.text,
+                            num, den)
             value = value + rhs if op == "+" else value - rhs
         return value
 

@@ -12,7 +12,7 @@ import pytest
 from grifcalc.cli import MAX_JRING_MONOMIALS, MAX_JRING_VARS, run_command
 from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
 from grifcalc.invariant import MAX_PAIRS
-from grifcalc.scalar import MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT
+from grifcalc.scalar import MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT, parse
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -155,6 +155,28 @@ def test_top_level_independence_alias():
     data = json.loads(out)
     assert data["rank"] == 1
     assert len(data["relations"]) == 1
+    # the alias runs the nl command itself, as text and as JSON
+    for pairs in ("1,1;1,1", "1,1;2,2;0,3;1,2;3,1", "-2,1;1,1"):
+        for tail in ([], ["--json"]):
+            alias = run_command(["independence", "--pairs", pairs] + tail)
+            assert alias == run_command(["nl", "independence", "--pairs",
+                                         pairs] + tail), (pairs, tail)
+
+
+def test_symbolic_determinant_mismatch_fails_in_text_and_json(monkeypatch):
+    # the shipped determinant always matches; a wrong one exits 1, and
+    # --json still prints one JSON object
+    import grifcalc.cli
+
+    monkeypatch.setattr(grifcalc.cli, "iso_det",
+                        lambda triple: (None, parse("a*b")))
+    factored = "a^2*(a+b*h)^2*(a^2*A*C-b^2*B*D)^2"
+    code, out = run_command(["nl", "det", "--symbolic"])
+    assert (code, out) == (1, "determinant a*b does not match the factored "
+                              "form %s" % factored)
+    code, out = run_command(["nl", "det", "--symbolic", "--json"])
+    assert code == 1
+    assert json.loads(out) == {"det": "a*b", "expected": factored}
 
 
 def test_independence_bad_pairs_usage():
@@ -321,6 +343,25 @@ def test_jring_malformed_poly_is_a_usage_error():
         assert "--poly" in out
 
 
+def test_jring_poly_fields_must_have_their_json_types():
+    # nvars, degree and exponents are JSON integers (not floats, strings or
+    # booleans), and a coefficient is a string or an integer
+    def poly(nvars=3, degree=3, exps=(1, 1, 1), coeff="1"):
+        return json.dumps({"nvars": nvars, "degree": degree,
+                           "terms": [{"exps": list(exps), "coeff": coeff}]})
+
+    for bad in (poly(exps=(1.9, 1.9, 1)), poly(exps=(True, 1, 1)),
+                poly(nvars=3.5), poly(degree="3"), poly(coeff=None),
+                poly(coeff=True), poly(coeff=1.5)):
+        code, out = run_command(["jring", "nf", "--vars", "3", "--degree",
+                                 "3", "--poly", bad])
+        assert code == 2 and "--poly" in out, bad
+    code, out = run_command(["jring", "nf", "--vars", "3", "--degree", "3",
+                             "--poly", poly(coeff=2), "--json"])
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"exps": [1, 1, 1], "coeff": "2"}]
+
+
 def _jring(action, nvars, degree, *flags):
     return run_command(["jring", action, "--vars", str(nvars), "--degree",
                         str(degree)] + [str(f) for f in flags])
@@ -391,6 +432,17 @@ def test_jring_poly_coefficient_sums_are_bounded():
     assert time.perf_counter() - start < 3.0
     assert proc.returncode == 2
     assert "sum above the bound" in proc.stdout + proc.stderr
+
+
+def test_jring_poly_sums_over_an_equal_denominator():
+    # x + y over one denominator forms only x.num + y.num, so the bound
+    # checks each numerator alone, not x.num*y.den
+    for coeff, code in (("(a+b)^60/(c+d)^41+1/(c+d)^41", 0),
+                        ("(a+b)^60/(c+d)^41-1/(c+d)^41", 0),
+                        ("(a+b)^101/(c+d)+1/(c+d)", 2)):
+        poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
+            {"exps": [1, 0], "coeff": coeff}]})
+        assert _jring("nf", 2, 3, "--poly", poly)[0] == code, coeff
 
 
 def test_jring_basis_size_is_bounded():

@@ -214,6 +214,12 @@ def test_parse_computes_the_largest_accepted_sums():
     assert parse("1/(a+b)^60+1/(a+b)^60") == parse("2/(a+b)^60")
     assert parse("1/(a+b)^60-1/(a+b)^60") == rat(0)
     assert parse("(a+b+c)^43+(a+b+c)^43") == parse("2*(a+b+c)^43")
+    # over an equal denominator each numerator is checked alone, not its
+    # product with the other denominator (degree 101 here)
+    assert parse("(a+b)^60/(c+d)^41+1/(c+d)^41") \
+        == parse("((a+b)^60+1)/(c+d)^41")
+    assert parse("(a+b)^60/(c+d)^41-1/(c+d)^41") \
+        == parse("((a+b)^60-1)/(c+d)^41")
 
 
 def test_parse_refuses_sums_just_past_the_bounds():

@@ -121,3 +121,26 @@ def test_every_private_module_name_is_used_in_its_module():
                        for n in ast.walk(tree)):
                 unused.append("%s %s" % (path.name, name))
     assert unused == []
+
+
+def test_only_run_command_picks_json_or_text():
+    # each command handler returns (code, payload, lines); run_command
+    # alone reads --json and renders the payload
+    tree = _module("cli")
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "run_command":
+            inside = {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "json"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_dump"):
+            found.append(node.lineno)
+    assert inside
+    assert found == []
