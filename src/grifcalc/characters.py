@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .errors import InvalidCharacter, NotReducedMonomial
 from .jacobian import HomogeneousPolynomial, monomial_string, reduced_monomials
@@ -35,7 +36,7 @@ class Character(object):
     def __post_init__(self):
         if self.d < 3:
             raise InvalidCharacter("degree must be >= 3, got %d" % self.d)
-        object.__setattr__(self, "entries", tuple(int(a) for a in self.entries))
+        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
         if not self.entries:
             raise InvalidCharacter("empty character")
         if any(a < 0 or a >= self.d for a in self.entries):

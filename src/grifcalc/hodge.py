@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .errors import OutOfRange
 
@@ -75,7 +76,7 @@ class CIData:
             raise ValueError("degrees must be >= 1")
         if self.m < 0:
             raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
 
     @property
     def ambient(self):
@@ -237,14 +238,6 @@ def euler_characteristic(ci):
     if chi.denominator != 1:
         raise ArithmeticError("Euler characteristic %s is not an integer" % chi)
     return int(chi)
-
-
-def full_diamond_euler(ci, prim=None):
-    """Sum (-1)^{p+q} h^{p,q} over the full Hodge diamond: the m+1
-    hyperplane-power classes plus the signed primitive middle entries."""
-    if prim is None:
-        prim = ci_prim_hodge(ci)
-    return (ci.m + 1) + (-1) ** ci.m * prim.primitive_betti
 
 
 def jacobian_vanishing_check(ci, k):

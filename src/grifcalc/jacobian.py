@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 
 from .errors import DegreeMismatch
 from .linalg import (
@@ -112,20 +113,14 @@ class HomogeneousPolynomial:
 
     @classmethod
     def monomial(cls, nvars, exps, coeff=1):
-        exps = tuple(int(v) for v in exps)
-        if len(exps) != nvars or any(v < 0 for v in exps):
-            raise DegreeMismatch("bad exponent tuple %r for %d variables" % (exps, nvars))
-        coeff = _coefficient(coeff)
-        if not coeff:
-            return cls.zero(nvars, sum(exps))
-        return cls(nvars, sum(exps), {exps: coeff})
+        return cls.from_terms(nvars, {tuple(exps): coeff})
 
     @classmethod
     def from_terms(cls, nvars, terms, degree=None):
         clean = {}
         deg = degree
         for exps, coeff in terms.items():
-            exps = tuple(int(v) for v in exps)
+            exps = tuple(map(index, exps))
             if len(exps) != nvars or any(v < 0 for v in exps):
                 raise DegreeMismatch("bad exponent tuple %r" % (exps,))
             d = sum(exps)
@@ -422,7 +417,7 @@ class LinearMap:
 
     Rows are indexed by the codomain basis, columns by the domain basis.
     entries maps (row, col) to a nonzero coefficient (Fraction or Scalar).
-    """
+    to_json is its one serialiser; nothing reads a LinearMap back."""
 
     __slots__ = ("domain", "codomain", "entries")
 
@@ -461,17 +456,6 @@ class LinearMap:
             "cols": self.ncols,
             "entries": [[i, j, scalar_to_string(v)] for (i, j), v in items],
         }
-
-    @classmethod
-    def from_json(cls, data, domain=None, codomain=None):
-        nrows = int(data["rows"])
-        ncols = int(data["cols"])
-        domain = tuple(domain) if domain is not None else tuple(range(ncols))
-        codomain = tuple(codomain) if codomain is not None else tuple(range(nrows))
-        entries = {}
-        for i, j, s in data["entries"]:
-            entries[(int(i), int(j))] = _parse_coefficient(s)
-        return cls(domain, codomain, entries)
 
     def __repr__(self):
         return "LinearMap(%d x %d, %d nonzero)" % (self.nrows, self.ncols,
@@ -532,7 +516,7 @@ def determinant(linmap):
         raise ValueError("determinant of a %d x %d map"
                          % (linmap.nrows, linmap.ncols))
     det = _det_rows(linmap.rows_as_dicts(), linmap.nrows)
-    return det if isinstance(det, Scalar) else Scalar(det)
+    return det if isinstance(det, Scalar) else Scalar.from_fraction(det)
 
 
 class TensorSum:

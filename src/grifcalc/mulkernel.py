@@ -33,7 +33,6 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .errors import DegreeMismatch, NotInKernel, OutOfRange
 from .jacobian import (
@@ -45,7 +44,7 @@ from .jacobian import (
 MIN_NVARS = 4
 MAX_NVARS = 9
 FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
-_SIGNS = (Fraction(1), Fraction(-1))
+_SIGNS = (1, -1)
 
 
 def index_monomial(nvars, indices, coeff=1):
@@ -68,7 +67,7 @@ class RankOneGenerator:
     """A decomposable tensor named by its family and index tuples:
     (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
     swap_binomial.  left and right build the polynomial sides once, on
-    first use."""
+    first use; a swap side carries +-1 (2 when a == k) as int."""
 
     family_tag: str
     indices: tuple

@@ -24,9 +24,9 @@ gcd(t, g) of its numerator t; an inverse or a power only moves signs; and
 poly_gcd returns 1 at once when either argument is a nonzero constant, and
 the least exponents when either is a monomial.
 
-Plain rationals are handled by fractions.Fraction; a Scalar with no
-parameters wraps one exactly, compares and hashes equal to it, and mixes
-with Fraction and int operands in arithmetic.
+Plain rationals are fractions.Fraction.  A Scalar with no parameters
+takes the same Henrici arithmetic, compares and hashes equal to the
+equal Fraction, and mixes with Fraction and int operands.
 """
 
 from __future__ import annotations
@@ -517,8 +517,6 @@ class Scalar:
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_constant() and other.is_constant():
-            return Scalar.from_fraction(self.constant_value() + other.constant_value())
         # Henrici: with g = gcd(d1, d2), n1/d1 + n2/d2 = t / (d1/g * d2) for
         # t = n1*(d2/g) + n2*(d1/g), and only gcd(t, g) can cancel
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -550,8 +548,6 @@ class Scalar:
         other = _coerce_scalar(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_constant() and other.is_constant():
-            return Scalar.from_fraction(self.constant_value() * other.constant_value())
         # Henrici: n1/d1 and n2/d2 are reduced, so only gcd(n1, d2) and
         # gcd(n2, d1) can cancel from the product
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den

@@ -85,6 +85,14 @@ def test_character_validation():
         Character(3, ())
 
 
+def test_character_entries_must_be_integers():
+    # a float or a string entry raises instead of being truncated
+    for entries in ((1.9, 2.2), (1, 2.0), ("1", "2")):
+        with pytest.raises(TypeError):
+            Character(3, entries)
+    assert Character(3, [1, 2]).entries == (1, 2)
+
+
 def test_galois_orbits_for_cubic():
     alpha = Character(3, (2, 2, 2, 2, 1, 1, 1, 1))
     orbit = galois_orbit(alpha)

@@ -18,9 +18,17 @@ from grifcalc.hodge import (MAX_CI_SIZE, MAX_HYPERSURFACE_SIZE, CIData,
                             HodgeVector, _chi_y_at, _series_inv, _series_mul,
                             bounded_slice_dimension, chi_y_coefficients,
                             ci_prim_hodge, euler_characteristic,
-                            full_diamond_euler, hypersurface_prim_hodge,
-                            jacobian_vanishing_check)
+                            hypersurface_prim_hodge, jacobian_vanishing_check)
 from grifcalc.scalar import ONE, ZERO, Scalar
+
+
+def full_diamond_euler(ci, prim=None):
+    # the signed sum (-1)^{p+q} h^{p,q} over the full Hodge diamond: the
+    # m+1 hyperplane-power classes plus the signed primitive middle
+    # entries; an oracle for euler_characteristic's Chern-class route
+    if prim is None:
+        prim = ci_prim_hodge(ci)
+    return (ci.m + 1) + (-1) ** ci.m * prim.primitive_betti
 
 
 def test_cubic_sevenfold_middle():
@@ -210,6 +218,14 @@ def test_ci_data_validation():
         CIData((2,), -1)
     ci = CIData((3, 5, 5), 5)
     assert ci.ambient == 8
+
+
+def test_ci_data_degrees_must_be_integers():
+    # a float or a string degree raises instead of being truncated
+    for degrees in ((3.7,), (3, 2.0), ("3",)):
+        with pytest.raises(TypeError):
+            CIData(degrees, 2)
+    assert CIData([3, 3], 3).degrees == (3, 3)
 
 
 def test_vanishing_off_the_middle_degree():

@@ -565,6 +565,27 @@ def test_parameter_free_scalar_hashes_like_its_fraction():
     assert parse("a/2") != Fraction(1, 2)
 
 
+def test_constant_arithmetic_matches_fractions_randomized():
+    # constants take the same Henrici path as every other Scalar; the
+    # Fraction result is the oracle for its canonical form
+    rng = random.Random(2113)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-6, 4)]
+    values += [Fraction(rng.randint(-60, 60), rng.randint(1, 60))
+               for _ in range(40)]
+    ops = [(lambda x, y: x + y), (lambda x, y: x - y),
+           (lambda x, y: x * y), (lambda x, y: x / y)]
+    for x in values:
+        for y in values:
+            for k, op in enumerate(ops):
+                if k == 3 and not y:
+                    continue
+                got = op(Scalar.from_fraction(x), Scalar.from_fraction(y))
+                want = Scalar.from_fraction(op(x, y))
+                assert (got.num, got.den) == (want.num, want.den), (x, y, k)
+                assert hash(got) == hash(want) == hash(op(x, y))
+                assert all(type(c) is int for c in got.num.terms.values())
+
+
 def test_scalar_to_string_renders_rationals_like_scalars():
     cases = [(Fraction(-3, 2), "-3/2"), (Fraction(5), "5"), (Fraction(0), "0"),
              (Fraction(2, 7), "2/7"), (Fraction(-4), "-4"), (0, "0"),

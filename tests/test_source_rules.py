@@ -123,6 +123,25 @@ def test_every_private_module_name_is_used_in_its_module():
     assert unused == []
 
 
+def test_every_top_level_import_is_read_in_its_module():
+    # an import left behind by a deleted use is dead; __init__ re-exports
+    # its imports and __future__ imports are compiler directives
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unread += ["%s %s" % (path.name, name) for name in (
+                    (a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in read]
+    assert unread == []
+
+
 def test_only_run_command_picks_json_or_text():
     # each command handler returns (code, payload, lines); run_command
     # alone reads --json and renders the payload
