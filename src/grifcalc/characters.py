@@ -34,9 +34,10 @@ class Character(object):
     entries: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "d", index(self.d))
+        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
         if self.d < 3:
             raise InvalidCharacter("degree must be >= 3, got %d" % self.d)
-        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
         if not self.entries:
             raise InvalidCharacter("empty character")
         if any(a < 0 or a >= self.d for a in self.entries):

@@ -70,13 +70,14 @@ class CIData:
     m: int
 
     def __post_init__(self):
+        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
+        object.__setattr__(self, "m", index(self.m))
         if not self.degrees:
             raise ValueError("degrees must be non-empty")
         if any(d < 1 for d in self.degrees):
             raise ValueError("degrees must be >= 1")
         if self.m < 0:
             raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
 
     @property
     def ambient(self):

@@ -117,6 +117,9 @@ class HomogeneousPolynomial:
 
     @classmethod
     def from_terms(cls, nvars, terms, degree=None):
+        if nvars < 0 or (degree is not None and degree < 0):
+            raise DegreeMismatch("nvars %d and degree %s must not be negative"
+                                 % (nvars, degree))
         clean = {}
         deg = degree
         for exps, coeff in terms.items():

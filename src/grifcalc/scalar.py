@@ -1,12 +1,12 @@
 """Exact scalars: rationals and rational functions in named parameters.
 
-A Scalar is a quotient num/den of polynomials with rational coefficients in
-finitely many commuting parameters (symbols like "a", "h", "A").  Scalars are
-kept in a canonical form so that equality is plain structural equality:
+A Scalar is a quotient num/den of polynomials in Z[params], the integer
+polynomials in finitely many commuting parameters (symbols like "a", "h",
+"A").  Scalars are kept in a canonical form so that equality is plain
+structural equality:
 
   * num and den have integer coefficients, stored as Python ints,
-  * the integer contents of num and den are coprime,
-  * gcd(num, den) = 1 as polynomials,
+  * gcd(num, den) = 1 in Z[params], so their integer contents are coprime,
   * the grlex-leading coefficient of den is positive,
   * zero is 0/1.
 
@@ -14,15 +14,17 @@ The parameter list of each polynomial is sorted by name and pruned to the
 parameters that actually occur.  Term order is graded lexicographic on the
 sorted parameter list; rendering lists terms in descending order.
 
-A ParamPolynomial outside a Scalar may carry Fraction coefficients; every
-coefficient division is exact (a Fraction, or a floor division that leaves
-no remainder), so no float ever appears.  Arithmetic keeps the canonical
-form without normalizing from scratch: a product cross-cancels as in
-Henrici (1956) and Knuth, TAOCP vol. 2, 4.5.1, so only gcd(n1, d2) and
-gcd(n2, d1) are taken; a sum takes g = gcd(d1, d2) and then only
-gcd(t, g) of its numerator t; an inverse or a power only moves signs; and
-poly_gcd returns 1 at once when either argument is a nonzero constant, and
-the least exponents when either is a monomial.
+Z[params] is the one polynomial ring: a ParamPolynomial has int
+coefficients only, and its exact division leaves no remainder or raises.
+Arithmetic keeps the canonical form without normalizing from scratch: a
+product cross-cancels as in Henrici (1956) and Knuth, TAOCP vol. 2,
+4.5.1, so only gcd(n1, d2) and gcd(n2, d1) are taken; a sum takes
+g = gcd(d1, d2) and then only gcd(t, g) of its numerator t; an inverse or
+a power only moves signs.  This cancellation is exact in any UFD, and
+Z[params] is one by Gauss's lemma.  poly_gcd is the gcd in Z[params],
+integer content included: the integer gcd of the coefficients when either
+argument is a nonzero constant, and the least exponents times it when
+either is a monomial.
 
 Plain rationals are fractions.Fraction.  A Scalar with no parameters
 takes the same Henrici arithmetic, compares and hashes equal to the
@@ -32,6 +34,7 @@ equal Fraction, and mixes with Fraction and int operands.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -67,11 +70,11 @@ def _prune(params, terms):
 
 
 class ParamPolynomial:
-    """Sparse polynomial over Q in a sorted tuple of named parameters.
+    """Sparse polynomial in Z[params] over a sorted tuple of named
+    parameters.
 
-    terms maps exponent tuples (aligned with params) to nonzero rationals:
-    an int, or a Fraction where a coefficient is not integral.  Instances
-    are treated as immutable; all operations return new objects.
+    terms maps exponent tuples (aligned with params) to nonzero ints.
+    Instances are treated as immutable; all operations return new objects.
     """
 
     __slots__ = ("params", "terms")
@@ -82,12 +85,8 @@ class ParamPolynomial:
 
     @classmethod
     def constant(cls, value):
-        value = Fraction(value)
-        if not value:
-            return cls((), {})
-        if value.denominator == 1:
-            value = value.numerator
-        return cls((), {(): value})
+        value = operator.index(value)
+        return cls((), {(): value} if value else {})
 
     @classmethod
     def symbol(cls, name):
@@ -139,8 +138,10 @@ class ParamPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = ParamPolynomial.constant(other)
+        elif not isinstance(other, ParamPolynomial):
+            return NotImplemented
         if self.is_zero() or other.is_zero():
             return ParamPolynomial((), {})
         if not self.params:
@@ -174,7 +175,7 @@ class ParamPolynomial:
         return self if _is_one(other) else _exact_div(self, other)
 
     def __pow__(self, n):
-        n = int(n)
+        n = operator.index(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         result = ParamPolynomial.constant(1)
@@ -235,21 +236,6 @@ def _is_one(p):
     return not p.params and p.terms == {(): 1}
 
 
-def _content_primitive(p):
-    """Split nonzero p as c * prim with c a positive rational and prim an
-    int-coefficient polynomial of content 1 (sign kept in prim)."""
-    g = 0
-    l = 1
-    for c in p.terms.values():
-        g = math.gcd(g, c.numerator)
-        l = math.lcm(l, c.denominator)
-    # v * l / g is an integer: g divides every numerator and every
-    # denominator divides l, so both floor divisions are exact
-    prim = {e: (v.numerator // g) * (l // v.denominator)
-            for e, v in p.terms.items()}
-    return Fraction(g, l), ParamPolynomial(p.params, prim)
-
-
 def _lead_sign(p):
     _, c = p.leading_term()
     return 1 if c > 0 else -1
@@ -261,19 +247,18 @@ def _positive_lead(p):
     return p if _lead_sign(p) > 0 else -p
 
 
-def _coeff_div(a, b):
-    """a / b for rational coefficients, an int whenever the quotient is one."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return Fraction(a, b)
-
-
 def _exact_div(p, q):
-    """Exact multivariate division p / q (raises ArithmeticError if inexact)."""
-    if p.is_zero():
-        return _ZERO_POLY
+    """Exact division p / q in Z[params] (raises ArithmeticError if q does
+    not divide p)."""
+    if not q.params:
+        # a constant divides each coefficient on its own
+        k = q.terms.get((), 0)
+        quot = {}
+        for e, c in p.terms.items():
+            quot[e], r = divmod(c, k)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+        return ParamPolynomial(p.params, quot)
     params, tp, tq = _unify(p, q)
     eq = max(tq, key=_grlex_key)
     cq = tq[eq]
@@ -282,10 +267,12 @@ def _exact_div(p, q):
     while rem:
         er = max(rem, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(er, eq))
-        if any(v < 0 for v in diff):
+        c, r = divmod(rem[er], cq)
+        if r or any(v < 0 for v in diff):
             raise ArithmeticError("inexact polynomial division")
-        c = _coeff_div(rem[er], cq)
-        quot[diff] = quot.get(diff, 0) + c
+        # the leading remainder term falls at every step, so each diff
+        # occurs once
+        quot[diff] = c
         for e2, c2 in tq.items():
             e = tuple(a + b for a, b in zip(diff, e2))
             s = rem.get(e, 0) - c * c2
@@ -326,13 +313,9 @@ def _coeffs_gcd(coeffs):
 
 
 def _main_primitive(coeffs, content):
-    # content is _coeffs_gcd(coeffs); divide by it times the integer
-    # content, or univariate remainders grow exponentially
-    g = content * math.gcd(*(v for c in coeffs.values()
-                             for v in c.terms.values()))
-    if _is_one(g):
-        return coeffs
-    return {d: _exact_div(c, g) for d, c in coeffs.items()}
+    # content is _coeffs_gcd(coeffs), integer content included; without
+    # dividing by it univariate remainders grow exponentially
+    return {d: c // content for d, c in coeffs.items()}
 
 
 def _prem(A, B):
@@ -356,28 +339,26 @@ def _prem(A, B):
 
 
 def poly_gcd(p, q):
-    """Gcd of the primitive parts of p and q over Q[params].
+    """Gcd of p and q in Z[params], integer content included.
 
-    Returns a primitive int-coefficient polynomial with positive
-    grlex-leading coefficient (1 for coprime or constant inputs, 0 only
-    for gcd(0, 0)).
+    Returns it with a positive grlex-leading coefficient (0 only for
+    gcd(0, 0)).  Over the primitive parts in the first parameter it runs
+    the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
     """
-    if p.is_zero() and q.is_zero():
-        return _ZERO_POLY
     if p.is_zero():
-        return _positive_lead(_content_primitive(q)[1])
+        return _positive_lead(q)
     if q.is_zero():
-        return _positive_lead(_content_primitive(p)[1])
+        return _positive_lead(p)
     if not p.params or not q.params:
-        # the primitive part of a nonzero constant is 1
-        return _ONE_POLY
+        # a constant's divisors are constants: the integer content
+        return ParamPolynomial.constant(
+            math.gcd(*p.terms.values(), *q.terms.values()))
     if len(p.terms) == 1 or len(q.terms) == 1:
         # a monomial's divisors are monomials: take the least exponents
         params, tp, tq = _unify(p, q)
         low = tuple(map(min, *tp, *tq))
-        return ParamPolynomial(*_prune(params, {low: 1}))
-    _, p = _content_primitive(p)
-    _, q = _content_primitive(q)
+        content = math.gcd(*tp.values(), *tq.values())
+        return ParamPolynomial(*_prune(params, {low: content}))
     params = tuple(sorted(set(p.params) | set(q.params)))
     main = params[0]
     A = _main_split(p, main)
@@ -392,58 +373,37 @@ def poly_gcd(p, q):
         R = _prem(A, B)
         A = B
         B = _main_primitive(R, _coeffs_gcd(R)) if R else R
-    res = _main_join(A, main) * cg
-    return _positive_lead(_content_primitive(res)[1])
+    # A is primitive, so cg carries all of the content
+    return _positive_lead(_main_join(A, main) * cg)
 
 
 def poly_gcd_z(*polys):
-    """Gcd in Z[params] of int-coefficient polynomials: poly_gcd of their
-    primitive parts times the gcd of their integer contents, with a
-    positive grlex-leading coefficient (0 when every argument is 0)."""
+    """Gcd in Z[params] of any number of polynomials: poly_gcd folded over
+    them, with a positive grlex-leading coefficient (0 when every argument
+    is 0)."""
     g = _ZERO_POLY
     for p in polys:
         if g.is_zero():
             g = _positive_lead(p)
         elif p and not _is_one(g):
-            g = poly_gcd(g, p) * math.gcd(*g.terms.values(), *p.terms.values())
+            g = poly_gcd(g, p)
     return g
 
 
 def _normalize_pair(num, den):
     if den.is_zero():
         raise ZeroDenominator("denominator is the zero polynomial")
-    if num.is_zero():
-        return _ZERO_POLY, _ONE_POLY
-    cn, pn = _content_primitive(num)
-    cd, pd = _content_primitive(den)
-    g = poly_gcd(pn, pd)
-    if not _is_one(g):
-        pn = _exact_div(pn, g)
-        pd = _exact_div(pd, g)
-    if _lead_sign(pd) < 0:
-        pn, pd = -pn, -pd
-    c = cn / cd
-    return pn * c.numerator, pd * c.denominator
-
-
-def _from_coprime(num, den):
-    """The Scalar num/den for int-coefficient num and den with no common
-    polynomial factor and a positive leading coefficient of den: divide
-    out the integer content they share."""
-    if num.is_zero():
-        return ZERO
-    g = math.gcd(*num.terms.values(), *den.terms.values())
-    if g != 1:
-        num, den = (ParamPolynomial(p.params, {e: c // g
-                                               for e, c in p.terms.items()})
-                     for p in (num, den))
-    return Scalar._raw(num, den)
+    # divide by the gcd in Z[params], signed so that den leads positive
+    g = poly_gcd(num, den)
+    if _lead_sign(den) < 0:
+        g = -g
+    return num // g, den // g
 
 
 def _coerce_poly(x):
     if isinstance(x, ParamPolynomial):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return ParamPolynomial.constant(x)
     raise TypeError("cannot build a polynomial from %r" % (x,))
 
@@ -518,17 +478,16 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         # Henrici: with g = gcd(d1, d2), n1/d1 + n2/d2 = t / (d1/g * d2) for
-        # t = n1*(d2/g) + n2*(d1/g), and only gcd(t, g) can cancel
+        # t = n1*(d2/g) + n2*(d1/g), and only gcd(t, g) can cancel; a zero
+        # t has d1 = d2 = g and gcd(0, g) = g, so it ends as 0/1
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         g = poly_gcd(d1, d2)
         if _is_one(g):
-            return _from_coprime(n1 * d2 + n2 * d1, d1 * d2)
-        d1 = _exact_div(d1, g)
-        t = n1 * _exact_div(d2, g) + n2 * d1
+            return Scalar._raw(n1 * d2 + n2 * d1, d1 * d2)
+        d1 = d1 // g
+        t = n1 * (d2 // g) + n2 * d1
         g = poly_gcd(t, g)
-        if not _is_one(g):
-            t, d2 = _exact_div(t, g), _exact_div(d2, g)
-        return _from_coprime(t, d1 * d2)
+        return Scalar._raw(t // g, d1 * (d2 // g))
 
     __radd__ = __add__
 
@@ -552,12 +511,10 @@ class Scalar:
         # gcd(n2, d1) can cancel from the product
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         g = poly_gcd(n1, d2)
-        if not _is_one(g):
-            n1, d2 = _exact_div(n1, g), _exact_div(d2, g)
+        n1, d2 = n1 // g, d2 // g
         g = poly_gcd(n2, d1)
-        if not _is_one(g):
-            n2, d1 = _exact_div(n2, g), _exact_div(d1, g)
-        return _from_coprime(n1 * n2, d1 * d2)
+        n2, d1 = n2 // g, d1 // g
+        return Scalar._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -576,7 +533,7 @@ class Scalar:
         return other / self
 
     def __pow__(self, n):
-        n = int(n)
+        n = operator.index(n)
         base = self
         if n < 0:
             if self.is_zero():

@@ -93,6 +93,14 @@ def test_character_entries_must_be_integers():
     assert Character(3, [1, 2]).entries == (1, 2)
 
 
+def test_character_degree_must_be_an_integer():
+    # a float or a string degree raises instead of comparing equal to an
+    # int one
+    for d in (4.0, 4.5, "4"):
+        with pytest.raises(TypeError):
+            Character(d, (1, 3))
+
+
 def test_galois_orbits_for_cubic():
     alpha = Character(3, (2, 2, 2, 2, 1, 1, 1, 1))
     orbit = galois_orbit(alpha)

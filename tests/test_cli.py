@@ -362,6 +362,19 @@ def test_jring_poly_fields_must_have_their_json_types():
     assert json.loads(out)["terms"] == [{"exps": [1, 1, 1], "coeff": "2"}]
 
 
+def test_jring_poly_of_negative_size_is_a_usage_error():
+    # a negative variable count or degree is refused, not printed back or
+    # paired as an empty matrix
+    for nvars, degree in ((2, -1), (-1, 3), (-2, -1)):
+        poly = json.dumps({"nvars": nvars, "degree": degree, "terms": []})
+        for argv in (["jring", "nf", "--json", "--vars", "2", "--degree",
+                      "3", "--poly", poly],
+                     ["jring", "pairing", "--vars", "2", "--degree", "3",
+                      "--j", "0", "--k", "3", "--poly", poly]):
+            code, out = run_command(argv)
+            assert code == 2 and "negative" in out, argv
+
+
 def _jring(action, nvars, degree, *flags):
     return run_command(["jring", action, "--vars", str(nvars), "--degree",
                         str(degree)] + [str(f) for f in flags])

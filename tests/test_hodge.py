@@ -228,6 +228,15 @@ def test_ci_data_degrees_must_be_integers():
     assert CIData([3, 3], 3).degrees == (3, 3)
 
 
+def test_ci_data_dimension_must_be_an_integer():
+    # a float or a string dimension raises at construction, not later in
+    # ci_prim_hodge
+    for m in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            CIData((3,), m)
+    assert ci_prim_hodge(CIData((3,), 2)) == ci_prim_hodge(CIData([3], 2))
+
+
 def test_vanishing_off_the_middle_degree():
     # H^7 of a 5-dimensional intersection vanishes for every e
     for e in range(2, 7):

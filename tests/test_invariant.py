@@ -2,6 +2,7 @@
 its determinant, the invariant values it produces, and independence of
 value families."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -417,7 +418,10 @@ def scalar_independence_rank(pairs):
 
 def polynomial_independence_rank(pairs):
     """Oracle: independence_rank as it was computed by elimination, each
-    value cleared of every denominator by gcd-free products in h."""
+    value cleared of every denominator by gcd-free products in h.  Each
+    pair is scaled by the lcm k of its denominators, so a*b/(a+b*h) is
+    (a*b*k)/(k*a+k*b*h) over Z[h]; the common multiplier changes by the
+    product of the k, a constant."""
     h = ParamPolynomial.symbol("h")
     nonzero = {}
     for i, (a, b) in enumerate(pairs):
@@ -426,15 +430,17 @@ def polynomial_independence_rank(pairs):
         if a == 0 and b == 0:
             raise DegenerateDenominator("pair %d is (0, 0)" % i)
         if a * b:
-            nonzero[i] = (a * b, h * b + ParamPolynomial.constant(a))
+            k = math.lcm(a.denominator, b.denominator)
+            nonzero[i] = (a * b * k, h * int(b * k)
+                          + ParamPolynomial.constant(int(a * k)))
     rows = {}
-    for i, (ab, _) in nonzero.items():
-        cleared = ParamPolynomial.constant(ab)
+    for i, (abk, _) in nonzero.items():
+        cleared = ParamPolynomial.constant(1)
         for j, (_, den) in nonzero.items():
             if j != i:
                 cleared = cleared * den
         for exps, coeff in cleared.terms.items():
-            rows.setdefault(sum(exps), {})[i] = coeff
+            rows.setdefault(sum(exps), {})[i] = coeff * abk
     row_list = [rows[d] for d in sorted(rows)]
     rank, kern = rank_and_kernel(row_list, len(pairs))
     return rank, [tuple(vec.get(i, Fraction(0)) for i in range(len(pairs)))

@@ -121,6 +121,24 @@ def test_pow_negative_inverts():
     assert (a / (a + 1)) ** (-2) == ((a + 1) / a) ** 2
 
 
+def test_powers_and_constants_take_integers_only():
+    # operator.index: a float or a Fraction exponent, constant or factor
+    # raises instead of being truncated
+    a, b = sym("a"), ParamPolynomial.symbol("b")
+    for n in (2.5, Fraction(5, 2), 1.9, 2.0):
+        with pytest.raises(TypeError):
+            a ** n
+        with pytest.raises(TypeError):
+            b ** n
+    for value in (Fraction(1, 2), 0.5, Fraction(2), 2.0):
+        with pytest.raises(TypeError):
+            ParamPolynomial.constant(value)
+        with pytest.raises(TypeError):
+            b * value
+    assert a ** 2 == a * a and b ** 2 == b * b
+    assert ParamPolynomial.constant(3) * b == b * 3 == b + b + b
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "a +", "(a", "a^b", "1 $ 2", ")a(", "a^"]:
         with pytest.raises(ParseError):
@@ -249,13 +267,14 @@ def test_poly_gcd_basic():
     b = ParamPolynomial.symbol("b")
     g = poly_gcd((a + b) * (a - b), (a + b) * (a + b))
     assert g == a + b
-    assert poly_gcd(a * 6, a * 4) == a
+    assert poly_gcd(a * 6, a * 4) == a * 2
     assert poly_gcd(ParamPolynomial.constant(0), ParamPolynomial.constant(0)).is_zero()
 
 
 # The gcd as it was before the constant-argument fast path and int
-# coefficients: every coefficient is a Fraction and only two constant
-# arguments return early.  It is the oracle for poly_gcd.
+# coefficients: every coefficient is a Fraction, only two constant
+# arguments return early, and the result is primitive.  Times the gcd of
+# the integer contents it is the oracle for poly_gcd.
 
 _ORACLE_ZERO = ParamPolynomial((), {})
 _ORACLE_ONE = ParamPolynomial((), {(): Fraction(1)})
@@ -386,8 +405,8 @@ def oracle_poly_gcd(p, q):
 def _random_poly(rng, names, terms, degree):
     p = ParamPolynomial.constant(0)
     for _ in range(terms):
-        t = ParamPolynomial.constant(Fraction(rng.randint(-6, 6),
-                                              rng.choice([1, 1, 2, 3])))
+        t = ParamPolynomial.constant(rng.randint(-6, 6)
+                                     * rng.choice([1, 1, 2, 3]))
         for name in names:
             t = t * ParamPolynomial.symbol(name) ** rng.randint(0, degree)
         p = p + t
@@ -399,10 +418,23 @@ def _gcd_argument(rng):
     if kind == 0:
         return ParamPolynomial.constant(0)
     if kind == 1:
-        return ParamPolynomial.constant(Fraction(rng.randint(-9, 9),
-                                                 rng.randint(1, 5)))
+        return ParamPolynomial.constant(rng.randint(-9, 9)
+                                        * rng.randint(1, 5))
     names = rng.sample(["a", "b", "h"], rng.randint(1, 3))
     return _random_poly(rng, names, rng.randint(1, 3), 2)
+
+
+def _check_against_the_oracle(p, q):
+    """poly_gcd(p, q) is the oracle's primitive gcd times the gcd of the
+    integer contents, and it divides p and q exactly."""
+    got = poly_gcd(p, q)
+    want = oracle_poly_gcd(p, q) * math.gcd(*p.terms.values(),
+                                            *q.terms.values())
+    assert got == want and got.params == want.params, (p, q)
+    assert polynomial_to_string(got) == polynomial_to_string(want)
+    assert all(type(c) is int for c in got.terms.values()), got
+    if got:
+        assert (p // got) * got == p and (q // got) * got == q, (p, q)
 
 
 def test_poly_gcd_matches_the_oracle_randomized():
@@ -414,11 +446,7 @@ def test_poly_gcd_matches_the_oracle_randomized():
             c = _gcd_argument(rng)
             p, q = p * c, q * c
             shared += not c.is_constant()
-        got = poly_gcd(p, q)
-        want = oracle_poly_gcd(p, q)
-        assert got == want and got.params == want.params, (p, q)
-        assert polynomial_to_string(got) == polynomial_to_string(want)
-        assert all(type(c) is int for c in got.terms.values()), got
+        _check_against_the_oracle(p, q)
     assert shared > 100
 
 
@@ -438,9 +466,7 @@ def test_poly_gcd_matches_the_oracle_on_monomials_and_long_sequences():
             p = _random_poly(rng, ["a"], 5, rng.randint(2, 4))
             q = _random_poly(rng, ["a"], 5, rng.randint(2, 4))
         p, q = p * c, q * c
-        got = poly_gcd(p, q)
-        assert got == oracle_poly_gcd(p, q), (p, q)
-        assert all(type(v) is int for v in got.terms.values()), got
+        _check_against_the_oracle(p, q)
     assert time.perf_counter() - start < 10.0
 
 

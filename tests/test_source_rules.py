@@ -163,3 +163,26 @@ def test_only_run_command_picks_json_or_text():
             found.append(node.lineno)
     assert inside
     assert found == []
+
+
+def test_only_the_q_boundary_of_scalar_calls_fraction():
+    # polynomials live in Z[params]; a Fraction is built only where a value
+    # leaves for Q or enters from it
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, (name + "." if name else "") + child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "Fraction"):
+                found.add(name or "<module>")
+            visit(child, name)
+
+    visit(_module("scalar"), "")
+    assert sorted(found) == ["ParamPolynomial.constant_value",
+                             "ParamPolynomial.evaluate",
+                             "Scalar.from_fraction", "scalar_to_string"]
