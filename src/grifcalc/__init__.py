@@ -8,52 +8,55 @@ cubic against a symbolic quadric together with the invariant values it
 produces, and certificate-backed kernel-spanning verdicts for the
 multiplication map on the cubic Fermat ring.  Everything is exact: no
 floating point enters any verdict.
+
+Names load on first use (PEP 562): ``import grifcalc`` loads only the
+version, and the first ``grifcalc.X`` or ``from grifcalc import X`` imports
+the module that defines X, so a program pays only for the modules it uses.
 """
 
-from ._version import __version__
-from .cache import Cache
-from .characters import (Character, GaloisOrbit, SymbolicClass,
-                         character_monomial, enumerate_type, galois_orbit,
-                         hodge_type, monomial_character, orbit_partition,
-                         rational_class)
-from .errors import (DegenerateDenominator, DegreeMismatch, DivisionByZero,
-                     GrifcalcError, InvalidCharacter, NotInKernel,
-                     NotIsomorphism, NotReducedMonomial, OutOfRange,
-                     ParseError, PoleAtSpecialization, UnboundParameter,
-                     ZeroDenominator)
-from .hodge import (CIData, HodgeVector, ci_prim_hodge, euler_characteristic,
-                    hypersurface_prim_hodge, jacobian_vanishing_check)
-from .invariant import (TripleData, delta_nu, independence_rank, iso_det,
-                        iso_matrix, distinguished_triple, rho_check)
-from .jacobian import (GradedBasis, HomogeneousPolynomial, HypersurfaceRing,
-                       LinearMap, TensorSum, determinant, mult_map,
-                       pairing_matrix, rank_kernel)
-from .mulkernel import (Certificate, RankOneGenerator, SpanReport,
-                        StandardTensor, mu_apply, rank_one_generators,
-                        span_equals_kernel, standardize, tensor_in_kernel,
-                        verify_certificate)
-from .report import (CheckResult, ReportDocument, ReportOptions, full_report)
-from .scalar import Scalar, parse, scalar_to_string
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "Cache",
-    "Character", "GaloisOrbit", "SymbolicClass", "character_monomial",
-    "enumerate_type", "galois_orbit", "hodge_type", "monomial_character",
-    "orbit_partition", "rational_class",
-    "DegenerateDenominator", "DegreeMismatch", "DivisionByZero",
-    "GrifcalcError", "InvalidCharacter", "NotInKernel", "NotIsomorphism",
-    "NotReducedMonomial", "OutOfRange", "ParseError", "PoleAtSpecialization",
-    "UnboundParameter", "ZeroDenominator",
-    "CIData", "HodgeVector", "ci_prim_hodge", "euler_characteristic",
-    "hypersurface_prim_hodge", "jacobian_vanishing_check",
-    "TripleData", "delta_nu", "independence_rank", "iso_det", "iso_matrix",
-    "distinguished_triple", "rho_check",
-    "GradedBasis", "HomogeneousPolynomial", "HypersurfaceRing", "LinearMap",
-    "TensorSum", "determinant", "mult_map", "pairing_matrix", "rank_kernel",
-    "Certificate", "RankOneGenerator", "SpanReport", "StandardTensor",
-    "mu_apply", "rank_one_generators", "span_equals_kernel", "standardize",
-    "tensor_in_kernel", "verify_certificate",
-    "CheckResult", "ReportDocument", "ReportOptions", "full_report",
-    "Scalar", "parse", "scalar_to_string",
-]
+from ._version import __version__
+
+# the defining module of every exported name, in the order of __all__
+_EXPORTS = {
+    "cache": ("Cache",),
+    "characters": ("Character", "GaloisOrbit", "SymbolicClass",
+                   "character_monomial", "enumerate_type", "galois_orbit",
+                   "hodge_type", "monomial_character", "orbit_partition",
+                   "rational_class"),
+    "errors": ("DegenerateDenominator", "DegreeMismatch", "DivisionByZero",
+               "GrifcalcError", "InvalidCharacter", "NotInKernel",
+               "NotIsomorphism", "NotReducedMonomial", "OutOfRange",
+               "ParseError", "PoleAtSpecialization", "UnboundParameter",
+               "ZeroDenominator"),
+    "hodge": ("CIData", "HodgeVector", "ci_prim_hodge",
+              "euler_characteristic", "hypersurface_prim_hodge",
+              "jacobian_vanishing_check"),
+    "invariant": ("TripleData", "delta_nu", "independence_rank", "iso_det",
+                  "iso_matrix", "distinguished_triple", "rho_check"),
+    "jacobian": ("GradedBasis", "HomogeneousPolynomial", "HypersurfaceRing",
+                 "LinearMap", "TensorSum", "determinant", "mult_map",
+                 "pairing_matrix", "rank_kernel"),
+    "mulkernel": ("Certificate", "RankOneGenerator", "SpanReport",
+                  "StandardTensor", "mu_apply", "rank_one_generators",
+                  "span_equals_kernel", "standardize", "tensor_in_kernel",
+                  "verify_certificate"),
+    "report": ("CheckResult", "ReportDocument", "ReportOptions",
+               "full_report"),
+    "scalar": ("Scalar", "parse", "scalar_to_string"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value

@@ -79,7 +79,9 @@ def monomial_string(exps):
 
 def _coefficient(x):
     """A coefficient as given: a Scalar stays a Scalar, a rational becomes
-    a Fraction."""
+    a Fraction, and a float or a bool raises TypeError."""
+    if isinstance(x, (float, bool)):
+        raise TypeError("expected an exact coefficient, got %r" % (x,))
     return x if isinstance(x, Scalar) else Fraction(x)
 
 

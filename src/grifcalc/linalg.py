@@ -19,8 +19,15 @@ g = gcd(pv, coef) in D the update is r <- (pv/g) r - (coef/g) prow, then
 r is divided by its content (Knuth, TAOCP vol. 2, 4.5.1).  Every row
 stays a nonzero multiple of the field update's row r - (coef/pv) prow, so
 the zero patterns, the pivots and the reduced rows are the field
-update's.  rref builds its Fractions or Scalars once, at the end, and
-determinant one per pivot, from the row scales that the pass tracks.
+update's.  rref then back-substitutes in reverse: from the last pivot row
+to the first, it clears each row's later pivot columns with their
+already-reduced rows, one row update per such column.  Forward
+elimination leaves a pivot row no column of an earlier pivot and a
+reduced row holds no pivot column but its own, so no pivot column comes
+back; the reduced rows are the unique RREF for those pivots, and their
+entries come out in increasing column order.  rref builds its Fractions
+or Scalars once, at the end, and determinant one per pivot, from the row
+scales that the pass tracks.
 """
 
 from __future__ import annotations
@@ -114,11 +121,11 @@ def _cleared_rows(rows, domain):
     return out
 
 
-def _update(row, ri, coef, pv, prow, col_rows, domain):
+def _update(row, coef, pv, prow, domain, col_rows=None, ri=None):
     """row <- (pv/g) row - (coef/g) prow over D, g = gcd(pv, coef), then
-    row divided by its content, in place; col_rows keeps listing ri under
-    exactly the columns of row.  Returns the factor pv/g and the content,
-    whose quotient scales the row."""
+    row divided by its content, in place; given col_rows, it keeps listing
+    ri under exactly the columns of row.  Returns the factor pv/g and the
+    content, whose quotient scales the row."""
     g = domain.gcd(pv, coef)
     a = pv // g
     if a != domain.one:
@@ -129,12 +136,13 @@ def _update(row, ri, coef, pv, prow, col_rows, domain):
     for c, v in prow.items():
         w = row.get(c, zero) - b * v
         if w:
-            if c not in row:
+            if c not in row and col_rows is not None:
                 col_rows[c].add(ri)
             row[c] = w
         elif c in row:
             del row[c]
-            col_rows[c].remove(ri)
+            if col_rows is not None:
+                col_rows[c].remove(ri)
     return a, _divide_content(row, domain)
 
 
@@ -189,8 +197,8 @@ def _eliminate(rows, domain):
         stale = set()
         for rj in sorted(col_rows[pc]):
             row = active[rj]
-            a, content = _update(row, rj, row[pc], pv, prow, col_rows,
-                                 domain)
+            a, content = _update(row, row[pc], pv, prow, domain, col_rows,
+                                 rj)
             scale = scales[rj]
             scale[0] *= a
             scale[1] *= content
@@ -210,23 +218,22 @@ def rref(rows, field):
 
     Returns a list of (pivot_col, row_dict) sorted by pivot column; each
     row_dict has 1 at its pivot column and support only on non-pivot columns
-    elsewhere.  Input rows are not modified.  The rows are back-substituted
-    fraction-free over D and turned into Fraction or Scalar rows last.
+    elsewhere, its entries in increasing column order.  Input rows are not
+    modified.  The pivot rows are back-substituted fraction-free over D,
+    last pivot first, and turned into Fraction or Scalar rows last.
     """
     domain = _domain(rows)
-    done = []
-    col_rows = defaultdict(set)  # column -> positions in done of its rows
-    for _, pc, prow, _ in _eliminate(rows, domain):
-        pv = prow[pc]
-        for qi in sorted(col_rows[pc]):
-            qrow = done[qi][1]
-            _update(qrow, qi, qrow[pc], pv, prow, col_rows, domain)
-        for c in prow:
-            col_rows[c].add(len(done))
-        done.append((pc, prow))
-    done.sort(key=lambda t: t[0])
-    return [(pc, {c: domain.quotient(v, row[pc]) for c, v in row.items()})
-            for pc, row in done]
+    done = [(pc, prow) for _, pc, prow, _ in _eliminate(rows, domain)]
+    # a pivot row holds no earlier pivot column, and a reduced row no pivot
+    # column but its own, so clearing a row's later pivot columns with
+    # their reduced rows brings none of them back
+    reduced = {}
+    for pc, row in reversed(done):
+        for c in [c for c in row if c in reduced]:
+            _update(row, row[c], reduced[c][c], reduced[c], domain)
+        reduced[pc] = row
+    return [(pc, {c: domain.quotient(row[c], row[pc]) for c in sorted(row)})
+            for pc, row in sorted(reduced.items())]
 
 
 def rank(rows):
@@ -258,12 +265,19 @@ def rank_and_kernel(rows, ncols):
     return len(pr), kernel_basis(pr, ncols)
 
 
+def _check_square(rows, n):
+    """Raise ValueError unless rows are n rows with columns in range(n)."""
+    if len(rows) != n:
+        raise ValueError("matrix is not square")
+    if any(not 0 <= c < n for r in rows for c in r):
+        raise ValueError("column outside range(%d)" % n)
+
+
 def determinant(rows, n):
     """Determinant of an n x n sparse matrix: the product of the pivots of
     the Markowitz elimination times the sign of the pivot permutation.
     Each pivot row's pivot is divided by the row's scale."""
-    if len(rows) != n:
-        raise ValueError("matrix is not square")
+    _check_square(rows, n)
     domain = _domain(rows)
     det = Fraction(1)
     perm = []
@@ -282,12 +296,15 @@ def solve(rows, n, rhs):
     """Solve A x = rhs for square nonsingular A given as sparse rows.
 
     rhs is a dense list of length n.  Returns a dense list.  Raises
-    ValueError if A is singular.
+    ValueError if A is singular, is not n x n or rhs is not of length n.
 
     A is nonsingular exactly when [A | -rhs] has rank n and its one kernel
     vector v has v[n] != 0; then x = v[:n] / v[n].  This holds whichever
     columns the elimination picks as pivots, the rhs column included.
     """
+    _check_square(rows, n)
+    if len(rhs) != n:
+        raise ValueError("right-hand side is not of length %d" % n)
     aug = []
     for i, r in enumerate(rows):
         row = dict(r)

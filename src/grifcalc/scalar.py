@@ -427,6 +427,10 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, value):
+        """A constant: an int, a Fraction or a string such as "3/4".  A
+        float or a bool is not taken as an exact value: TypeError."""
+        if isinstance(value, (float, bool)):
+            raise TypeError("expected an exact rational, got %r" % (value,))
         value = Fraction(value)
         return cls._raw(
             ParamPolynomial.constant(value.numerator),
@@ -575,9 +579,11 @@ class Scalar:
 
 
 def _coerce_scalar(x):
+    # a bool, like a float, is no exact operand: arithmetic with it raises
+    # TypeError and it compares unequal
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Scalar.from_fraction(x)
     if isinstance(x, ParamPolynomial):
         return Scalar(x)

@@ -353,6 +353,18 @@ def test_exponents_must_be_integers():
         HomogeneousPolynomial.from_terms(2, {(1, 0): 1})
 
 
+def test_coefficients_must_be_exact():
+    # a float would enter as its binary value and a bool as 0 or 1
+    for value in (0.1, 2.0, True, False):
+        with pytest.raises(TypeError):
+            HomogeneousPolynomial.from_terms(2, {(1, 0): value}, degree=1)
+    a = Scalar.param("a")
+    for value, want in (("3/4", Fraction(3, 4)), (2, Fraction(2)),
+                        (Fraction(1, 3), Fraction(1, 3)), (a, a)):
+        p = HomogeneousPolynomial.from_terms(2, {(1, 0): value}, degree=1)
+        assert p.terms == {(1, 0): want}
+
+
 def test_tensor_sum_bookkeeping():
     p = HomogeneousPolynomial.monomial(6, (1, 1, 1, 0, 0, 0))
     q = HomogeneousPolynomial.monomial(6, (0, 0, 0, 1, 1, 1))

@@ -121,6 +121,17 @@ def test_solve_accepts_a_system_whose_right_hand_side_is_a_pivot():
     assert x == [Fraction(1, 2), Fraction(1, 2)]
 
 
+def test_determinant_and_solve_reject_a_matrix_that_is_not_n_by_n():
+    # a column outside range(n), or a right-hand side of another length,
+    # is an error, not a determinant of the wrong matrix or an IndexError
+    for call in (lambda: determinant([{0: 1}, {5: 1}], 2),
+                 lambda: determinant([{0: 1}, {-1: 1}], 2),
+                 lambda: solve([{0: 1}, {2: 1}], 2, [1, 1]),
+                 lambda: solve([{0: 1}, {1: 1}], 2, [1])):
+        with pytest.raises(ValueError, match="range|length"):
+            call()
+
+
 def test_solve_matches_determinant_on_sparse_systems():
     rng = random.Random(31)
     singular = 0
@@ -201,6 +212,13 @@ def test_rref_deterministic():
     a = rref([dict(r) for r in rows], FRACTION_FIELD)
     b = rref([dict(r) for r in rows], FRACTION_FIELD)
     assert a == b
+
+
+def test_float_entries_are_not_taken_as_exact():
+    # 0.5 is exactly representable, but a float is not an exact value
+    with pytest.raises(TypeError):
+        rank([{0: 0.5}])
+    assert rank([{0: Fraction(1, 2)}]) == 1
 
 
 def test_kernel_basis_unit_at_free_column():
@@ -534,9 +552,9 @@ def _assert_matches_fraction_oracle(rows, ncols):
     want = fraction_rref(_as_fractions(rows), FRACTION_FIELD)
     got = rref(rows, FRACTION_FIELD)
     assert rows == snapshot
-    # pivot columns and rows, down to the order of each row's entries
+    # pivot columns and rows, each row's entries in increasing column order
     assert [(pc, list(r.items())) for pc, r in got] == \
-        [(pc, list(r.items())) for pc, r in want]
+        [(pc, sorted(r.items())) for pc, r in want]
     assert all(type(v) is Fraction for _, r in got for v in r.values())
     # the same pivots in the same order, each row a rescaled oracle row
     pivots = list(fraction_eliminate(_as_fractions(rows), FRACTION_FIELD))
@@ -587,6 +605,14 @@ def test_integer_rows_match_the_fraction_oracle_on_slices():
              (3, 4, {(2, 1, 1): Fraction(-7, 3), (0, 2, 2): 4})]
     for nvars, degree, extra in forms:
         for k in range(degree - 1, nvars * (degree - 2) + 2):
+            _assert_matches_fraction_oracle(
+                *_slice_rows(nvars, degree, extra, k))
+    # the three form shapes of the jring-generic benchmark, up to each
+    # socle slice
+    rng = random.Random(1957)
+    for nvars, degree, count in ((5, 3, 12), (6, 3, 4), (4, 4, 4)):
+        extra = _seeded_perturbation(rng, nvars, degree, count)
+        for k in range(degree - 1, nvars * (degree - 2) + 1):
             _assert_matches_fraction_oracle(
                 *_slice_rows(nvars, degree, extra, k))
 

@@ -139,6 +139,23 @@ def test_powers_and_constants_take_integers_only():
     assert ParamPolynomial.constant(3) * b == b * 3 == b + b + b
 
 
+def test_from_fraction_takes_exact_values_only():
+    # a float would enter as its binary value and a bool as 0 or 1
+    for value in (0.1, 0.5, True, False):
+        with pytest.raises(TypeError):
+            Scalar.from_fraction(value)
+    for value in ("3/4", 3, Fraction(3, 4)):
+        assert Scalar.from_fraction(value).constant_value() == Fraction(value)
+    # nor do they enter through arithmetic, and comparing does not raise
+    one, a = Scalar.from_fraction(1), sym("a")
+    for value in (0.5, True):
+        with pytest.raises(TypeError):
+            a + value
+        with pytest.raises(TypeError):
+            value * a
+    assert one != True and {True: 0}.get(one) is None  # noqa: E712
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "a +", "(a", "a^b", "1 $ 2", ")a(", "a^"]:
         with pytest.raises(ParseError):

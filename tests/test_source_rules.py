@@ -1,6 +1,10 @@
 """Rules on the library source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import grifcalc
@@ -42,6 +46,40 @@ def test_public_names_resolve_and_are_listed_once():
     names = grifcalc.__all__
     assert [n for n in names if not hasattr(grifcalc, n)] == []
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
+
+
+_LOADED = """
+import json, sys
+def loaded():
+    return sorted(m[len("grifcalc."):] for m in sys.modules
+                  if m.startswith("grifcalc."))
+import grifcalc
+out = [loaded()]
+import grifcalc.jacobian, grifcalc.hodge
+out.append(loaded())
+namespace = {}
+exec("from grifcalc import *", namespace)
+out.append(sorted(set(grifcalc.__all__) - set(namespace)))
+try:
+    grifcalc.no_such_name
+    out.append(False)
+except AttributeError:
+    out.append(True)
+print(json.dumps(out))
+"""
+
+
+def test_the_package_loads_a_module_on_first_use():
+    # a fresh interpreter, so that no test has imported a module before
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _LOADED], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    bare, jring, unbound, unknown_raises = json.loads(out)
+    assert bare == ["_version"]
+    assert jring == ["_version", "errors", "hodge", "jacobian", "linalg",
+                     "scalar"]
+    assert unbound == []
+    assert unknown_raises
 
 
 def _module(name):
