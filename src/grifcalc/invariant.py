@@ -32,7 +32,7 @@ from .jacobian import (
 )
 from .linalg import rank, solve
 from .mulkernel import index_monomial, tensor_in_kernel
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, exact
 
 NVARS = 8
 
@@ -179,7 +179,8 @@ def independence_rank(pairs):
     first = {}  # ratio a/b -> (i, a_i) for the first pair with that ratio
     relations = []
     for j, (a, b) in enumerate(pairs):
-        a, b = Fraction(a), Fraction(b)
+        # exact refuses a float or a bool, Fraction a Scalar
+        a, b = Fraction(exact(a)), Fraction(exact(b))
         if a == 0 and b == 0:
             raise DegenerateDenominator("pair %d is (0, 0)" % j)
         rel = [Fraction(0)] * len(pairs)

@@ -27,7 +27,7 @@ from .linalg import (
     rank_and_kernel,
     rref,
 )
-from .scalar import (Scalar, parse as parse_scalar, power_product,
+from .scalar import (Scalar, exact, parse as parse_scalar, power_product,
                      scalar_to_string, signed_sum)
 
 
@@ -75,14 +75,6 @@ def _variable_names(nvars):
 
 def monomial_string(exps):
     return power_product(_variable_names(len(exps)), exps) or "1"
-
-
-def _coefficient(x):
-    """A coefficient as given: a Scalar stays a Scalar, a rational becomes
-    a Fraction, and a float or a bool raises TypeError."""
-    if isinstance(x, (float, bool)):
-        raise TypeError("expected an exact coefficient, got %r" % (x,))
-    return x if isinstance(x, Scalar) else Fraction(x)
 
 
 def _json_int(value):
@@ -133,7 +125,7 @@ class HomogeneousPolynomial:
                 deg = d
             elif d != deg:
                 raise DegreeMismatch("mixed degrees %d and %d" % (deg, d))
-            coeff = _coefficient(coeff)
+            coeff = exact(coeff)
             if not coeff:
                 continue
             prev = clean.get(exps)
@@ -186,14 +178,14 @@ class HomogeneousPolynomial:
         return self + (-other)
 
     def scale(self, coeff):
-        coeff = _coefficient(coeff)
+        coeff = exact(coeff)
         if not coeff:
             return HomogeneousPolynomial.zero(self.nvars, self.degree)
         return HomogeneousPolynomial(
             self.nvars, self.degree, {e: c * coeff for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if not isinstance(other, HomogeneousPolynomial):
             return self.scale(other)
         self._check_compat(other)
         terms = {}
@@ -520,8 +512,8 @@ def determinant(linmap):
     if linmap.nrows != linmap.ncols:
         raise ValueError("determinant of a %d x %d map"
                          % (linmap.nrows, linmap.ncols))
-    det = _det_rows(linmap.rows_as_dicts(), linmap.nrows)
-    return det if isinstance(det, Scalar) else Scalar.from_fraction(det)
+    return Scalar.from_fraction(_det_rows(linmap.rows_as_dicts(),
+                                          linmap.nrows))
 
 
 class TensorSum:
@@ -531,7 +523,7 @@ class TensorSum:
     __slots__ = ("nvars", "left_degree", "right_degree", "summands")
 
     def __init__(self, summands):
-        summands = [(_coefficient(c), l, r) for c, l, r in summands]
+        summands = [(exact(c), l, r) for c, l, r in summands]
         summands = [(c, l, r) for c, l, r in summands if c]
         nvars = left_degree = right_degree = None
         for _, l, r in summands:
@@ -557,7 +549,7 @@ class TensorSum:
         return TensorSum(list(self.summands) + list(other.summands))
 
     def scale(self, coeff):
-        coeff = _coefficient(coeff)
+        coeff = exact(coeff)
         return TensorSum([(c * coeff, l, r) for c, l, r in self.summands])
 
     def monomial_expansion(self):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .scalar import ParamPolynomial, Scalar, poly_gcd_z
+from .scalar import ParamPolynomial, Scalar, exact, poly_gcd_z
 
 
 class FractionField:
@@ -79,7 +79,7 @@ _Domain = namedtuple("_Domain", "zero one gcd parts quotient")
 
 
 def _scalar_parts(v):
-    v = v if isinstance(v, Scalar) else Scalar.from_fraction(v)
+    v = Scalar.from_fraction(v)
     return v.num, v.den
 
 
@@ -91,8 +91,9 @@ _PARAM_POLYNOMIALS = _Domain(ParamPolynomial.constant(0),
 
 
 def _domain(rows):
-    """Z when every entry is an int or a Fraction, else Z[params]."""
-    if all(isinstance(v, (int, Fraction)) for r in rows for v in r.values()):
+    """Z when every entry's type is int or Fraction, else Z[params]; there
+    each entry goes through Scalar.from_fraction, which refuses a bool."""
+    if all(type(v) in (int, Fraction) for r in rows for v in r.values()):
         return _INTEGERS
     return _PARAM_POLYNOMIALS
 
@@ -306,10 +307,11 @@ def solve(rows, n, rhs):
     if len(rhs) != n:
         raise ValueError("right-hand side is not of length %d" % n)
     aug = []
-    for i, r in enumerate(rows):
+    for r, b in zip(rows, rhs):
         row = dict(r)
-        if rhs[i]:
-            row[n] = -rhs[i]
+        b = exact(b)  # before negating: -True is the int -1
+        if b:
+            row[n] = -b
         aug.append(row)
     r, kern = rank_and_kernel(aug, n + 1)
     v = kern[0] if r == n else {}

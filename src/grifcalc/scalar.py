@@ -85,7 +85,8 @@ class ParamPolynomial:
 
     @classmethod
     def constant(cls, value):
-        value = operator.index(value)
+        if type(value) is not int:  # a bool or a Fraction is no int constant
+            raise TypeError("expected an int constant, got %r" % (value,))
         return cls((), {(): value} if value else {})
 
     @classmethod
@@ -197,7 +198,8 @@ class ParamPolynomial:
             v = c
             for name, k in zip(self.params, e):
                 if k:
-                    v *= Fraction(assignment[name]) ** k
+                    # exact refuses a float or a bool, Fraction a Scalar
+                    v *= Fraction(exact(assignment[name])) ** k
             total += v
         return total
 
@@ -401,11 +403,7 @@ def _normalize_pair(num, den):
 
 
 def _coerce_poly(x):
-    if isinstance(x, ParamPolynomial):
-        return x
-    if isinstance(x, int):
-        return ParamPolynomial.constant(x)
-    raise TypeError("cannot build a polynomial from %r" % (x,))
+    return x if isinstance(x, ParamPolynomial) else ParamPolynomial.constant(x)
 
 
 class Scalar:
@@ -427,11 +425,11 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, value):
-        """A constant: an int, a Fraction or a string such as "3/4".  A
-        float or a bool is not taken as an exact value: TypeError."""
-        if isinstance(value, (float, bool)):
-            raise TypeError("expected an exact rational, got %r" % (value,))
-        value = Fraction(value)
+        """exact(value) as a Scalar: a Scalar as it is, and a rational such
+        as an int, a Fraction or the string "3/4" as a constant."""
+        value = exact(value)
+        if isinstance(value, Scalar):
+            return value
         return cls._raw(
             ParamPolynomial.constant(value.numerator),
             ParamPolynomial.constant(value.denominator),
@@ -556,7 +554,8 @@ class Scalar:
         return Scalar._raw(self.den, self.num)
 
     def specialize(self, assignment):
-        """Evaluate at a parameter assignment (symbol -> rational).
+        """Evaluate at a parameter assignment (symbol -> rational, as exact
+        takes it).
 
         The assignment must cover every parameter; extra keys are ignored.
         Raises PoleAtSpecialization when the denominator vanishes.
@@ -578,12 +577,23 @@ class Scalar:
         return "Scalar(%s)" % scalar_to_string(self)
 
 
-def _coerce_scalar(x):
-    # a bool, like a float, is no exact operand: arithmetic with it raises
-    # TypeError and it compares unequal
+def exact(x):
+    """x as an exact coefficient: a Scalar as it is, and an int, a Fraction,
+    a string such as "3/4" or another rational as a Fraction.  A float or a
+    bool is not taken as an exact value: TypeError."""
     if isinstance(x, Scalar):
         return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    if isinstance(x, (float, bool)):
+        raise TypeError("expected an exact value, got %r" % (x,))
+    return Fraction(x)
+
+
+def _coerce_scalar(x):
+    # an operand of exact type int or Fraction; any other, such as a bool or
+    # a float, makes arithmetic raise TypeError and compares unequal
+    if isinstance(x, Scalar):
+        return x
+    if type(x) in (int, Fraction):
         return Scalar.from_fraction(x)
     if isinstance(x, ParamPolynomial):
         return Scalar(x)
@@ -630,9 +640,9 @@ _SAFE_DEN_RE = re.compile(r"(\d+|[A-Za-z_][A-Za-z0-9_]*(\^\d+)?)\Z")
 
 
 def scalar_to_string(s):
-    """Render a Scalar, Fraction or int; equal values render alike."""
+    """Render a Scalar or what exact takes; equal values render alike."""
     if not isinstance(s, Scalar):
-        return str(Fraction(s))
+        return str(exact(s))
     num = polynomial_to_string(s.num)
     if _is_one(s.den):
         return num

@@ -375,6 +375,16 @@ def test_independence_degenerate_pair_rejected():
         independence_rank(((0, 0), (1, 1)))
 
 
+def test_independence_takes_exact_rational_pairs_only():
+    # a float would be ranked by its binary value and a bool as 0 or 1;
+    # a Scalar is no rational pair entry
+    for value in (0.5, True, Scalar.from_fraction(2)):
+        for pair in ((value, 1), (1, value)):
+            with pytest.raises(TypeError):
+                independence_rank([pair])
+    assert independence_rank([("1/2", 1), (1, 2)]) == (1, [(-2, 1)])
+
+
 def test_independence_proportional_pairs_collapse():
     # scaling (a, b) to (2a, 2b) scales the value by 2, a proportionality
     rank, _ = independence_rank(((1, 2), (2, 4)))

@@ -355,10 +355,19 @@ def test_exponents_must_be_integers():
 
 def test_coefficients_must_be_exact():
     # a float would enter as its binary value and a bool as 0 or 1
-    for value in (0.1, 2.0, True, False):
-        with pytest.raises(TypeError):
-            HomogeneousPolynomial.from_terms(2, {(1, 0): value}, degree=1)
+    p = HomogeneousPolynomial.monomial(2, (1, 0))
+    for value in (0.1, 0.5, 2.0, True, False):
+        for entry in (
+                lambda x: HomogeneousPolynomial.from_terms(2, {(1, 0): x},
+                                                           degree=1),
+                lambda x: p * x, lambda x: x * p, p.scale,
+                lambda x: TensorSum([(x, p, p)]),
+                lambda x: TensorSum.simple(p, p).scale(x)):
+            with pytest.raises(TypeError):
+                entry(value)
     a = Scalar.param("a")
+    assert p * "1/2" == "1/2" * p == p.scale(Fraction(1, 2))
+    assert (p * a).terms == (a * p).terms == {(1, 0): a}
     for value, want in (("3/4", Fraction(3, 4)), (2, Fraction(2)),
                         (Fraction(1, 3), Fraction(1, 3)), (a, a)):
         p = HomogeneousPolynomial.from_terms(2, {(1, 0): value}, degree=1)

@@ -215,10 +215,18 @@ def test_rref_deterministic():
 
 
 def test_float_entries_are_not_taken_as_exact():
-    # 0.5 is exactly representable, but a float is not an exact value
-    with pytest.raises(TypeError):
-        rank([{0: 0.5}])
+    # 0.5 is exactly representable, but a float is not an exact value, and
+    # a bool is no int entry: True would count as 1 and -True as -1
+    for value in (0.5, True):
+        with pytest.raises(TypeError):
+            rank([{0: value}])
+        with pytest.raises(TypeError):
+            determinant([{0: value}], 1)
+        with pytest.raises(TypeError):
+            solve([{0: 1}], 1, [value])
     assert rank([{0: Fraction(1, 2)}]) == 1
+    assert determinant([{0: Fraction(1, 2)}], 1) == Fraction(1, 2)
+    assert solve([{0: 2}], 1, ["1/2"]) == [Fraction(1, 4)]
 
 
 def test_kernel_basis_unit_at_free_column():

@@ -24,6 +24,7 @@ from grifcalc.scalar import (
     _positive_lead,
     _prune,
     _unify,
+    exact,
     parse,
     poly_gcd,
     poly_gcd_z,
@@ -141,14 +142,23 @@ def test_powers_and_constants_take_integers_only():
 
 def test_from_fraction_takes_exact_values_only():
     # a float would enter as its binary value and a bool as 0 or 1
+    a = sym("a")
     for value in (0.1, 0.5, True, False):
-        with pytest.raises(TypeError):
-            Scalar.from_fraction(value)
+        for entry in (Scalar.from_fraction, Scalar, ParamPolynomial.constant,
+                      scalar_to_string, exact, lambda x: Scalar(2, x),
+                      lambda x: a.specialize({"a": x})):
+            with pytest.raises(TypeError):
+                entry(value)
     for value in ("3/4", 3, Fraction(3, 4)):
         assert Scalar.from_fraction(value).constant_value() == Fraction(value)
+        assert exact(value) == Fraction(value)
+    assert Scalar.from_fraction(a) is exact(a) is a
+    assert a.specialize({"a": "1/3"}) == Fraction(1, 3)
+    assert scalar_to_string(Fraction(-6, 4)) == "-3/2"
+    assert scalar_to_string(3) == "3"
     # nor do they enter through arithmetic, and comparing does not raise
-    one, a = Scalar.from_fraction(1), sym("a")
-    for value in (0.5, True):
+    one = Scalar.from_fraction(1)
+    for value in (0.5, True, "1/2"):
         with pytest.raises(TypeError):
             a + value
         with pytest.raises(TypeError):

@@ -222,5 +222,37 @@ def test_only_the_q_boundary_of_scalar_calls_fraction():
 
     visit(_module("scalar"), "")
     assert sorted(found) == ["ParamPolynomial.constant_value",
-                             "ParamPolynomial.evaluate",
-                             "Scalar.from_fraction", "scalar_to_string"]
+                             "ParamPolynomial.evaluate", "exact"]
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_only_scalar_exact_tests_for_float_or_bool():
+    # scalar.exact alone decides that a float or a bool is no exact value;
+    # every other entry asks it or tests for the exact types it accepts
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = set()
+        if path.name == "scalar.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "exact":
+                    skip = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"):
+                tested = _names(node.args[1]) if len(node.args) > 1 else set()
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "type" for n in ast.walk(node)):
+                tested = _names(node)
+            else:
+                continue
+            if tested & {"float", "bool"}:
+                found.append("%s:%d" % (path.name, node.lineno))
+        assert path.name != "scalar.py" or skip
+    assert found == []
