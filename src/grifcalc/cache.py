@@ -10,21 +10,33 @@ never raises, it only declines to help.
 The directory is chosen in this order: explicit argument, the
 GRIFCALC_CACHE environment variable, then .grifcalc-cache under the
 current directory.
+
+sha256 comes from CPython's built-in module, as in the standard library's
+random.py: hashlib would load OpenSSL's libcrypto, which a report process
+otherwise never needs.  Warnings go to the "grifcalc.cache" logger, and
+logging is imported only when there is one to emit.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import os
-import tempfile
-from datetime import datetime, timezone
 
-log = logging.getLogger("grifcalc.cache")
+try:  # CPython 3.12+
+    from _sha2 import sha256
+except ImportError:
+    try:  # CPython 3.10 and 3.11
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 ENV_VAR = "GRIFCALC_CACHE"
 DEFAULT_DIR = ".grifcalc-cache"
+
+
+def _warn(msg, *args):
+    import logging
+    logging.getLogger("grifcalc.cache").warning(msg, *args)
 
 
 def _canonical(obj):
@@ -32,12 +44,12 @@ def _canonical(obj):
 
 
 def cache_key(op, params):
-    return hashlib.sha256(
+    return sha256(
         _canonical({"op": op, "params": params}).encode()).hexdigest()
 
 
 def payload_digest(payload):
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    return sha256(_canonical(payload).encode()).hexdigest()
 
 
 class Cache(object):
@@ -59,18 +71,21 @@ class Cache(object):
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError) as exc:
-            log.warning("cache entry %s unreadable (%s), ignoring", path, exc)
+            _warn("cache entry %s unreadable (%s), ignoring", path, exc)
             return None
         if not isinstance(entry, dict) or "payload" not in entry:
-            log.warning("cache entry %s malformed, ignoring", path)
+            _warn("cache entry %s malformed, ignoring", path)
             return None
         if entry.get("digest") != payload_digest(entry["payload"]):
-            log.warning("cache entry %s fails digest check, ignoring", path)
+            _warn("cache entry %s fails digest check, ignoring", path)
             return None
         return entry["payload"]
 
     def put(self, op, params, payload):
         """Store a payload.  Failures are logged and swallowed."""
+        import tempfile
+        from datetime import datetime, timezone
+
         key = cache_key(op, params)
         entry = {
             "key": key,
@@ -92,4 +107,4 @@ class Cache(object):
                     pass
                 raise
         except OSError as exc:
-            log.warning("cache write for %s failed (%s), continuing", key, exc)
+            _warn("cache write for %s failed (%s), continuing", key, exc)

@@ -113,7 +113,10 @@ def _cleared_rows(rows, domain):
     den]) with the row over D num/den times the input row."""
     out = []
     for r in rows:
-        r = {c: domain.parts(v) for c, v in r.items() if v}
+        # every entry goes through parts, which refuses an inexact one,
+        # before the zeros are dropped
+        r = {c: domain.parts(v) for c, v in r.items()}
+        r = {c: nd for c, nd in r.items() if nd[0]}
         mult = domain.one
         for _, d in r.values():
             mult *= d // domain.gcd(mult, d)

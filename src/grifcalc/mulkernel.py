@@ -22,9 +22,10 @@ and what a swap leaves beside them is an edge of a graph, so the rank is
 a component count, exact at every size) or by rewriting every kernel
 basis vector to its standard form with a certificate of moves that
 verify_certificate replays.  Neither builds the mu matrix, and both expand
-a generator through _move_terms.  Both run on index tuples: the count
-builds no objects, and standardization builds only what it returns, the
-certificate moves and the StandardTensors that survive.
+a generator through _move_terms.  Both run on index tuples and int columns
+(see _column): the count builds no objects, and the kermu standardization
+emits and replays plain (family_tag, indices, coeff) moves; only the public
+standardize builds RankOneGenerators and StandardTensors.
 """
 
 from __future__ import annotations
@@ -62,12 +63,41 @@ def _increasing(idx, size):
             and 0 <= idx[0] < idx[1] and idx[-2] < idx[-1])
 
 
+def _shape_holds(family_tag, indices):
+    """RankOneGenerator.shape_ok on a family tag and its index tuples."""
+    if family_tag == "monomial_pair":
+        left, right = indices
+        return (_increasing(left, 3) and _increasing(right, 3) and (
+            left[0] in right or left[1] in right or left[2] in right))
+    t, u, a, k = indices
+    return (_increasing(t, 2) and _increasing(u, 2)
+            and type(a) is type(k) is int and 0 <= a and 0 <= k and a != k
+            and a not in t and a not in u and k not in t and k not in u)
+
+
+def _side(family_tag, indices, nvars, which):
+    """The left (which 0) or right (which 1) polynomial side of the
+    generator (family_tag, indices) over nvars variables, with int
+    coefficients: 1 on a pair side, +-1 (2 when a == k) on a swap side."""
+    base = indices[which]
+    if family_tag == "monomial_pair":
+        return HomogeneousPolynomial(
+            nvars, len(base), {tuple(map(base.count, range(nvars))): 1})
+    a, k = indices[2:]
+    # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right, in one
+    # constructor call; a == k (no kernel shape) gives 2*t*x_a and 0
+    ea, ek = (tuple(map((base + (i,)).count, range(nvars))) for i in (a, k))
+    terms = ({ea: _SIGNS[0], ek: _SIGNS[which]} if a != k
+             else {} if which else {ea: 2 * _SIGNS[0]})
+    return HomogeneousPolynomial(nvars, sum(ea), terms)
+
+
 @dataclass(frozen=True)
 class RankOneGenerator:
     """A decomposable tensor named by its family and index tuples:
     (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
-    swap_binomial.  left and right build the polynomial sides once, on
-    first use; a swap side carries +-1 (2 when a == k) as int."""
+    swap_binomial.  left and right build the polynomial sides (_side) once,
+    on first use."""
 
     family_tag: str
     indices: tuple
@@ -83,14 +113,7 @@ class RankOneGenerator:
         """The index condition that puts the tensor in ker(mu): increasing
         triples sharing an index, or increasing pairs t, u with a != k
         outside t and u; every entry a tuple of nonnegative ints."""
-        if self.family_tag == "monomial_pair":
-            left, right = self.indices
-            return (_increasing(left, 3) and _increasing(right, 3) and (
-                left[0] in right or left[1] in right or left[2] in right))
-        t, u, a, k = self.indices
-        return (_increasing(t, 2) and _increasing(u, 2)
-                and type(a) is type(k) is int and 0 <= a and 0 <= k and a != k
-                and a not in t and a not in u and k not in t and k not in u)
+        return _shape_holds(self.family_tag, self.indices)
 
     @property
     def nvars(self):
@@ -98,50 +121,59 @@ class RankOneGenerator:
         idx = self.indices
         return 1 + max(idx[0] + idx[1] + idx[2:])
 
-    def _side(self, which):
-        n = self.nvars
-        if self.family_tag == "monomial_pair":
-            return index_monomial(n, self.indices[which])
-        base, a, k = self.indices[which], self.indices[2], self.indices[3]
-        # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right, in one
-        # constructor call; a == k (no kernel shape) gives 2*t*x_a and 0
-        ea, ek = (tuple(map((base + (i,)).count, range(n))) for i in (a, k))
-        terms = ({ea: _SIGNS[0], ek: _SIGNS[which]} if a != k
-                 else {} if which else {ea: 2 * _SIGNS[0]})
-        return HomogeneousPolynomial(n, sum(ea), terms)
-
     @functools.cached_property
     def left(self):
-        return self._side(0)
+        return _side(self.family_tag, self.indices, self.nvars, 0)
 
     @functools.cached_property
     def right(self):
-        return self._side(1)
+        return _side(self.family_tag, self.indices, self.nvars, 1)
 
     def in_kernel(self):
         ring = HypersurfaceRing.fermat(3, self.nvars)
         return ring.normal_form(self.left * self.right).is_zero()
 
 
-# _WITH[duo][i] is the increasing triple of an increasing pair duo and one
-# more index i, for every index below MAX_NVARS
-_WITH = {duo: tuple(tuple(sorted(duo + (i,))) for i in range(MAX_NVARS))
+# The triple table.  _TRIPLES lists the increasing triples of indices below
+# MAX_NVARS, and _ID[triple] is a triple's place in it.  _WITH[duo][i] is the
+# id of the increasing triple of an increasing pair duo and an index i below
+# MAX_NVARS outside it.
+_TRIPLES = tuple(itertools.combinations(range(MAX_NVARS), 3))
+_ID = {triple: c for c, triple in enumerate(_TRIPLES)}
+_N3 = len(_TRIPLES)
+_WITH = {duo: {i: _ID[tuple(sorted(duo + (i,)))]
+               for i in range(MAX_NVARS) if i not in duo}
          for duo in itertools.combinations(range(MAX_NVARS), 2)}
+
+
+def _column(key):
+    """The column of the monomial tensor x_left (x) x_right, key = (left,
+    right): the int _ID[left] * _N3 + _ID[right], or the tuple (key,) when
+    a triple is not in the table or key is no such pair, so that no other
+    key can share an int column."""
+    try:
+        left, right = key
+        return _ID[left] * _N3 + _ID[right]
+    except (KeyError, TypeError, ValueError):
+        return (key,)
 
 
 def _move_terms(family_tag, indices):
     """The generator (family_tag, indices), shape-valid, expanded into
-    monomial tensors ((left_triple, right_triple), +-1): one term for a
-    pair, four for a swap."""
+    monomial tensors (column, +-1) keyed by _column: one term for a pair,
+    four for a swap."""
     if family_tag == "monomial_pair":
-        return ((tuple(indices), 1),)
+        return ((_column(indices), 1),)
     t, u, a, k = indices
     try:
-        ta, tk, ua, uk = _WITH[t][a], _WITH[t][k], _WITH[u][a], _WITH[u][k]
-    except (KeyError, IndexError):  # an index of a ring past MAX_NVARS
+        wt, wu = _WITH[t], _WITH[u]
+        ta, tk, ua, uk = wt[a] * _N3, wt[k] * _N3, wu[a], wu[k]
+    except KeyError:  # an index past the table, or one off the shape
         ta, tk, ua, uk = (tuple(sorted(d + (i,)))
                           for d, i in ((t, a), (t, k), (u, a), (u, k)))
-    return (((ta, ua), 1), ((ta, uk), -1), ((tk, ua), 1), ((tk, uk), -1))
+        return ((_column((ta, ua)), 1), (_column((ta, uk)), -1),
+                (_column((tk, ua)), 1), (_column((tk, uk)), -1))
+    return ((ta + ua, 1), (ta + uk, -1), (tk + ua, 1), (tk + uk, -1))
 
 
 @dataclass(frozen=True)
@@ -290,13 +322,17 @@ def swap_identity_holds(nvars):
     all of them up to relabeling.  The answer depends on nvars alone, so it
     is memoised."""
     check_nvars(nvars)
-    for gen in _generators(nvars):
-        if not gen.in_kernel():
+    ring = HypersurfaceRing.fermat(3, nvars)
+    for family_tag, indices in _shapes(nvars):
+        left = _side(family_tag, indices, nvars, 0)
+        right = _side(family_tag, indices, nvars, 1)
+        if not ring.normal_form(left * right).is_zero():
             return False
-        left = [(_support(e), c) for e, c in gen.left.terms.items()]
-        right = [(_support(e), c) for e, c in gen.right.terms.items()]
-        view = {(l, r): cl * cr for l, cl in left for r, cr in right}
-        terms = _move_terms(gen.family_tag, gen.indices)
+        left = [(_support(e), c) for e, c in left.terms.items()]
+        right = [(_support(e), c) for e, c in right.terms.items()]
+        view = {_column((l, r)): cl * cr
+                for l, cl in left for r, cr in right}
+        terms = _move_terms(family_tag, indices)
         if len(terms) != len(view) or dict(terms) != view:
             return False
     return True
@@ -327,31 +363,41 @@ def standardize(ring, w):
 def _standardize_supports(nvars, terms):
     """standardize on {(left_triple, right_triple): coeff} with increasing
     triples, in that order."""
+    sums, moves = _standard_moves(terms)
+    std = {StandardTensor(nvars, six): c for six, c in sums.items()}
+    return std, Certificate(
+        tuple((RankOneGenerator(tag, indices), coeff)
+              for tag, indices, coeff in moves), terms, std)
+
+
+def _standard_moves(terms):
+    """(sums, moves) of _standardize_supports: the standard part as
+    {sextet: coeff} and the certificate as plain moves (family_tag,
+    indices, coeff)."""
     sums = {}
     moves = []
     for (left, right), coeff in terms.items():
-        if not set(left).isdisjoint(right):
-            moves.append((RankOneGenerator("monomial_pair", (left, right)),
-                          coeff))
+        if left[0] in right or left[1] in right or left[2] in right:
+            moves.append(("monomial_pair", (left, right), coeff))
             continue
         # t*x_k (x) u*x_a = swap - t*x_a (x) u*x_a + t*x_k (x) u*x_k
-        #                   + t*x_a (x) u*x_k
+        #                   + t*x_a (x) u*x_k, with u*x_a = right and
+        #                   t*x_k = left
         while left[-1] > right[0]:
-            swap = left[:2], right[1:], right[0], left[-1]
-            expansion = _move_terms("swap_binomial", swap)
-            (ta_ua, _), (ta_uk, _), _, (tk_uk, _) = expansion
-            moves.append((RankOneGenerator("swap_binomial", swap), coeff))
-            moves.append((RankOneGenerator("monomial_pair", ta_ua), -coeff))
-            moves.append((RankOneGenerator("monomial_pair", tk_uk), coeff))
-            left, right = ta_uk
+            (p, q, k), (a, r, s) = left, right
+            ta = (a, p, q) if a < p else (p, a, q) if a < q else (p, q, a)
+            uk = (k, r, s) if k < r else (r, k, s) if k < s else (r, s, k)
+            moves += (("swap_binomial", ((p, q), (r, s), a, k), coeff),
+                      ("monomial_pair", (ta, right), -coeff),
+                      ("monomial_pair", (left, uk), coeff))
+            left, right = ta, uk
         six = left + right
         total = sums.get(six, 0) + coeff
         if total:
             sums[six] = total
         else:
             sums.pop(six, None)
-    std = {StandardTensor(nvars, six): c for six, c in sums.items()}
-    return std, Certificate(tuple(moves), terms, std)
+    return sums, moves
 
 
 def _support(exps):
@@ -365,25 +411,42 @@ def _support(exps):
     return tuple(out)
 
 
+def _replay(terms, standard, moves):
+    """Whether every plain move (family_tag, indices, coeff) has a kernel
+    shape (_shape_holds) and
+
+        terms = sum(standard) + sum(coeff * _move_terms(move))
+
+    holds coefficient by coefficient over the columns; terms maps (left,
+    right) triples to coefficients and standard yields (sextet, coeff)."""
+    residual = {}
+    for key, c in terms.items():
+        col = _column(key)
+        residual[col] = residual.get(col, 0) + c
+    for six, c in standard:
+        col = _column((six[:3], six[3:]))
+        residual[col] = residual.get(col, 0) - c
+    for family_tag, indices, coeff in moves:
+        if not _shape_holds(family_tag, indices):
+            return False
+        for col, sign in _move_terms(family_tag, indices):
+            residual[col] = residual.get(col, 0) - sign * coeff
+    return not any(residual.values())
+
+
 def verify_certificate(cert):
     """Replay a certificate: True exactly when every move has a kernel
     shape (RankOneGenerator.shape_ok) and
 
         cert.terms = sum(cert.standard) + sum(coeff * _move_terms(move))
 
-    holds coefficient by coefficient over index triples.  That the shapes
-    lie in ker(mu) and that _move_terms expands them faithfully are the
-    ring lemmas swap_identity_holds proves."""
-    residual = dict(cert.terms)
-    for st, c in cert.standard.items():
-        key = st.left_indices, st.right_indices
-        residual[key] = residual.get(key, 0) - c
-    for gen, coeff in cert.moves:
-        if not gen.shape_ok():
-            return False
-        for key, sign in _move_terms(gen.family_tag, gen.indices):
-            residual[key] = residual.get(key, 0) - sign * coeff
-    return not any(residual.values())
+    holds coefficient by coefficient over index triples (see _replay).
+    That the shapes lie in ker(mu) and that _move_terms expands them
+    faithfully are the ring lemmas swap_identity_holds proves."""
+    return _replay(cert.terms,
+                   ((st.indices, c) for st, c in cert.standard.items()),
+                   [(gen.family_tag, gen.indices, coeff)
+                    for gen, coeff in cert.moves])
 
 
 @dataclass
@@ -496,10 +559,10 @@ def span_equals_kernel(nvars, mode="span_rank"):
     moves_total = 0
     count = 0
     for vec in _mu_kernel(nvars):
-        std, cert = _standardize_supports(nvars, vec)
+        sums, moves = _standard_moves(vec)
         count += 1
-        moves_total += len(cert.moves)
-        if std or not verify_certificate(cert):
+        moves_total += len(moves)
+        if sums or not _replay(vec, sums.items(), moves):
             ok = False
             break
     identity_ok = swap_identity_holds(min(nvars, 6))

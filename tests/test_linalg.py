@@ -224,6 +224,12 @@ def test_float_entries_are_not_taken_as_exact():
             determinant([{0: value}], 1)
         with pytest.raises(TypeError):
             solve([{0: 1}], 1, [value])
+    # a zero is checked too, before it is dropped
+    for call in (lambda: rank([{0: 0.0}]), lambda: rank([{0: False}]),
+                 lambda: determinant([{0: 0.0}], 1),
+                 lambda: rref([{0: 2, 1: False}], FRACTION_FIELD)):
+        with pytest.raises(TypeError):
+            call()
     assert rank([{0: Fraction(1, 2)}]) == 1
     assert determinant([{0: Fraction(1, 2)}], 1) == Fraction(1, 2)
     assert solve([{0: 2}], 1, ["1/2"]) == [Fraction(1, 4)]

@@ -18,9 +18,9 @@ from grifcalc.mulkernel import (MAX_NVARS, MIN_NVARS, Certificate,
                                 rank_one_generators, span_equals_kernel,
                                 standardize, swap_identity_holds,
                                 tensor_in_kernel, verify_certificate,
-                                index_monomial, _generators, _move_terms,
-                                _mu_kernel, _span_rank, _standardize_supports,
-                                _support, _triples)
+                                index_monomial, _column, _generators,
+                                _move_terms, _mu_kernel, _span_rank,
+                                _standardize_supports, _support, _triples)
 from grifcalc.scalar import Scalar
 
 ONE = Scalar.from_fraction(1)
@@ -250,6 +250,36 @@ def test_verify_certificate_rejects_mutants():
         assert not verify_certificate(_mutated(cert, standard=off))
 
 
+def _triples_of(column):
+    # the (left, right) triples of a _move_terms column: an int decoded
+    # through the triple table, or the pair itself past it
+    if isinstance(column, tuple):
+        return column[0]
+    n3 = len(mulkernel._TRIPLES)
+    return mulkernel._TRIPLES[column // n3], mulkernel._TRIPLES[column % n3]
+
+
+def _expansion(gen):
+    # _move_terms of a generator keyed by (left, right) triples
+    return {_triples_of(col): sign
+            for col, sign in _move_terms(gen.family_tag, gen.indices)}
+
+
+def test_the_triple_table_decodes_every_column():
+    # every (left, right) pair of triples below MAX_NVARS has its own int
+    # column, which decodes back to it; a triple past the table keeps the
+    # pair itself, wrapped in a 1-tuple, as its column
+    triples = _triples(MAX_NVARS)
+    columns = set()
+    for left, right in itertools.product(triples, triples):
+        col = _column((left, right))
+        assert type(col) is int and _triples_of(col) == (left, right)
+        columns.add(col)
+    assert columns == set(range(len(triples) ** 2))
+    for left, right in (((0, 1, 9), (2, 3, 4)), ((2, 3, 4), (5, 7, 12))):
+        assert _column((left, right)) == ((left, right),)
+
+
 def test_verify_certificate_checks_shapes_of_balanced_moves():
     # the identity balances, so only the shape check can reject these
     for indices in (((0, 1), (2, 3), 0, 4),   # a in t
@@ -257,10 +287,10 @@ def test_verify_certificate_checks_shapes_of_balanced_moves():
                     ((0, 1), (2, 3), 4, 4)):  # a == k
         gen = RankOneGenerator("swap_binomial", indices)
         assert not gen.shape_ok()
-        terms = dict(_move_terms(gen.family_tag, gen.indices))
+        terms = _expansion(gen)
         assert not verify_certificate(Certificate(((gen, 1),), terms, {}))
     gen = RankOneGenerator("swap_binomial", ((0, 1), (2, 3), 4, 5))
-    terms = dict(_move_terms(gen.family_tag, gen.indices))
+    terms = _expansion(gen)
     assert verify_certificate(Certificate(((gen, 1),), terms, {}))
 
 
@@ -286,6 +316,23 @@ def test_verify_certificate_rejects_malformed_index_entries():
         assert verify_certificate(Certificate(((gen, 1),), {}, {})) is False
 
 
+def test_verify_certificate_answers_for_any_terms_key():
+    # a terms key that names no pair of triples is a residual the moves
+    # cannot cancel, so the replay answers False instead of raising
+    for key in ("junk", 7, (1, 2, 3), ((0, 1, 2),)):
+        assert verify_certificate(Certificate((), {key: 1}, {})) is False
+    assert verify_certificate(Certificate((), {"junk": 0}, {})) is True
+    # not even a move whose column is that key as an int: pair
+    # ((0, 1, 2), (0, 2, 3)) expands to column 7
+    gen = RankOneGenerator("monomial_pair", ((0, 1, 2), (0, 2, 3)))
+    assert _move_terms(gen.family_tag, gen.indices) == ((7, 1),)
+    for key in (7, (7,)):
+        cert = Certificate(((gen, 1),), {key: 1}, {})
+        assert verify_certificate(cert) is False, key
+    cert = Certificate(((gen, 1),), {gen.indices: 1}, {})
+    assert verify_certificate(cert) is True
+
+
 def test_kernel_certificates_replay_and_mutants_fail():
     for nvars in (6, 7):
         for vec in _mu_kernel(nvars):
@@ -301,7 +348,7 @@ def test_move_terms_match_polynomial_view():
     for nvars in (4, 5, 6):
         for gen in rank_one_generators(nvars):
             assert gen.shape_ok()
-            assert dict(_move_terms(gen.family_tag, gen.indices)) == \
+            assert _expansion(gen) == \
                 _index_expansion([(1, gen.left, gen.right)]), gen
 
 
@@ -381,8 +428,7 @@ def _reducer_span_rank(nvars, field):
 
     def add(gen):
         reducer.add({tindex[l] * n3 + tindex[r]: value[sign]
-                     for (l, r), sign in _move_terms(gen.family_tag,
-                                                     gen.indices)})
+                     for (l, r), sign in _expansion(gen).items()})
 
     for gen in _generators(nvars, "monomial_pair"):
         add(gen)
@@ -428,6 +474,21 @@ def test_span_stream_builds_no_generator_objects(monkeypatch):
 
     monkeypatch.setattr(RankOneGenerator, "__post_init__", refuse)
     assert _span_rank(9, 6972) == (5376, 29602, 6972)
+
+
+def test_kermu_standardization_builds_no_generator_objects(monkeypatch):
+    # the standardize mode and the ring lemmas run on plain moves and
+    # shapes; only the public standardize builds RankOneGenerators
+    def refuse(self):
+        raise AssertionError("RankOneGenerator built in the kermu path")
+
+    monkeypatch.setattr(RankOneGenerator, "__post_init__", refuse)
+    swap_identity_holds.cache_clear()
+    report = span_equals_kernel(9, mode="standardize")
+    swap_identity_holds.cache_clear()
+    assert report.verdict is True
+    assert (report.certificate_moves, report.standardized_vectors) == \
+        (12936, 6972)
 
 
 # The parent implementation of the span stream and of standardization,

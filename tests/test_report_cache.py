@@ -4,6 +4,8 @@ skip handling."""
 import json
 import logging
 import os
+import subprocess
+import sys
 
 from grifcalc import report
 from grifcalc.cache import Cache, cache_key, payload_digest
@@ -68,6 +70,41 @@ def test_cache_env_var_and_default(tmp_path, monkeypatch):
 
 def test_payload_digest_canonicalization():
     assert payload_digest({"a": 1, "b": [2]}) == payload_digest({"b": [2], "a": 1})
+
+
+# The on-disk format, pinned by value: the key and the digest below were
+# computed with hashlib.sha256 before cache.py took sha256 from CPython's
+# built-in module.  Entry file names and digests must never drift.
+PINNED_OP = ("kermu.span_rank", {"nvars": 9, "mode": "span_rank",
+                                 "exact": True, "prime": None})
+PINNED_KEY = "9087f666fea646ab1dbbe24c15ad6e843a5ef6a67ff01cfe690550eda0f4e17d"
+PINNED_PAYLOAD = {"verdict": True, "counts": [5376, 29602, 6972],
+                  "note": "r\u00e9sum\u00e9"}
+PINNED_DIGEST = \
+    "809a1135d5ee8e5bbb2f21e09bb5863ca3003280997e4c566dfd0272b988eed4"
+
+_HASHLIB_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from grifcalc import cache
+print(json.dumps([cache.sha256.__module__, cache.cache_key(*%r),
+                  cache.payload_digest(%r)]))
+""" % (PINNED_OP, PINNED_PAYLOAD)
+
+
+def test_cache_key_and_digest_are_pinned_by_value():
+    assert cache_key(*PINNED_OP) == PINNED_KEY
+    assert payload_digest(PINNED_PAYLOAD) == PINNED_DIGEST
+
+
+def test_the_hashlib_fallback_gives_the_pinned_values():
+    # a fresh interpreter in which neither built-in sha256 module imports,
+    # so that cache.py falls back to hashlib
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    out = subprocess.run([sys.executable, "-c", _HASHLIB_FALLBACK], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == ["_hashlib", PINNED_KEY, PINNED_DIGEST]
 
 
 def test_report_cache_keys_are_pinned(tmp_path):

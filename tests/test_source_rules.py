@@ -256,3 +256,60 @@ def test_only_scalar_exact_tests_for_float_or_bool():
                 found.append("%s:%d" % (path.name, node.lineno))
         assert path.name != "scalar.py" or skip
     assert found == []
+
+
+def test_only_cache_names_hashlib_as_the_last_fallback():
+    # sha256 comes from CPython's built-in module; hashlib, which loads
+    # OpenSSL's libcrypto, is the last import cache.py tries
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if "hashlib" in names:
+                found.append("%s %s" % (path.name, type(node).__name__))
+    assert found == ["cache.py ImportFrom"]
+    chain = []
+    node = next(n for n in _module("cache").body if isinstance(n, ast.Try))
+    while isinstance(node, ast.Try):
+        chain.append(node.body[0].module)
+        handler, = node.handlers
+        assert handler.type.id == "ImportError"
+        node, = handler.body
+    chain.append(node.module)
+    assert chain == ["_sha2", "_sha256", "hashlib"]
+
+
+_REPORT_LOADS = """
+import json, sys
+bare = set(sys.modules)
+from grifcalc.cli import run_command
+out = []
+for _ in range(2):  # cold, then warm against the same cache
+    code, text = run_command(["report", "--json", "--kermu-vars", "5",
+                              "--cache", sys.argv[1]])
+    out.append([code, sorted(m for m in ("_hashlib", "logging")
+                             if m in sys.modules and m not in bare)])
+print(json.dumps(out))
+"""
+
+
+def test_a_report_loads_neither_openssl_nor_logging(tmp_path):
+    # a fresh interpreter, so that no test has imported a module before; a
+    # cold report writes the cache and a warm one reads it back, and
+    # neither needs libcrypto (_hashlib) or a logger
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _REPORT_LOADS,
+                          str(tmp_path / "cache")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[0, []], [0, []]]
+    assert len(os.listdir(tmp_path / "cache")) == 3
