@@ -2,10 +2,11 @@
 
 Entries are keyed by the sha256 of the canonical serialization of
 {"op": ..., "params": ...} and stored one file per key.  Every entry
-carries a digest of its payload; a mismatch (tampering, partial write,
-bit rot) is reported as a warning and treated as a miss.  Writes are
-atomic (temp file + rename) and all cache failures are soft: the cache
-never raises, it only declines to help.
+carries its key and a digest of its payload; an entry under another key's
+file name or a digest mismatch (tampering, partial write, bit rot) is
+reported as a warning and treated as a miss.  Writes are atomic (temp
+file + rename) and all cache failures are soft: the cache never raises,
+it only declines to help.
 
 The directory is chosen in this order: explicit argument, the
 GRIFCALC_CACHE environment variable, then .grifcalc-cache under the
@@ -76,6 +77,9 @@ class Cache(object):
         if not isinstance(entry, dict) or "payload" not in entry:
             _warn("cache entry %s malformed, ignoring", path)
             return None
+        if entry.get("key") != key:
+            _warn("cache entry %s holds another key's entry, ignoring", path)
+            return None
         if entry.get("digest") != payload_digest(entry["payload"]):
             _warn("cache entry %s fails digest check, ignoring", path)
             return None
@@ -84,13 +88,11 @@ class Cache(object):
     def put(self, op, params, payload):
         """Store a payload.  Failures are logged and swallowed."""
         import tempfile
-        from datetime import datetime, timezone
 
         key = cache_key(op, params)
         entry = {
             "key": key,
             "digest": payload_digest(payload),
-            "created_at": datetime.now(timezone.utc).isoformat(),
             "payload": payload,
         }
         try:

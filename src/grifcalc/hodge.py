@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import index
 
 from .errors import OutOfRange
@@ -107,7 +106,6 @@ def _bounded_counts(nvars, cap, top):
     return coeffs
 
 
-@lru_cache(maxsize=None)
 def bounded_slice_dimension(nvars, k, cap):
     """Number of degree-k monomials in nvars variables with every exponent
     <= cap: the dimension of the Fermat Jacobian ring slice R^k (cap=d-2).

@@ -62,10 +62,6 @@ class FractionField:
         return a / b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def is_zero(a):
         return not a
 
@@ -347,6 +343,8 @@ class RowReducer:
     def reduce(self, vec):
         """Return vec reduced against the stored pivots (a new dict)."""
         field = self.field
+        # exact refuses a float or a bool entry before the zeros are dropped
+        vec = {c: exact(v) for c, v in vec.items()}
         vec = {c: v for c, v in vec.items() if not field.is_zero(v)}
         while vec:
             c = min(vec)

@@ -266,11 +266,6 @@ def _shapes(nvars, family=None):
                 yield "swap_binomial", (t, u, a, k)
 
 
-def _generators(nvars, family=None):
-    """_shapes as RankOneGenerators."""
-    return itertools.starmap(RankOneGenerator, _shapes(nvars, family))
-
-
 def rank_one_generators(nvars, family=None):
     """All rank-one kernel generators for the cubic Fermat ring.
 
@@ -280,7 +275,7 @@ def rank_one_generators(nvars, family=None):
     check_nvars(nvars)
     if family not in (None, *FAMILIES):
         raise ValueError("unknown family %r" % (family,))
-    return list(_generators(nvars, family))
+    return list(itertools.starmap(RankOneGenerator, _shapes(nvars, family)))
 
 
 def _mu_kernel(nvars):

@@ -57,9 +57,6 @@ class CheckResult(object):
     status: str
     details: dict
 
-    def to_json(self):
-        return asdict(self)
-
 
 @dataclass
 class ReportDocument(object):

@@ -106,10 +106,6 @@ class ParamPolynomial:
             raise ValueError("polynomial is not constant")
         return Fraction(self.terms.get((), 0))
 
-    def leading_term(self):
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -239,7 +235,7 @@ def _is_one(p):
 
 
 def _lead_sign(p):
-    _, c = p.leading_term()
+    c = p.terms[max(p.terms, key=_grlex_key)]
     return 1 if c > 0 else -1
 
 
@@ -305,17 +301,8 @@ def _main_join(coeffs, main):
     return acc
 
 
-def _coeffs_gcd(coeffs):
-    g = _ZERO_POLY
-    for d in sorted(coeffs):
-        g = poly_gcd(g, coeffs[d])
-        if _is_one(g):
-            break
-    return g
-
-
 def _main_primitive(coeffs, content):
-    # content is _coeffs_gcd(coeffs), integer content included; without
+    # content is poly_gcd_z of the coeffs, integer content included; without
     # dividing by it univariate remainders grow exponentially
     return {d: c // content for d, c in coeffs.items()}
 
@@ -365,7 +352,7 @@ def poly_gcd(p, q):
     main = params[0]
     A = _main_split(p, main)
     B = _main_split(q, main)
-    cA, cB = _coeffs_gcd(A), _coeffs_gcd(B)
+    cA, cB = poly_gcd_z(*A.values()), poly_gcd_z(*B.values())
     cg = poly_gcd(cA, cB)
     A = _main_primitive(A, cA)
     B = _main_primitive(B, cB)
@@ -374,7 +361,7 @@ def poly_gcd(p, q):
     while B:
         R = _prem(A, B)
         A = B
-        B = _main_primitive(R, _coeffs_gcd(R)) if R else R
+        B = _main_primitive(R, poly_gcd_z(*R.values())) if R else R
     # A is primitive, so cg carries all of the content
     return _positive_lead(_main_join(A, main) * cg)
 

@@ -230,6 +230,12 @@ def test_float_entries_are_not_taken_as_exact():
                  lambda: rref([{0: 2, 1: False}], FRACTION_FIELD)):
         with pytest.raises(TypeError):
             call()
+    # RowReducer checks every entry, zeros included, the same way
+    for value in (0.5, True, 0.0, False):
+        with pytest.raises(TypeError):
+            RowReducer(FRACTION_FIELD).add({0: value, 1: 1})
+        with pytest.raises(TypeError):
+            RowReducer(FRACTION_FIELD).contains({0: value})
     assert rank([{0: Fraction(1, 2)}]) == 1
     assert determinant([{0: Fraction(1, 2)}], 1) == Fraction(1, 2)
     assert solve([{0: 2}], 1, ["1/2"]) == [Fraction(1, 4)]
@@ -269,10 +275,6 @@ class _ScalarOnlyField:
     @staticmethod
     def div(a, b):
         return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
 
     @staticmethod
     def is_zero(a):
@@ -475,7 +477,7 @@ def fraction_determinant(rows, n, field):
             if rows_order[i] > rows_order[j]:
                 sign = -sign
     if sign < 0:
-        det = field.neg(det)
+        det = -det
     return det
 
 
@@ -491,7 +493,7 @@ def fraction_kernel_basis(pivot_rows, ncols, field):
         for pc, prow in pivot_rows:
             v = prow.get(f)
             if v is not None:
-                vec[pc] = field.neg(v)
+                vec[pc] = -v
         vecs.append(vec)
     return vecs
 
@@ -501,7 +503,7 @@ def fraction_solve(rows, n, rhs, field):
     for i, r in enumerate(rows):
         row = dict(r)
         if not field.is_zero(rhs[i]):
-            row[n] = field.neg(rhs[i])
+            row[n] = -rhs[i]
         aug.append(row)
     pr = fraction_rref(aug, field)
     r, kern = len(pr), fraction_kernel_basis(pr, n + 1, field)

@@ -4,6 +4,7 @@ skip handling."""
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
@@ -58,6 +59,29 @@ def test_cache_write_failure_is_soft(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="grifcalc.cache"):
         cache.put("op", {}, {"v": 1})  # must not raise
     assert cache.get("op", {}) is None
+
+
+def test_cache_entry_is_its_key_digest_and_payload(tmp_path):
+    cache = Cache(str(tmp_path))
+    cache.put("op", {"x": 1}, {"value": 7})
+    key = cache_key("op", {"x": 1})
+    with open(cache._path(key), encoding="utf-8") as fh:
+        entry = json.load(fh)
+    assert entry == {"key": key, "digest": payload_digest({"value": 7}),
+                     "payload": {"value": 7}}
+
+
+def test_cache_entry_under_another_keys_file_name_is_a_miss(tmp_path, caplog):
+    # the digest covers the payload only; the stored key ties the entry to
+    # its own file name
+    cache = Cache(str(tmp_path))
+    cache.put("kermu.span", {"nvars": 5}, {"verdict": True})
+    shutil.copyfile(cache._path(cache_key("kermu.span", {"nvars": 5})),
+                    cache._path(cache_key("kermu.span", {"nvars": 6})))
+    with caplog.at_level(logging.WARNING, logger="grifcalc.cache"):
+        assert cache.get("kermu.span", {"nvars": 6}) is None
+    assert any("another key" in r.message for r in caplog.records)
+    assert cache.get("kermu.span", {"nvars": 5}) == {"verdict": True}
 
 
 def test_cache_env_var_and_default(tmp_path, monkeypatch):
@@ -227,3 +251,56 @@ def test_stable_report_matches_golden_bytes(tmp_path):
     assert code == 0
     with open(GOLDEN_REPORT, encoding="utf-8") as fh:
         assert out + "\n" == fh.read()
+
+
+_REPORT5 = ["report", "--json", "--stable", "--kermu-vars", "5", "--cache"]
+_SPAN5 = ("kermu.span_rank", {"nvars": 5, "mode": "span_rank",
+                              "exact": True, "prime": None})
+
+
+def test_report_recomputes_a_kermu_entry_that_holds_another_key(tmp_path,
+                                                                 caplog):
+    code, cold = run_command(_REPORT5 + [str(tmp_path / "cold")])
+    assert code == 0
+    # an entry with a valid digest but a false verdict, written for another
+    # key and copied to the file name of the n = 5 span check
+    cache = Cache(str(tmp_path / "c"))
+    forged = {"verdict": False, "forged": True}
+    other = ("kermu.span_rank", dict(_SPAN5[1], nvars=4))
+    cache.put(*other, forged)
+    shutil.copyfile(cache._path(cache_key(*other)),
+                    cache._path(cache_key(*_SPAN5)))
+    with caplog.at_level(logging.WARNING, logger="grifcalc.cache"):
+        code, out = run_command(_REPORT5 + [cache.directory])
+    assert code == 0
+    assert out == cold
+    assert any("another key" in r.message for r in caplog.records)
+
+
+def test_entries_with_created_at_still_read_warm(tmp_path, caplog,
+                                                 monkeypatch):
+    # entries written before the cache dropped its created_at field
+    directory = tmp_path / "c"
+    code, cold = run_command(_REPORT5 + [str(directory)])
+    assert code == 0
+    for name in os.listdir(directory):
+        with open(directory / name, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        entry["created_at"] = "2026-01-01T00:00:00.000000+00:00"
+        with open(directory / name, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh, sort_keys=True)
+    hits = []
+    get = Cache.get
+
+    def counting_get(self, op, params):
+        payload = get(self, op, params)
+        hits.append(payload is not None)
+        return payload
+
+    monkeypatch.setattr(Cache, "get", counting_get)
+    with caplog.at_level(logging.WARNING, logger="grifcalc.cache"):
+        code, warm = run_command(_REPORT5 + [str(directory)])
+    assert code == 0
+    assert warm == cold
+    assert hits == [True, True, True]
+    assert not caplog.records

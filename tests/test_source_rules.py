@@ -297,7 +297,8 @@ out = []
 for _ in range(2):  # cold, then warm against the same cache
     code, text = run_command(["report", "--json", "--kermu-vars", "5",
                               "--cache", sys.argv[1]])
-    out.append([code, sorted(m for m in ("_hashlib", "logging")
+    out.append([code, sorted(m for m in ("_hashlib", "logging", "datetime",
+                                         "_datetime")
                              if m in sys.modules and m not in bare)])
 print(json.dumps(out))
 """
@@ -306,7 +307,7 @@ print(json.dumps(out))
 def test_a_report_loads_neither_openssl_nor_logging(tmp_path):
     # a fresh interpreter, so that no test has imported a module before; a
     # cold report writes the cache and a warm one reads it back, and
-    # neither needs libcrypto (_hashlib) or a logger
+    # neither needs libcrypto (_hashlib), a logger or a clock (datetime)
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _REPORT_LOADS,
                           str(tmp_path / "cache")], env=env,
