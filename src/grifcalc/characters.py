@@ -15,36 +15,58 @@ orbit member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import index
 
-from .errors import InvalidCharacter, NotReducedMonomial
+from .errors import InvalidCharacter, NotReducedMonomial, read_only
 from .jacobian import HomogeneousPolynomial, monomial_string, reduced_monomials
 from .scalar import Scalar
 
 
-@dataclass(frozen=True, order=True)
 class Character(object):
     """An element of the character group: entries in [0, d-1] summing to
     0 mod d.  Degree d=2 is rejected as degenerate (the group has no
     all-nonzero elements with distinct Galois translates, and the residue
-    correspondence below breaks down)."""
+    correspondence below breaks down).  Frozen; characters compare, hash
+    and sort as the tuple (d, entries)."""
 
-    d: int
-    entries: tuple
+    __slots__ = ("d", "entries")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", index(self.d))
-        object.__setattr__(self, "entries", tuple(map(index, self.entries)))
-        if self.d < 3:
-            raise InvalidCharacter("degree must be >= 3, got %d" % self.d)
-        if not self.entries:
+    def __init__(self, d, entries):
+        d = index(d)
+        entries = tuple(map(index, entries))
+        if d < 3:
+            raise InvalidCharacter("degree must be >= 3, got %d" % d)
+        if not entries:
             raise InvalidCharacter("empty character")
-        if any(a < 0 or a >= self.d for a in self.entries):
-            raise InvalidCharacter("entries must lie in [0, %d]" % (self.d - 1))
-        if sum(self.entries) % self.d != 0:
+        if any(a < 0 or a >= d for a in entries):
+            raise InvalidCharacter("entries must lie in [0, %d]" % (d - 1))
+        if sum(entries) % d != 0:
             raise InvalidCharacter("entries sum to %d, not 0 mod %d"
-                                   % (sum(self.entries), self.d))
+                                   % (sum(entries), d))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", entries)
+
+    def __repr__(self):
+        return "Character(d=%r, entries=%r)" % (self.d, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not Character:
+            return NotImplemented
+        return self.d == other.d and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.d, self.entries))
+
+    def __lt__(self, other):
+        if other.__class__ is not Character:
+            return NotImplemented
+        return (self.d, self.entries) < (other.d, other.entries)
+
+    def __le__(self, other):
+        if other.__class__ is not Character:
+            return NotImplemented
+        return (self.d, self.entries) <= (other.d, other.entries)
 
     @property
     def nvars(self):
@@ -84,15 +106,25 @@ def hodge_type(char):
     return (char.nvars - 2 - q, q)
 
 
-@dataclass(frozen=True)
 class GaloisOrbit(object):
-    """Orbit of a character under (Z/d)^*, members sorted lexicographically."""
+    """Orbit of a character under (Z/d)^*, members sorted lexicographically.
+    Frozen; orbits compare and hash as their members."""
 
-    members: tuple
+    __slots__ = ("members",)
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members):
+        if not members:
             raise InvalidCharacter("empty orbit")
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaloisOrbit:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
 
     @property
     def d(self):
@@ -150,14 +182,17 @@ _PINNED_SYMBOLS = {
 }
 
 
-@dataclass(frozen=True)
 class SymbolicClass(object):
     """A Galois-orbit sum written with one symbolic coefficient per
-    member: sum_t  c_t * (monomial of the t-th member)."""
+    member: sum_t  c_t * (monomial of the t-th member).  Frozen."""
 
-    orbit: GaloisOrbit
-    symbols: tuple
-    polynomial: HomogeneousPolynomial
+    __slots__ = ("orbit", "symbols", "polynomial")
+    __setattr__ = read_only
+
+    def __init__(self, orbit, symbols, polynomial):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "polynomial", polynomial)
 
     def __str__(self):
         pairs = []

@@ -1,8 +1,16 @@
 """Exception types raised by grifcalc.
 
 Everything derives from GrifcalcError so callers (and the CLI) can catch
-domain errors in one place and map them to exit codes.
+domain errors in one place and map them to exit codes.  read_only is the
+__setattr__ of the library's frozen records.
 """
+
+
+def read_only(record, name, value):
+    """Refuse assignment: a frozen record sets its fields once, in
+    __init__, through object.__setattr__."""
+    raise AttributeError("cannot assign to field %r of a %s"
+                         % (name, type(record).__name__))
 
 
 class GrifcalcError(Exception):

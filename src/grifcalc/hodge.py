@@ -29,28 +29,37 @@ space).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .errors import OutOfRange
+from .errors import OutOfRange, read_only
 
 
-@dataclass(frozen=True)
 class HodgeVector:
-    """Primitive middle Hodge numbers (h^{m,0}, h^{m-1,1}, ..., h^{0,m})."""
+    """Primitive middle Hodge numbers (h^{m,0}, h^{m-1,1}, ..., h^{0,m}).
+    Frozen; vectors compare and hash as (m, values)."""
 
-    m: int
-    values: tuple
+    __slots__ = ("m", "values")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if len(self.values) != self.m + 1:
+    def __init__(self, m, values):
+        if len(values) != m + 1:
             raise ValueError("expected %d values, got %d"
-                             % (self.m + 1, len(self.values)))
-        if any(v < 0 for v in self.values):
-            raise ValueError("negative Hodge number in %r" % (self.values,))
-        if tuple(reversed(self.values)) != self.values:
-            raise ValueError("Hodge vector is not symmetric: %r" % (self.values,))
+                             % (m + 1, len(values)))
+        if any(v < 0 for v in values):
+            raise ValueError("negative Hodge number in %r" % (values,))
+        if tuple(reversed(values)) != values:
+            raise ValueError("Hodge vector is not symmetric: %r" % (values,))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not HodgeVector:
+            return NotImplemented
+        return self.m == other.m and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.m, self.values))
 
     @property
     def primitive_betti(self):
@@ -60,23 +69,24 @@ class HodgeVector:
         return list(self.values)
 
 
-@dataclass(frozen=True)
 class CIData:
     """A smooth complete intersection of the given multidegree and
-    dimension m inside P^{m + len(degrees)}."""
+    dimension m inside P^{m + len(degrees)}.  Frozen."""
 
-    degrees: tuple
-    m: int
+    __slots__ = ("degrees", "m")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(map(index, self.degrees)))
-        object.__setattr__(self, "m", index(self.m))
-        if not self.degrees:
+    def __init__(self, degrees, m):
+        degrees = tuple(map(index, degrees))
+        m = index(m)
+        if not degrees:
             raise ValueError("degrees must be non-empty")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be >= 1")
-        if self.m < 0:
+        if m < 0:
             raise ValueError("dimension must be >= 0")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "m", m)
 
     @property
     def ambient(self):

@@ -18,10 +18,10 @@ against R^1; the solve through M also proves M invertible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateDenominator, NotIsomorphism, OutOfRange
+from .errors import (DegenerateDenominator, NotIsomorphism, OutOfRange,
+                     read_only)
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
@@ -41,15 +41,18 @@ NVARS = 8
 MAX_PAIRS = 500
 
 
-@dataclass(frozen=True)
 class TripleData:
     """A class polynomial P (degree 4), a quadric e, and the two front
-    coefficients used to form P."""
+    coefficients (Scalar or Fraction) used to form P.  Frozen."""
 
-    p: HomogeneousPolynomial
-    e: HomogeneousPolynomial
-    a: Scalar | Fraction
-    b: Scalar | Fraction
+    __slots__ = ("p", "e", "a", "b")
+    __setattr__ = read_only
+
+    def __init__(self, p, e, a, b):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _coeff(value, default_name):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import index
+from operator import add, index
 
 from .errors import DegreeMismatch
 from .linalg import (
@@ -191,7 +191,7 @@ class HomogeneousPolynomial:
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = terms.get(e)
                 s = ca * cb if s is None else s + ca * cb
                 if not s:
@@ -205,7 +205,7 @@ class HomogeneousPolynomial:
     def mul_monomial(self, exps):
         terms = {}
         for e, c in self.terms.items():
-            ne = tuple(x + y for x, y in zip(e, exps))
+            ne = tuple(map(add, e, exps))
             terms[ne] = c
         return HomogeneousPolynomial(self.nvars, self.degree + sum(exps), terms)
 
@@ -357,7 +357,7 @@ class HypersurfaceRing:
             for m in shifts:
                 row = {}
                 for e, c in g.terms.items():
-                    ne = tuple(x + y for x, y in zip(e, m))
+                    ne = tuple(map(add, e, m))
                     row[col_index[ne]] = c
                 if row:
                     rows.append(row)

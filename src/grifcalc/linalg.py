@@ -160,8 +160,10 @@ def _eliminate(rows, domain):
     The pivot is the entry that minimizes (row_fill-1)*(col_fill-1), ties
     broken by (col, row).  Each active row's best (cost, col, row) sits in
     a heap; an entry is live while it is still its row's key.  A pivot
-    changes the fill of its own columns only, so only the rows it updates
-    and the rows holding one of its columns get new keys.
+    changes the fill of its own columns only: its row leaves them, and a
+    row update adds or drops entries only at them.  So only their (fill,
+    col) pairs are refreshed, and only the rows it updates and the rows
+    holding one of its columns get new keys.
     """
     prepared = _cleared_rows(rows, domain)
     active = {i: r for i, (r, _) in enumerate(prepared) if r}
@@ -170,13 +172,14 @@ def _eliminate(rows, domain):
     for ri, row in active.items():
         for c in row:
             col_rows[c].add(ri)
+    fills = {c: (len(rs), c) for c, rs in col_rows.items()}
     keys = {}
 
     def key_of(ri):
         # in a row of two or more entries the cost grows with the column
         # fill, so the least (fill, col) is the least (cost, col)
         row = active[ri]
-        fill, c = min((len(col_rows[c]), c) for c in row)
+        fill, c = min(map(fills.__getitem__, row))
         key = ((len(row) - 1) * (fill - 1), c, ri)
         keys[ri] = key
         return key
@@ -208,7 +211,9 @@ def _eliminate(rows, domain):
                 del active[rj]
                 del keys[rj]
         for c in prow:
-            stale.update(col_rows[c])
+            rs = col_rows[c]
+            fills[c] = (len(rs), c)
+            stale.update(rs)
         for rj in stale:
             heappush(heap, key_of(rj))
 

@@ -19,13 +19,15 @@ ker(mu) has a closed-form basis over index triples (see _mu_kernel).
 span_equals_kernel certifies that the two families span the whole kernel,
 either by a streamed rank count (see _span_rank: pairs are unit vectors,
 and what a swap leaves beside them is an edge of a graph, so the rank is
-a component count, exact at every size) or by rewriting every kernel
-basis vector to its standard form with a certificate of moves that
+a component count, exact at every size; the count expands only the swaps
+that can add rank, see _passes_over) or by rewriting every kernel basis
+vector to its standard form with a certificate of moves that
 verify_certificate replays.  Neither builds the mu matrix, and both expand
 a generator through _move_terms.  Both run on index tuples and int columns
 (see _column): the count builds no objects, and the kermu standardization
 emits and replays plain (family_tag, indices, coeff) moves; only the public
-standardize builds RankOneGenerators and StandardTensors.
+standardize builds RankOneGenerators and StandardTensors.  The records are
+plain __slots__ classes, cheap to define at import.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
 
-from .errors import DegreeMismatch, NotInKernel, OutOfRange
+from .errors import DegreeMismatch, NotInKernel, OutOfRange, read_only
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
@@ -92,22 +93,37 @@ def _side(family_tag, indices, nvars, which):
     return HomogeneousPolynomial(nvars, sum(ea), terms)
 
 
-@dataclass(frozen=True)
 class RankOneGenerator:
     """A decomposable tensor named by its family and index tuples:
     (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
-    swap_binomial.  left and right build the polynomial sides (_side) once,
-    on first use."""
+    swap_binomial.  left and right build the polynomial sides (_side) on
+    each use.  Frozen; generators compare and hash as (family_tag,
+    indices)."""
 
-    family_tag: str
-    indices: tuple
+    __slots__ = ("family_tag", "indices")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        if self.family_tag not in FAMILIES:
-            raise ValueError("unknown family %r" % (self.family_tag,))
-        if len(self.indices) != FAMILIES[self.family_tag]:
+    def __init__(self, family_tag, indices):
+        if family_tag not in FAMILIES:
+            raise ValueError("unknown family %r" % (family_tag,))
+        if len(indices) != FAMILIES[family_tag]:
             raise ValueError("%s takes %d index entries"
-                             % (self.family_tag, FAMILIES[self.family_tag]))
+                             % (family_tag, FAMILIES[family_tag]))
+        object.__setattr__(self, "family_tag", family_tag)
+        object.__setattr__(self, "indices", indices)
+
+    def __repr__(self):
+        return "RankOneGenerator(family_tag=%r, indices=%r)" % (
+            self.family_tag, self.indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not RankOneGenerator:
+            return NotImplemented
+        return (self.family_tag == other.family_tag
+                and self.indices == other.indices)
+
+    def __hash__(self):
+        return hash((self.family_tag, self.indices))
 
     def shape_ok(self):
         """The index condition that puts the tensor in ker(mu): increasing
@@ -121,11 +137,11 @@ class RankOneGenerator:
         idx = self.indices
         return 1 + max(idx[0] + idx[1] + idx[2:])
 
-    @functools.cached_property
+    @property
     def left(self):
         return _side(self.family_tag, self.indices, self.nvars, 0)
 
-    @functools.cached_property
+    @property
     def right(self):
         return _side(self.family_tag, self.indices, self.nvars, 1)
 
@@ -176,20 +192,30 @@ def _move_terms(family_tag, indices):
     return ((ta + ua, 1), (ta + uk, -1), (tk + ua, 1), (tk + uk, -1))
 
 
-@dataclass(frozen=True)
 class StandardTensor:
     """Split of a strictly increasing sextet into its first and last three
-    indices: the canonical representative of a kernel fiber."""
+    indices: the canonical representative of a kernel fiber.  Frozen;
+    tensors compare and hash as (nvars, indices)."""
 
-    nvars: int
-    indices: tuple
+    __slots__ = ("nvars", "indices")
+    __setattr__ = read_only
 
-    def __post_init__(self):
-        idx = self.indices
+    def __init__(self, nvars, indices):
+        idx = indices
         if len(idx) != 6 or any(idx[i] >= idx[i + 1] for i in range(5)):
             raise ValueError("indices must be six strictly increasing values")
-        if idx[0] < 0 or idx[-1] >= self.nvars:
-            raise OutOfRange("index out of range for %d variables" % self.nvars)
+        if idx[0] < 0 or idx[-1] >= nvars:
+            raise OutOfRange("index out of range for %d variables" % nvars)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not StandardTensor:
+            return NotImplemented
+        return self.nvars == other.nvars and self.indices == other.indices
+
+    def __hash__(self):
+        return hash((self.nvars, self.indices))
 
     @property
     def left_indices(self):
@@ -205,15 +231,19 @@ class StandardTensor:
             index_monomial(self.nvars, self.right_indices))
 
 
-@dataclass(frozen=True)
 class Certificate:
     """The claim terms = sum(standard) + sum(coeff * move), replayed by
     verify_certificate: terms {(left_triple, right_triple): coeff},
-    standard {StandardTensor: coeff}, moves ((RankOneGenerator, coeff),)."""
+    standard {StandardTensor: coeff}, moves ((RankOneGenerator, coeff),).
+    Frozen."""
 
-    moves: tuple
-    terms: dict
-    standard: dict
+    __slots__ = ("moves", "terms", "standard")
+    __setattr__ = read_only
+
+    def __init__(self, moves, terms, standard):
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "standard", standard)
 
 
 def _check_cubic_tensor(ring, w):
@@ -444,37 +474,40 @@ def verify_certificate(cert):
                     for gen, coeff in cert.moves])
 
 
-@dataclass
 class SpanReport:
-    """Outcome of a span-versus-kernel certification run.  Both modes are
+    """Outcome of a span-versus-kernel certification run, built from
+    keyword fields, every one of __slots__ and no other.  Both modes are
     exact, so exact is always True and prime always None; the fields keep
     the JSON schema."""
 
-    nvars: int
-    mode: str
-    exact: bool
-    prime: int | None
-    dim_r3: int
-    dim_r6: int
-    mu_rank: int
-    kernel_dim: int
-    pair_count: int
-    pair_rank: int
-    swap_streamed: int
-    span_rank: int
-    standardized_vectors: int
-    certificate_moves: int
-    swap_identity_checked: bool
-    verdict: bool
+    __slots__ = ("nvars", "mode", "exact", "prime", "dim_r3", "dim_r6",
+                 "mu_rank", "kernel_dim", "pair_count", "pair_rank",
+                 "swap_streamed", "span_rank", "standardized_vectors",
+                 "certificate_moves", "swap_identity_checked", "verdict")
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError("SpanReport takes exactly the fields %s"
+                            % ", ".join(self.__slots__))
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def to_json(self):
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+def _passes_over(t, u, a, k):
+    """Whether _span_rank counts the swap (t, u, a, k) without expanding
+    it: t and u share an index, or a > k."""
+    return a > k or t[0] in u or t[1] in u
 
 
 def _span_rank(nvars, kernel_dim):
     """(pair_rank, swap_streamed, span_rank): the ranks, over any field, of
     every pair generator and then of swaps streamed until the rank reaches
-    kernel_dim.
+    kernel_dim.  swap_streamed is the position in the stream of the swap
+    at which the rank was reached, or the length of the stream when it was
+    not.
 
     A pair is the unit vector on its own column (l, r), so pair_rank counts
     those columns.  With them projected out, a swap (t, u, a, k) leaves
@@ -482,7 +515,17 @@ def _span_rank(nvars, kernel_dim):
     and (ta, uk), (tk, ua) meet exactly in t and u.  Vectors e_x - e_y have
     the rank of a graph's incidence matrix, the number of edges joining two
     components (Biggs, Algebraic Graph Theory, ch. 4), in every field.  Any
-    other shape raises ArithmeticError: the count would not hold for it."""
+    other shape raises ArithmeticError: the count would not hold for it.
+
+    Every swap is counted, but only those that _passes_over refuses are
+    expanded (through _move_terms, the one expansion, and checked as
+    above).  That is sound whatever the skipped swaps are: the rank of a
+    subset of the generators is a lower bound on the rank of the families,
+    and the verdict asks for rank == kernel_dim, the most they can have.
+    Two facts make the skipped swaps add nothing, so that the three counts
+    are those of expanding every swap: when t and u share an index, all
+    four columns of the swap are pair columns; and (t, u, k, a) is minus
+    (t, u, a, k), which comes earlier in the stream."""
     pairs = set()
     for shape in _shapes(nvars, "monomial_pair"):
         terms = _move_terms(*shape)
@@ -502,6 +545,8 @@ def _span_rank(nvars, kernel_dim):
         if rank >= kernel_dim:
             break
         streamed += 1
+        if _passes_over(*shape[1]):
+            continue
         rest = [cs for cs in _move_terms(*shape) if cs[0] not in pairs]
         if not rest:
             continue

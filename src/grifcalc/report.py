@@ -17,7 +17,6 @@ check and can be zeroed for byte-reproducible output.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .characters import (Character, enumerate_type, galois_orbit,
@@ -51,35 +50,45 @@ INVARIANT_VALUE = "a*b/(a+b*h)"
 DEFAULT_PAIRS = tuple((a, 1) for a in range(1, 9))
 
 
-@dataclass
 class CheckResult(object):
-    check_id: str
-    status: str
-    details: dict
+    __slots__ = ("check_id", "status", "details")
+
+    def __init__(self, check_id, status, details):
+        self.check_id = check_id
+        self.status = status
+        self.details = details
 
 
-@dataclass
 class ReportDocument(object):
-    tool_version: str
-    checks: list
-    timings: dict
+    __slots__ = ("tool_version", "checks", "timings")
+
+    def __init__(self, tool_version, checks, timings):
+        self.tool_version = tool_version
+        self.checks = checks
+        self.timings = timings
 
     @property
     def failed(self):
         return any(c.status == "fail" for c in self.checks)
 
     def to_json(self):
-        return asdict(self)
+        return {"tool_version": self.tool_version,
+                "checks": [{"check_id": c.check_id, "status": c.status,
+                            "details": c.details} for c in self.checks],
+                "timings": self.timings}
 
 
-@dataclass
 class ReportOptions(object):
-    kermu_vars: int = 6
-    pairs: tuple = DEFAULT_PAIRS
-    seed: int = 0
-    skip: tuple = ()
-    stable: bool = False
-    cache: object = None
+    __slots__ = ("kermu_vars", "pairs", "seed", "skip", "stable", "cache")
+
+    def __init__(self, kermu_vars=6, pairs=DEFAULT_PAIRS, seed=0, skip=(),
+                 stable=False, cache=None):
+        self.kermu_vars = kermu_vars
+        self.pairs = pairs
+        self.seed = seed
+        self.skip = skip
+        self.stable = stable
+        self.cache = cache
 
 
 def _skipped(check_id, skip_tokens):

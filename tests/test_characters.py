@@ -112,6 +112,36 @@ def test_galois_orbits_for_cubic():
         alpha.scale(3)
 
 
+def test_characters_sort_and_hash_as_the_tuple_of_their_fields():
+    # sorted censuses, sets and dict keys of characters rest on this
+    chars = [Character(5, (1, 4)), Character(3, (2, 2, 2)),
+             Character(3, (1, 2)), Character(3, (1, 1, 1)),
+             Character(3, [1, 2])]
+    assert [(c.d, c.entries) for c in sorted(chars)] == [
+        (3, (1, 1, 1)), (3, (1, 2)), (3, (1, 2)), (3, (2, 2, 2)),
+        (5, (1, 4))]
+    assert sorted((c.d, c.entries) for c in set(chars)) == [
+        (3, (1, 1, 1)), (3, (1, 2)), (3, (2, 2, 2)), (5, (1, 4))]
+    assert hash(Character(3, (1, 2))) == hash((3, (1, 2)))
+    assert max(chars) == Character(5, (1, 4))
+    assert Character(3, (1, 2)) <= Character(3, [1, 2]) < Character(3, (2, 1))
+    assert Character(3, (1, 2)) != (3, (1, 2))
+    with pytest.raises(TypeError):
+        Character(3, (1, 2)) < (3, (1, 2))
+
+
+def test_character_records_are_frozen():
+    char = Character(3, (2, 2, 2, 2, 1, 1, 1, 1))
+    orbit = galois_orbit(char)
+    cls = rational_class(orbit)
+    for record, name in ((char, "d"), (char, "entries"), (orbit, "members"),
+                         (cls, "orbit"), (cls, "symbols"),
+                         (cls, "polynomial"), (char, "unknown")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert char.entries == (2, 2, 2, 2, 1, 1, 1, 1)
+
+
 def test_orbit_mixing_types_for_skewed_characters():
     skew = enumerate_type(3, 8, (4, 2))[0]
     orbit = galois_orbit(skew)

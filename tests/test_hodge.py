@@ -220,6 +220,18 @@ def test_ci_data_validation():
     assert ci.ambient == 8
 
 
+def test_hodge_records_are_frozen():
+    hv = HodgeVector(1, (1, 1))
+    ci = CIData((3,), 2)
+    for record, name in ((hv, "m"), (hv, "values"), (ci, "degrees"),
+                         (ci, "m"), (ci, "unknown")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert (hv.values, ci.degrees, ci.m) == ((1, 1), (3,), 2)
+    assert hv == HodgeVector(1, (1, 1)) != HodgeVector(1, (2, 2))
+    assert hash(hv) == hash((1, (1, 1)))
+
+
 def test_ci_data_degrees_must_be_integers():
     # a float or a string degree raises instead of being truncated
     for degrees in ((3.7,), (3, 2.0), ("3",)):

@@ -64,6 +64,14 @@ def test_triple_structure():
     assert t.a == Scalar.param("a") and t.b == Scalar.param("b")
 
 
+def test_triple_is_frozen():
+    t = distinguished_triple()
+    for name in ("p", "e", "a", "b", "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, None)
+    assert t.a == Scalar.param("a")
+
+
 def test_triple_specialization():
     t = distinguished_triple(1, 0)
     # only the first summand survives: a*(A x0x1x2x3 + C x4x5x6x7)

@@ -134,6 +134,22 @@ def test_standard_tensor_validation():
         StandardTensor(6, (0, 1, 2, 3, 4, 6))
 
 
+def test_mulkernel_records_are_frozen():
+    gen = RankOneGenerator("monomial_pair", ((0, 1, 2), (0, 3, 4)))
+    st = StandardTensor(6, (0, 1, 2, 3, 4, 5))
+    cert = Certificate(((gen, 1),), {}, {})
+    for record, name in ((gen, "family_tag"), (gen, "indices"),
+                         (st, "nvars"), (st, "indices"), (cert, "moves"),
+                         (cert, "terms"), (cert, "standard"),
+                         (gen, "unknown")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert gen == RankOneGenerator("monomial_pair", ((0, 1, 2), (0, 3, 4)))
+    assert hash(gen) == hash(("monomial_pair", ((0, 1, 2), (0, 3, 4))))
+    assert {st: 1}[StandardTensor(6, (0, 1, 2, 3, 4, 5))] == 1
+    assert hash(st) == hash((6, (0, 1, 2, 3, 4, 5)))
+
+
 def test_standardize_already_standard():
     ring = HypersurfaceRing.fermat(3, 6)
     w = TensorSum.simple(index_monomial(6, (0, 1, 2)),
@@ -469,20 +485,20 @@ def test_component_count_refuses_a_flipped_sign(monkeypatch):
 def test_span_stream_builds_no_generator_objects(monkeypatch):
     # the span count runs on index tuples: a RankOneGenerator made anywhere
     # on its path would raise here
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("RankOneGenerator built in the span stream")
 
-    monkeypatch.setattr(RankOneGenerator, "__post_init__", refuse)
+    monkeypatch.setattr(RankOneGenerator, "__init__", refuse)
     assert _span_rank(9, 6972) == (5376, 29602, 6972)
 
 
 def test_kermu_standardization_builds_no_generator_objects(monkeypatch):
     # the standardize mode and the ring lemmas run on plain moves and
     # shapes; only the public standardize builds RankOneGenerators
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("RankOneGenerator built in the kermu path")
 
-    monkeypatch.setattr(RankOneGenerator, "__post_init__", refuse)
+    monkeypatch.setattr(RankOneGenerator, "__init__", refuse)
     swap_identity_holds.cache_clear()
     report = span_equals_kernel(9, mode="standardize")
     swap_identity_holds.cache_clear()
@@ -613,6 +629,23 @@ def test_span_stream_matches_the_parent_oracle():
         assert _span_rank(nvars, kernel_dim) == \
             _parent_span_rank(nvars, kernel_dim), nvars
     assert rank_one_generators(6) == list(_parent_generators(6))
+
+
+def test_span_stream_disagrees_when_it_passes_over_a_swap_that_adds_rank(
+        monkeypatch):
+    # the pass-over keeps the counts the parent's only because every swap
+    # it skips adds nothing; widened to skip the swap at which the rank is
+    # reached, the counts move
+    kernel_dim = kernel_dimension(6)[0]
+    streamed = _parent_span_rank(6, kernel_dim)[1]
+    _, last = list(mulkernel._shapes(6, "swap_binomial"))[streamed - 1]
+    assert last == ((3, 4), (0, 1), 2, 5)
+    passes_over = mulkernel._passes_over
+    assert not passes_over(*last)
+    monkeypatch.setattr(mulkernel, "_passes_over",
+                        lambda *indices: indices == last
+                        or passes_over(*indices))
+    assert _span_rank(6, kernel_dim) != _parent_span_rank(6, kernel_dim)
 
 
 def _moves(cert):

@@ -147,6 +147,30 @@ def test_report_cache_keys_are_pinned(tmp_path):
                       for op, params in keys))
 
 
+def test_cold_report_cache_entries_are_pinned(tmp_path):
+    # a cache filled by an earlier version keeps reading warm only while
+    # the entries a cold report writes keep these file names and digests
+    cache = str(tmp_path / "c")
+    code, _ = run_command(["report", "--json", "--kermu-vars", "6",
+                           "--cache", cache])
+    assert code == 0
+    entries = {}
+    for name in os.listdir(cache):
+        with open(os.path.join(cache, name)) as fh:
+            entries[name] = json.load(fh)["digest"]
+    assert entries == {
+        "0220af649153db3759d261a043b56118b4defc02d7be3ca85c6e6fce6d0d436d"
+        ".json":
+        "9dc8b91f1a16511a0e9672df3bdf932b53e61705b10a10528894a2b2de537730",
+        "8001555a94db26c7e76a95a5b8bc94b3946129c227595d7b4f2961cdfd6cda58"
+        ".json":
+        "f3a3c342a7600d72f5e0bb28e88373bb6a35aff36632ed420351a88fc83c6ad7",
+        "9300dcea99b0ed2b859af5c0f4a0ebd8460805e67eab95e9fce9bd5a6922569a"
+        ".json":
+        "05a659025554d13161a48390f59305646dca8eb600d343c637f748da1fc01681",
+    }
+
+
 def test_report_check_order_is_stable():
     doc = full_report(ReportOptions(skip=("kermu", "nl", "hodge", "fermat",
                                           "independence")))

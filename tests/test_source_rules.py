@@ -298,7 +298,8 @@ for _ in range(2):  # cold, then warm against the same cache
     code, text = run_command(["report", "--json", "--kermu-vars", "5",
                               "--cache", sys.argv[1]])
     out.append([code, sorted(m for m in ("_hashlib", "logging", "datetime",
-                                         "_datetime")
+                                         "_datetime", "dataclasses",
+                                         "inspect")
                              if m in sys.modules and m not in bare)])
 print(json.dumps(out))
 """
@@ -307,10 +308,29 @@ print(json.dumps(out))
 def test_a_report_loads_neither_openssl_nor_logging(tmp_path):
     # a fresh interpreter, so that no test has imported a module before; a
     # cold report writes the cache and a warm one reads it back, and
-    # neither needs libcrypto (_hashlib), a logger or a clock (datetime)
+    # neither needs libcrypto (_hashlib), a logger, a clock (datetime) or
+    # the class machinery of dataclasses and inspect
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", _REPORT_LOADS,
                           str(tmp_path / "cache")], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [[0, []], [0, []]]
     assert len(os.listdir(tmp_path / "cache")) == 3
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain __slots__ classes: @dataclass costs about a
+    # millisecond per class at import, and dataclasses loads inspect
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
