@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from operator import index
 
-from .errors import InvalidCharacter, NotReducedMonomial, read_only
+from .errors import InvalidCharacter, NotReducedMonomial, Record
 from .jacobian import HomogeneousPolynomial, monomial_string, reduced_monomials
 from .scalar import Scalar
 
 
-class Character(object):
+class Character(Record):
     """An element of the character group: entries in [0, d-1] summing to
     0 mod d.  Degree d=2 is rejected as degenerate (the group has no
     all-nonzero elements with distinct Galois translates, and the residue
@@ -30,7 +30,6 @@ class Character(object):
     and sort as the tuple (d, entries)."""
 
     __slots__ = ("d", "entries")
-    __setattr__ = read_only
 
     def __init__(self, d, entries):
         d = index(d)
@@ -39,24 +38,12 @@ class Character(object):
             raise InvalidCharacter("degree must be >= 3, got %d" % d)
         if not entries:
             raise InvalidCharacter("empty character")
-        if any(a < 0 or a >= d for a in entries):
+        if min(entries) < 0 or max(entries) >= d:
             raise InvalidCharacter("entries must lie in [0, %d]" % (d - 1))
         if sum(entries) % d != 0:
             raise InvalidCharacter("entries sum to %d, not 0 mod %d"
                                    % (sum(entries), d))
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", entries)
-
-    def __repr__(self):
-        return "Character(d=%r, entries=%r)" % (self.d, self.entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not Character:
-            return NotImplemented
-        return self.d == other.d and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.d, self.entries))
+        Record.__init__(self, d, entries)
 
     def __lt__(self, other):
         if other.__class__ is not Character:
@@ -106,25 +93,16 @@ def hodge_type(char):
     return (char.nvars - 2 - q, q)
 
 
-class GaloisOrbit(object):
+class GaloisOrbit(Record):
     """Orbit of a character under (Z/d)^*, members sorted lexicographically.
     Frozen; orbits compare and hash as their members."""
 
     __slots__ = ("members",)
-    __setattr__ = read_only
 
     def __init__(self, members):
         if not members:
             raise InvalidCharacter("empty orbit")
-        object.__setattr__(self, "members", members)
-
-    def __eq__(self, other):
-        if other.__class__ is not GaloisOrbit:
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash((self.members,))
+        Record.__init__(self, members)
 
     @property
     def d(self):
@@ -182,17 +160,11 @@ _PINNED_SYMBOLS = {
 }
 
 
-class SymbolicClass(object):
+class SymbolicClass(Record):
     """A Galois-orbit sum written with one symbolic coefficient per
     member: sum_t  c_t * (monomial of the t-th member).  Frozen."""
 
     __slots__ = ("orbit", "symbols", "polynomial")
-    __setattr__ = read_only
-
-    def __init__(self, orbit, symbols, polynomial):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "polynomial", polynomial)
 
     def __str__(self):
         pairs = []

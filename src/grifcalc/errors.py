@@ -1,16 +1,61 @@
-"""Exception types raised by grifcalc.
+"""Exception types raised by grifcalc, and Record, the base of its
+frozen records.
 
 Everything derives from GrifcalcError so callers (and the CLI) can catch
-domain errors in one place and map them to exit codes.  read_only is the
-__setattr__ of the library's frozen records.
+domain errors in one place and map them to exit codes.
 """
 
+from operator import attrgetter
 
-def read_only(record, name, value):
-    """Refuse assignment: a frozen record sets its fields once, in
-    __init__, through object.__setattr__."""
-    raise AttributeError("cannot assign to field %r of a %s"
-                         % (name, type(record).__name__))
+
+class Record(object):
+    """A frozen record whose fields are its __slots__.  Record binds each
+    field exactly once, by position or keyword; refuses assignment;
+    compares (same class only) and hashes as the tuple of the fields; and
+    prints Name(field=value, ...).  A record that checks its fields does
+    so in its own __init__, which ends in Record.__init__(self, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # == and hash are closures per class over one attrgetter, one Python
+        # frame each (attrgetter of one name gives the bare value, not a
+        # 1-tuple); _setters are the slots' own setters, which pass over
+        # the refusing __setattr__
+        get = attrgetter(*cls.__slots__)
+        key = get if len(cls.__slots__) > 1 else lambda record: (get(record),)
+        cls._setters = tuple(cls.__dict__[name].__set__
+                             for name in cls.__slots__)
+
+        def __eq__(self, other):
+            if other.__class__ is not cls:
+                return NotImplemented
+            return key(self) == key(other)
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named or len(values) != len(setters):
+            # the first fields by position, the rest by keyword
+            rest = self.__slots__[len(values):]
+            if len(values) > len(setters) or named.keys() != set(rest):
+                raise TypeError("%s takes exactly the fields %s" % (
+                    type(self).__name__, ", ".join(self.__slots__)))
+            values += tuple(named[name] for name in rest)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of a %s"
+                             % (name, type(self).__name__))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class GrifcalcError(Exception):

@@ -32,15 +32,14 @@ import math
 from fractions import Fraction
 from operator import index
 
-from .errors import OutOfRange, read_only
+from .errors import OutOfRange, Record
 
 
-class HodgeVector:
+class HodgeVector(Record):
     """Primitive middle Hodge numbers (h^{m,0}, h^{m-1,1}, ..., h^{0,m}).
     Frozen; vectors compare and hash as (m, values)."""
 
     __slots__ = ("m", "values")
-    __setattr__ = read_only
 
     def __init__(self, m, values):
         if len(values) != m + 1:
@@ -50,16 +49,7 @@ class HodgeVector:
             raise ValueError("negative Hodge number in %r" % (values,))
         if tuple(reversed(values)) != values:
             raise ValueError("Hodge vector is not symmetric: %r" % (values,))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is not HodgeVector:
-            return NotImplemented
-        return self.m == other.m and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.m, self.values))
+        Record.__init__(self, m, values)
 
     @property
     def primitive_betti(self):
@@ -69,12 +59,11 @@ class HodgeVector:
         return list(self.values)
 
 
-class CIData:
+class CIData(Record):
     """A smooth complete intersection of the given multidegree and
     dimension m inside P^{m + len(degrees)}.  Frozen."""
 
     __slots__ = ("degrees", "m")
-    __setattr__ = read_only
 
     def __init__(self, degrees, m):
         degrees = tuple(map(index, degrees))
@@ -85,8 +74,7 @@ class CIData:
             raise ValueError("degrees must be >= 1")
         if m < 0:
             raise ValueError("dimension must be >= 0")
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "m", m)
+        Record.__init__(self, degrees, m)
 
     @property
     def ambient(self):

@@ -20,8 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import (DegenerateDenominator, NotIsomorphism, OutOfRange,
-                     read_only)
+from .errors import DegenerateDenominator, NotIsomorphism, OutOfRange, Record
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
@@ -41,18 +40,11 @@ NVARS = 8
 MAX_PAIRS = 500
 
 
-class TripleData:
+class TripleData(Record):
     """A class polynomial P (degree 4), a quadric e, and the two front
     coefficients (Scalar or Fraction) used to form P.  Frozen."""
 
     __slots__ = ("p", "e", "a", "b")
-    __setattr__ = read_only
-
-    def __init__(self, p, e, a, b):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 def _coeff(value, default_name):

@@ -26,8 +26,8 @@ verify_certificate replays.  Neither builds the mu matrix, and both expand
 a generator through _move_terms.  Both run on index tuples and int columns
 (see _column): the count builds no objects, and the kermu standardization
 emits and replays plain (family_tag, indices, coeff) moves; only the public
-standardize builds RankOneGenerators and StandardTensors.  The records are
-plain __slots__ classes, cheap to define at import.
+standardize builds RankOneGenerators and StandardTensors, frozen records on
+errors.Record, cheap to define at import.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 
-from .errors import DegreeMismatch, NotInKernel, OutOfRange, read_only
+from .errors import DegreeMismatch, NotInKernel, OutOfRange, Record
 from .jacobian import (
     HomogeneousPolynomial,
     HypersurfaceRing,
@@ -49,12 +49,18 @@ FAMILIES = {"monomial_pair": 2, "swap_binomial": 4}  # tag: index entries
 _SIGNS = (1, -1)
 
 
-def index_monomial(nvars, indices, coeff=1):
-    """coeff times the product of x_i over indices (with repeats)."""
+def _exponents(nvars, indices):
+    """Exponents of the product of x_i over indices, with repeats."""
     e = [0] * nvars
     for i in indices:
         e[i] += 1
-    return HomogeneousPolynomial.monomial(nvars, e, coeff)
+    return tuple(e)
+
+
+def index_monomial(nvars, indices, coeff=1):
+    """coeff times the product of x_i over indices (with repeats)."""
+    return HomogeneousPolynomial.monomial(nvars, _exponents(nvars, indices),
+                                          coeff)
 
 
 def _increasing(idx, size):
@@ -82,18 +88,18 @@ def _side(family_tag, indices, nvars, which):
     coefficients: 1 on a pair side, +-1 (2 when a == k) on a swap side."""
     base = indices[which]
     if family_tag == "monomial_pair":
-        return HomogeneousPolynomial(
-            nvars, len(base), {tuple(map(base.count, range(nvars))): 1})
+        return HomogeneousPolynomial(nvars, len(base),
+                                     {_exponents(nvars, base): 1})
     a, k = indices[2:]
     # t*(x_a + x_k) on the left, u*(x_a - x_k) on the right, in one
     # constructor call; a == k (no kernel shape) gives 2*t*x_a and 0
-    ea, ek = (tuple(map((base + (i,)).count, range(nvars))) for i in (a, k))
+    ea, ek = _exponents(nvars, base + (a,)), _exponents(nvars, base + (k,))
     terms = ({ea: _SIGNS[0], ek: _SIGNS[which]} if a != k
              else {} if which else {ea: 2 * _SIGNS[0]})
     return HomogeneousPolynomial(nvars, sum(ea), terms)
 
 
-class RankOneGenerator:
+class RankOneGenerator(Record):
     """A decomposable tensor named by its family and index tuples:
     (left_triple, right_triple) for monomial_pair, (t, u, a, k) for
     swap_binomial.  left and right build the polynomial sides (_side) on
@@ -101,7 +107,6 @@ class RankOneGenerator:
     indices)."""
 
     __slots__ = ("family_tag", "indices")
-    __setattr__ = read_only
 
     def __init__(self, family_tag, indices):
         if family_tag not in FAMILIES:
@@ -109,21 +114,7 @@ class RankOneGenerator:
         if len(indices) != FAMILIES[family_tag]:
             raise ValueError("%s takes %d index entries"
                              % (family_tag, FAMILIES[family_tag]))
-        object.__setattr__(self, "family_tag", family_tag)
-        object.__setattr__(self, "indices", indices)
-
-    def __repr__(self):
-        return "RankOneGenerator(family_tag=%r, indices=%r)" % (
-            self.family_tag, self.indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not RankOneGenerator:
-            return NotImplemented
-        return (self.family_tag == other.family_tag
-                and self.indices == other.indices)
-
-    def __hash__(self):
-        return hash((self.family_tag, self.indices))
+        Record.__init__(self, family_tag, indices)
 
     def shape_ok(self):
         """The index condition that puts the tensor in ker(mu): increasing
@@ -192,13 +183,12 @@ def _move_terms(family_tag, indices):
     return ((ta + ua, 1), (ta + uk, -1), (tk + ua, 1), (tk + uk, -1))
 
 
-class StandardTensor:
+class StandardTensor(Record):
     """Split of a strictly increasing sextet into its first and last three
     indices: the canonical representative of a kernel fiber.  Frozen;
     tensors compare and hash as (nvars, indices)."""
 
     __slots__ = ("nvars", "indices")
-    __setattr__ = read_only
 
     def __init__(self, nvars, indices):
         idx = indices
@@ -206,16 +196,7 @@ class StandardTensor:
             raise ValueError("indices must be six strictly increasing values")
         if idx[0] < 0 or idx[-1] >= nvars:
             raise OutOfRange("index out of range for %d variables" % nvars)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "indices", indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not StandardTensor:
-            return NotImplemented
-        return self.nvars == other.nvars and self.indices == other.indices
-
-    def __hash__(self):
-        return hash((self.nvars, self.indices))
+        Record.__init__(self, nvars, indices)
 
     @property
     def left_indices(self):
@@ -231,19 +212,13 @@ class StandardTensor:
             index_monomial(self.nvars, self.right_indices))
 
 
-class Certificate:
+class Certificate(Record):
     """The claim terms = sum(standard) + sum(coeff * move), replayed by
     verify_certificate: terms {(left_triple, right_triple): coeff},
     standard {StandardTensor: coeff}, moves ((RankOneGenerator, coeff),).
     Frozen."""
 
     __slots__ = ("moves", "terms", "standard")
-    __setattr__ = read_only
-
-    def __init__(self, moves, terms, standard):
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "standard", standard)
 
 
 def _check_cubic_tensor(ring, w):
@@ -474,9 +449,8 @@ def verify_certificate(cert):
                     for gen, coeff in cert.moves])
 
 
-class SpanReport:
-    """Outcome of a span-versus-kernel certification run, built from
-    keyword fields, every one of __slots__ and no other.  Both modes are
+class SpanReport(Record):
+    """Outcome of a span-versus-kernel certification run.  Both modes are
     exact, so exact is always True and prime always None; the fields keep
     the JSON schema."""
 
@@ -484,13 +458,6 @@ class SpanReport:
                  "mu_rank", "kernel_dim", "pair_count", "pair_rank",
                  "swap_streamed", "span_rank", "standardized_vectors",
                  "certificate_moves", "swap_identity_checked", "verdict")
-
-    def __init__(self, **fields):
-        if fields.keys() != set(self.__slots__):
-            raise TypeError("SpanReport takes exactly the fields %s"
-                            % ", ".join(self.__slots__))
-        for name, value in fields.items():
-            setattr(self, name, value)
 
     def to_json(self):
         return {name: getattr(self, name) for name in self.__slots__}

@@ -21,6 +21,7 @@ import time
 from ._version import __version__
 from .characters import (Character, enumerate_type, galois_orbit,
                          orbit_partition, rational_class)
+from .errors import Record
 from .hodge import CIData, ci_prim_hodge, hypersurface_prim_hodge, \
     jacobian_vanishing_check
 from .invariant import (NVARS, delta_nu, distinguished_tensor,
@@ -50,22 +51,12 @@ INVARIANT_VALUE = "a*b/(a+b*h)"
 DEFAULT_PAIRS = tuple((a, 1) for a in range(1, 9))
 
 
-class CheckResult(object):
+class CheckResult(Record):
     __slots__ = ("check_id", "status", "details")
 
-    def __init__(self, check_id, status, details):
-        self.check_id = check_id
-        self.status = status
-        self.details = details
 
-
-class ReportDocument(object):
+class ReportDocument(Record):
     __slots__ = ("tool_version", "checks", "timings")
-
-    def __init__(self, tool_version, checks, timings):
-        self.tool_version = tool_version
-        self.checks = checks
-        self.timings = timings
 
     @property
     def failed(self):
@@ -78,17 +69,12 @@ class ReportDocument(object):
                 "timings": self.timings}
 
 
-class ReportOptions(object):
+class ReportOptions(Record):
     __slots__ = ("kermu_vars", "pairs", "seed", "skip", "stable", "cache")
 
     def __init__(self, kermu_vars=6, pairs=DEFAULT_PAIRS, seed=0, skip=(),
                  stable=False, cache=None):
-        self.kermu_vars = kermu_vars
-        self.pairs = pairs
-        self.seed = seed
-        self.skip = skip
-        self.stable = stable
-        self.cache = cache
+        Record.__init__(self, kermu_vars, pairs, seed, skip, stable, cache)
 
 
 def _skipped(check_id, skip_tokens):

@@ -140,6 +140,11 @@ def test_character_records_are_frozen():
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert char.entries == (2, 2, 2, 2, 1, 1, 1, 1)
+    # records compare by their fields, and print them
+    beta = Character(3, (2, 2, 2, 1, 2, 1, 1, 1))
+    assert cls == rational_class(galois_orbit(char)) != rational_class(
+        galois_orbit(beta))
+    assert repr(Character(3, [1, 2])) == "Character(d=3, entries=(1, 2))"
 
 
 def test_orbit_mixing_types_for_skewed_characters():

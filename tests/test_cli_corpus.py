@@ -11,16 +11,18 @@ A change that alters an output on purpose rewrites the expectations with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and names the changed entries in CHANGES.md.
+and names the changed entries in CHANGES.md.  With --check the script
+rewrites nothing: it compares every entry, lists each mismatch and exits 1
+if there is one, so that the corpus can be checked under an interpreter
+that has no pytest.
 """
 
 import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
-
-import pytest
 
 from grifcalc.cli import run_command
 
@@ -82,18 +84,39 @@ def test_masks_hide_only_wall_clock_fields():
     assert masked("verdict True, 0.005") == "verdict True, 0.005"
 
 
-@pytest.mark.parametrize("entry", _ENTRIES,
-                         ids=[" ".join(e["argv"])[:60] for e in _ENTRIES])
+def pytest_generate_tests(metafunc):
+    # one test per entry, without importing pytest at module level
+    if "entry" in metafunc.fixturenames:
+        metafunc.parametrize("entry", _ENTRIES, ids=[
+            " ".join(e["argv"])[:60] for e in _ENTRIES])
+
+
 def test_command_output_is_byte_identical(entry):
     assert expectation(entry["argv"]) == entry
 
 
-if __name__ == "__main__":
+def _main(args):
+    if args not in ([], ["--check"]):
+        print("usage: test_cli_corpus.py [--check]", file=sys.stderr)
+        return 2
     entries = []
-    for entry in _load():
+    for entry in _ENTRIES:
         with tempfile.TemporaryDirectory() as cache:
             os.environ["GRIFCALC_CACHE"] = cache
             entries.append(expectation(entry["argv"]))
+    if args:
+        wrong = [" ".join(old["argv"])
+                 for old, new in zip(_ENTRIES, entries) if old != new]
+        for line in wrong:
+            print("mismatch: %s" % line)
+        print("%d of %d entries match" % (len(entries) - len(wrong),
+                                          len(entries)))
+        return 1 if wrong else 0
     lines = (json.dumps(e, ensure_ascii=False) for e in entries)
     with open(CORPUS, "w", encoding="utf-8") as fh:
         fh.write("[\n%s\n]\n" % ",\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

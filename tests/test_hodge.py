@@ -230,6 +230,8 @@ def test_hodge_records_are_frozen():
     assert (hv.values, ci.degrees, ci.m) == ((1, 1), (3,), 2)
     assert hv == HodgeVector(1, (1, 1)) != HodgeVector(1, (2, 2))
     assert hash(hv) == hash((1, (1, 1)))
+    assert ci == CIData([3], 2) != CIData((3,), 3)
+    assert hash(ci) == hash(((3,), 2))
 
 
 def test_ci_data_degrees_must_be_integers():

@@ -70,6 +70,7 @@ def test_triple_is_frozen():
         with pytest.raises(AttributeError):
             setattr(t, name, None)
     assert t.a == Scalar.param("a")
+    assert t == distinguished_triple() != distinguished_triple(1, 0)
 
 
 def test_triple_specialization():

@@ -148,6 +148,14 @@ def test_mulkernel_records_are_frozen():
     assert hash(gen) == hash(("monomial_pair", ((0, 1, 2), (0, 3, 4))))
     assert {st: 1}[StandardTensor(6, (0, 1, 2, 3, 4, 5))] == 1
     assert hash(st) == hash((6, (0, 1, 2, 3, 4, 5)))
+    assert cert == Certificate(((gen, 1),), {}, {}) != Certificate((), {}, {})
+    assert repr(gen) == ("RankOneGenerator(family_tag='monomial_pair', "
+                         "indices=((0, 1, 2), (0, 3, 4)))")
+    report = span_equals_kernel(4)
+    for name in report.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    assert report.verdict is True
 
 
 def test_standardize_already_standard():
@@ -398,6 +406,24 @@ def test_shape_predicate_agrees_with_in_kernel():
 def test_swap_identity():
     for nvars in (6, 7):
         assert swap_identity_holds(nvars)
+
+
+def test_swap_identity_multiplies_out_every_shape(monkeypatch):
+    # the lemma is proved only if both sides of each of the 1,460 shapes
+    # over 6 variables are built; each side is a pair or swap polynomial
+    side, built = mulkernel._side, []
+
+    def counted(family_tag, indices, nvars, which):
+        poly = side(family_tag, indices, nvars, which)
+        built.append((family_tag, len(poly.terms)))
+        return poly
+    monkeypatch.setattr(mulkernel, "_side", counted)
+    swap_identity_holds.cache_clear()
+    assert swap_identity_holds(6)
+    swap_identity_holds.cache_clear()
+    assert len(built) == 2 * 1460
+    assert {(tag, size) for tag, size in built} == {
+        ("monomial_pair", 1), ("swap_binomial", 2)}
 
 
 def _scaled_swap_term(at, factor):

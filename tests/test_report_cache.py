@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from grifcalc import report
 from grifcalc.cache import Cache, cache_key, payload_digest
 from grifcalc.cli import run_command
@@ -233,6 +235,19 @@ def test_report_document_json_shape():
     for check in data["checks"]:
         assert set(check) == {"check_id", "status", "details"}
         assert check["status"] in ("pass", "fail", "skip", "flag")
+
+
+def test_report_records_are_frozen():
+    options = ReportOptions(skip=tuple(CHECK_ORDER))
+    doc = full_report(options)
+    check = doc.checks[0]
+    for record in (options, doc, check):
+        for name in record.__slots__ + ("unknown",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert options == ReportOptions(skip=tuple(CHECK_ORDER))
+    assert check == report.CheckResult(CHECK_ORDER[0], "skip", {})
+    assert not doc.failed and len(doc.checks) == len(CHECK_ORDER)
 
 
 def test_report_cli_exit_zero_on_default_flags():

@@ -334,3 +334,26 @@ def test_no_module_imports_dataclasses():
             found += ["%s:%d" % (path.name, node.lineno) for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+def test_only_record_sets_fields_past_a_refusing_setattr():
+    # errors.Record binds the fields of every frozen record and refuses
+    # assignment; a record written out by hand again, with its own
+    # __setattr__ or with object.__setattr__ calls, shows up here
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for cls in ast.walk(tree):  # breadth first: inner classes last
+            if isinstance(cls, ast.ClassDef):
+                owner.update(dict.fromkeys(ast.walk(cls), cls.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "__setattr__"
+                    or isinstance(node, ast.Name)
+                    and node.id == "__setattr__"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "__setattr__"):
+                found.append("%s:%s" % (path.name,
+                                        owner.get(node, "<module>")))
+    assert set(found) == {"errors.py:Record"}, found
