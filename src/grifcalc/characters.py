@@ -18,7 +18,7 @@ import math
 from operator import index
 
 from .errors import InvalidCharacter, NotReducedMonomial, Record
-from .jacobian import HomogeneousPolynomial, monomial_string, reduced_monomials
+from .jacobian import HomogeneousPolynomial, HypersurfaceRing, monomial_string
 from .scalar import Scalar
 
 
@@ -120,7 +120,8 @@ def galois_orbit(char):
 
 def enumerate_type(d, nvars, ptype):
     """All characters on nvars coordinates with every entry nonzero and
-    Hodge type ptype = (p, q), sorted lexicographically."""
+    Hodge type ptype = (p, q), sorted lexicographically.  A census past
+    jacobian.MAX_SLICE_MONOMIALS raises OutOfRange, as its slice does."""
     p, q = ptype
     if p + q != nvars - 2:
         raise ValueError("type (%d, %d) needs p + q = nvars - 2 = %d"
@@ -129,10 +130,11 @@ def enumerate_type(d, nvars, ptype):
         raise ValueError("negative Hodge type (%d, %d)" % (p, q))
     if d < 3:
         raise InvalidCharacter("degree must be >= 3, got %d" % d)
-    # the residue map sends these characters to the reduced monomials of
-    # degree (q+1)d - nvars, exponent a_i - 1 each; ascending lex order
-    # reverses the monomials' descending grlex
-    monos = reduced_monomials(nvars, (q + 1) * d - nvars, d - 2)
+    # the residue map sends these characters to the basis of the Fermat
+    # slice of degree (q+1)d - nvars, exponent a_i - 1 each; ascending lex
+    # order reverses the basis' descending grlex
+    monos = HypersurfaceRing.fermat(d, nvars).quotient_basis(
+        (q + 1) * d - nvars).basis
     return [Character(d, tuple(e + 1 for e in exps))
             for exps in reversed(monos)]
 

@@ -31,12 +31,12 @@ from ._version import __version__
 from .cache import Cache
 from .characters import enumerate_type, orbit_partition, rational_class
 from .errors import GrifcalcError, OutOfRange
-from .hodge import MAX_HYPERSURFACE_SIZE, CIData, bounded_slice_dimension, \
-    ci_prim_hodge, euler_characteristic, hypersurface_prim_hodge
+from .hodge import (MAX_HYPERSURFACE_SIZE, CIData, ci_prim_hodge,
+                    euler_characteristic, hypersurface_prim_hodge)
 from .invariant import (MAX_PAIRS, delta_nu, distinguished_tensor,
                         distinguished_triple, iso_det, iso_matrix)
-from .jacobian import (HomogeneousPolynomial, HypersurfaceRing,
-                       monomial_string, pairing_matrix)
+from .jacobian import (MAX_SLICE_MONOMIALS, HomogeneousPolynomial,
+                       HypersurfaceRing, monomial_string, pairing_matrix)
 from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
                      ReportOptions, full_report, independence_payload,
@@ -245,42 +245,21 @@ def _triple_from_args(args):
     return distinguished_triple(a, b)
 
 
-# The largest Fermat ring and slices a jring or fermat command builds.  A
-# slice is enumerated monomial by monomial, each tuple filled once from one
-# exponent list, and pairing takes one normal form per product of a j-slice
-# and a k-slice monomial; 20,000 of either cost well under a second, and a
-# census lists one character per slice monomial.  The ring itself holds
+# The largest Fermat ring a jring or fermat command builds: the ring holds
 # nvars exponent tuples of nvars entries, and its degree is bounded as for
-# hypersurfaces, which keeps the slice count itself cheap.
+# hypersurfaces, which keeps the slice count itself cheap.  The library
+# bounds the slices, pairings and censuses built in it (see
+# jacobian.MAX_SLICE_MONOMIALS).
 MAX_JRING_VARS = 32
-MAX_JRING_MONOMIALS = 20_000
 
 
-def _check_slice_size(args):
-    """Raise OutOfRange before building a ring or slice above the bounds."""
+def _check_ring_size(args):
+    """Raise OutOfRange before building a Fermat ring above the bounds."""
     nvars, degree = getattr(args, "vars"), args.degree
-    command = "%s %s" % (args.command, args.action)
     if nvars > MAX_JRING_VARS or degree > MAX_HYPERSURFACE_SIZE:
-        raise OutOfRange("%s needs at most %d variables and degree at most %d"
-                         % (command, MAX_JRING_VARS, MAX_HYPERSURFACE_SIZE))
-    cap = degree - 2
-    if args.action == "classes":
-        k = (args.ptype[1] + 1) * degree - nvars
-        count = bounded_slice_dimension(nvars, k, cap)
-        if args.orbits:
-            # each character's orbit lists its multiples by the units mod d
-            count *= sum(gcd(t, degree) == 1 for t in range(1, degree))
-    elif args.action == "basis":
-        count = bounded_slice_dimension(nvars, args.k, cap)
-    elif args.action == "pairing":
-        dj = bounded_slice_dimension(nvars, args.j, cap)
-        dk = bounded_slice_dimension(nvars, args.k, cap)
-        count = max(dj, dk, dj * dk)
-    else:
-        return  # a Fermat normal form builds no slice
-    if count > MAX_JRING_MONOMIALS:
-        raise OutOfRange("%s would build %d monomials, more than %d"
-                         % (command, count, MAX_JRING_MONOMIALS))
+        raise OutOfRange("%s %s needs at most %d variables and degree at most "
+                         "%d" % (args.command, args.action, MAX_JRING_VARS,
+                                 MAX_HYPERSURFACE_SIZE))
 
 
 def _matrix_lines(head, payload):
@@ -289,7 +268,7 @@ def _matrix_lines(head, payload):
 
 
 def _cmd_jring(args):
-    _check_slice_size(args)
+    _check_ring_size(args)
     ring = HypersurfaceRing.fermat(args.degree, getattr(args, "vars"))
     if args.action == "basis":
         basis = ring.quotient_basis(args.k)
@@ -320,13 +299,20 @@ def _cmd_hodge(args):
 def _cmd_fermat(args):
     if args.degree < 3:
         raise UsageError("character census needs degree >= 3")
-    _check_slice_size(args)
+    _check_ring_size(args)
     chars = enumerate_type(args.degree, getattr(args, "vars"), args.ptype)
     if not args.orbits:
         characters = [list(c.entries) for c in chars]
         head = "%d characters of type (%d, %d)" % (len(chars), *args.ptype)
         return (0, {"character_count": len(chars), "characters": characters},
                 chain([head], map(str, characters)))
+    # each character's orbit lists its multiples by the units mod d
+    members = len(chars) * sum(gcd(t, args.degree) == 1
+                               for t in range(1, args.degree))
+    if members > MAX_SLICE_MONOMIALS:
+        raise OutOfRange("fermat classes --orbits would list %d orbit "
+                         "members, more than %d"
+                         % (members, MAX_SLICE_MONOMIALS))
     orbits = orbit_partition(chars)
     described = []
     for orb in orbits:

@@ -53,6 +53,11 @@ class Record(object):
         raise AttributeError("cannot assign to field %r of a %s"
                              % (name, type(self).__name__))
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the validating __init__
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))

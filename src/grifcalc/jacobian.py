@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, index
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, OutOfRange
+from .hodge import bounded_slice_dimension
 from .linalg import (
     FRACTION_FIELD,
     determinant as _det_rows,
@@ -29,6 +30,17 @@ from .linalg import (
 )
 from .scalar import (Scalar, exact, parse as parse_scalar, power_product,
                      scalar_to_string, signed_sum)
+
+# The most monomials a slice may list, and the most products u*v a pairing
+# may take normal forms of: 20,000 of either cost well under a second, and
+# a census (characters.enumerate_type) lists one character per monomial.
+MAX_SLICE_MONOMIALS = 20_000
+# The most nonzero entries in the rows x^m * dF/dx_i of a generic slice, as
+# columns alone do not measure the elimination: at 462 columns a dense cubic
+# in 6 variables takes 6.4 s, the jring-generic forms 0.03 s.  On one core,
+# dense forms in 3-7 variables of degree 3-10 and perturbed Fermat forms
+# took at most 0.54 s up to 5,000 entries, 1.4 s at 5,264, 6.7 s at 10,668.
+MAX_SLICE_ENTRIES = 5_000
 
 
 def reduced_monomials(nvars, k, cap):
@@ -343,16 +355,25 @@ class HypersurfaceRing:
         return gb
 
     def _build_slice(self, k):
+        """R^k; OutOfRange before anything is listed past the bounds."""
         if k < 0:
             return GradedBasis(k, (), 0)
+        nvars, cap, name = self.nvars, self.degree - 2, "slice %d" % k
         if self.fermat_flag:
-            basis = reduced_monomials(self.nvars, k, self.degree - 2)
-            return GradedBasis(k, basis, ambient_dimension(self.nvars, k))
-        cols = monomials_of_degree(self.nvars, k)
+            self._refuse_above(MAX_SLICE_MONOMIALS, "monomials", name,
+                               bounded_slice_dimension(nvars, k, cap))
+            basis = reduced_monomials(nvars, k, cap)
+            return GradedBasis(k, basis, ambient_dimension(nvars, k))
+        partials = [self.polynomial.partial(i) for i in range(nvars)]
+        self._refuse_above(MAX_SLICE_MONOMIALS, "monomials", name,
+                           ambient_dimension(nvars, k))
+        self._refuse_above(MAX_SLICE_ENTRIES, "ideal row entries", name,
+                           sum(len(g.terms) for g in partials)
+                           * ambient_dimension(nvars, k - cap - 1))
+        cols = monomials_of_degree(nvars, k)
         col_index = {m: i for i, m in enumerate(cols)}
         rows = []
-        shifts = monomials_of_degree(self.nvars, k - (self.degree - 1))
-        partials = [self.polynomial.partial(i) for i in range(self.nvars)]
+        shifts = monomials_of_degree(nvars, k - cap - 1)
         for g in partials:
             for m in shifts:
                 row = {}
@@ -365,6 +386,11 @@ class HypersurfaceRing:
         basis = tuple(m for i, m in enumerate(cols) if i not in pivots)
         return GradedBasis(k, basis, len(cols), columns=col_index,
                            pivots=pivots)
+
+    def _refuse_above(self, bound, unit, name, count):
+        if count > bound:
+            raise OutOfRange("%s of %r has %d %s, more than %d"
+                             % (name, self, count, unit, bound))
 
     def normal_form(self, p):
         """Canonical representative of p in the slice basis."""
@@ -475,14 +501,18 @@ def mult_map(ring, p, j):
 
 
 def pairing_matrix(ring, p, j, k):
-    """Socle pairing (u, v) -> socle coefficient of p*u*v on slices j, k."""
+    """Socle pairing (u, v) -> socle coefficient of p*u*v on slices j, k;
+    past MAX_SLICE_MONOMIALS products u*v, OutOfRange before any normal form."""
     if p.degree + j + k != ring.socle_degree:
         raise DegreeMismatch(
             "deg(p) + j + k = %d is not the socle degree %d"
             % (p.degree + j + k, ring.socle_degree))
-    soc = ring.socle_monomial()
     bj = ring.quotient_basis(j)
     bk = ring.quotient_basis(k)
+    ring._refuse_above(MAX_SLICE_MONOMIALS, "monomial products",
+                       "the pairing of slices %d and %d" % (j, k),
+                       bj.dimension * bk.dimension)
+    soc = ring.socle_monomial()
     pr = ring.normal_form(p)
     entries = {}
     for i, u in enumerate(bj.basis):

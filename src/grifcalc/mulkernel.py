@@ -50,7 +50,10 @@ _SIGNS = (1, -1)
 
 
 def _exponents(nvars, indices):
-    """Exponents of the product of x_i over indices, with repeats."""
+    """Exponents of the product of x_i over indices, with repeats; a
+    negative index raises ValueError instead of wrapping."""
+    if min(indices, default=0) < 0:
+        raise ValueError("negative variable index in %r" % (indices,))
     e = [0] * nvars
     for i in indices:
         e[i] += 1

@@ -1,14 +1,17 @@
 """Character census: enumeration, Galois orbits, and symbolic rational
 classes for Fermat hypersurfaces."""
 
+import time
+
 import pytest
 
 from grifcalc.characters import (Character, GaloisOrbit, character_monomial,
                                  enumerate_type, galois_orbit, hodge_type,
                                  monomial_character, orbit_partition,
                                  rational_class)
-from grifcalc.errors import InvalidCharacter, NotReducedMonomial
+from grifcalc.errors import InvalidCharacter, NotReducedMonomial, OutOfRange
 from grifcalc.hodge import hypersurface_prim_hodge
+from grifcalc.jacobian import MAX_SLICE_MONOMIALS
 
 
 def test_census_of_balanced_type_on_eight_variables():
@@ -216,16 +219,38 @@ def oracle_sum_compositions(d, nvars, target):
 
 
 def test_enumerate_type_matches_the_composition_oracle():
-    cases = 0
+    # the two middle censuses of degree 8 on 7 variables, 46,655
+    # characters each, are past the slice bound and refused
+    cases = refused = 0
     for d in range(3, 9):
         for nvars in range(1, 8):
             for q in range(nvars - 1):
+                expected = oracle_sum_compositions(d, nvars, (q + 1) * d)
+                if len(expected) > MAX_SLICE_MONOMIALS:
+                    with pytest.raises(OutOfRange):
+                        enumerate_type(d, nvars, (nvars - 2 - q, q))
+                    refused += 1
+                    continue
                 chars = enumerate_type(d, nvars, (nvars - 2 - q, q))
                 got = tuple(c.entries for c in chars)
-                expected = oracle_sum_compositions(d, nvars, (q + 1) * d)
                 assert got == expected, (d, nvars, q)
                 cases += 1
-    assert cases == 6 * 21
+    assert (cases, refused) == (6 * 21 - 2, 2)
+
+
+def test_census_is_bounded_as_its_slice():
+    # C(17, 7) = 19,448 characters of type (8, 7) on 17 variables are the
+    # largest accepted cubic census; C(18, 9) = 48,620 are past the bound,
+    # and C(30, 15), about 1.6e8, used to run on past 5 s
+    assert len(enumerate_type(3, 17, (8, 7))) == 19_448 <= MAX_SLICE_MONOMIALS
+    for nvars, ptype, count in ((18, (8, 8), 48_620),
+                                (30, (14, 14), 155_117_520)):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange) as info:
+            enumerate_type(3, nvars, ptype)
+        assert time.perf_counter() - start < 1.0
+        assert "has %d monomials, more than %d" % (
+            count, MAX_SLICE_MONOMIALS) in str(info.value)
 
 
 def oracle_orbit_partition(chars):

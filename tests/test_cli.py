@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from grifcalc.cli import MAX_JRING_MONOMIALS, MAX_JRING_VARS, run_command
+from grifcalc.cli import MAX_JRING_VARS, run_command
 from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
 from grifcalc.invariant import MAX_PAIRS
+from grifcalc.jacobian import MAX_SLICE_MONOMIALS as MAX_JRING_MONOMIALS
 from grifcalc.scalar import MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT, parse
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from grifcalc.errors import DegreeMismatch
-from grifcalc.jacobian import (HomogeneousPolynomial, HypersurfaceRing,
+from grifcalc.errors import DegreeMismatch, OutOfRange
+from grifcalc.jacobian import (MAX_SLICE_ENTRIES, MAX_SLICE_MONOMIALS,
+                               HomogeneousPolynomial, HypersurfaceRing,
                                LinearMap, TensorSum, ambient_dimension,
                                determinant, monomials_of_degree, mult_map,
                                pairing_matrix, rank_kernel,
@@ -474,3 +475,74 @@ def test_polynomials_with_equal_mixed_coefficients_hash_alike():
                                              (2, 0): Scalar.from_fraction(1)})
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+def _refused_in_time(build):
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange) as info:
+        build()
+    assert time.perf_counter() - start < 1.0
+    return str(info.value)
+
+
+def _perturbed_fermat(nvars, degree, extra):
+    terms = {tuple(degree if j == i else 0 for j in range(nvars)): 1
+             for i in range(nvars)}
+    terms.update(extra)
+    return HypersurfaceRing(HomogeneousPolynomial.from_terms(nvars, terms))
+
+
+def test_fermat_slices_are_bounded_before_they_are_enumerated():
+    # the quartic slice 46 in 25 variables is the largest accepted one,
+    # built here on a ring of its own so that no earlier test cached it
+    ring = HypersurfaceRing(fermat(4, 25).polynomial)
+    assert ring.fermat_flag
+    assert ring.quotient_basis(46).dimension == 19_850 <= MAX_SLICE_MONOMIALS
+    message = _refused_in_time(lambda: ring.quotient_basis(45))
+    assert message == ("slice 45 of HypersurfaceRing(d=4, nvars=25, fermat) "
+                       "has 110630 monomials, more than 20000")
+    assert 45 not in ring._slices
+    # C(32, 16), about 6.0e8 monomials, used to run on past 10 s
+    message = _refused_in_time(lambda: fermat(3, 32).quotient_basis(16))
+    assert "has 601080390 monomials" in message
+
+
+def test_generic_slices_are_bounded_before_they_are_enumerated():
+    # below degree d - 1 a slice has columns and no rows: 17,550 columns
+    # in 5 variables at k = 23 are accepted, 20,475 at k = 24 are not
+    ring = _perturbed_fermat(5, 30, {(1, 29, 0, 0, 0): 2})
+    assert not ring.fermat_flag
+    assert ring.quotient_basis(23).dimension == 17_550
+    assert ambient_dimension(5, 24) > MAX_SLICE_MONOMIALS
+    message = _refused_in_time(lambda: ring.quotient_basis(24))
+    assert message.endswith("has 20475 monomials, more than 20000")
+    # the rows of a cubic in 4 variables with 12 partial terms hold 12 *
+    # C(14, 3) = 4,368 entries at k = 13, and 12 * C(15, 3) = 5,460 at 14
+    ring = _perturbed_fermat(4, 3, {(1, 1, 1, 0): Fraction(3, 2),
+                                    (0, 2, 0, 1): Fraction(-2, 5),
+                                    (1, 0, 1, 1): Fraction(7, 3)})
+    assert 12 * 364 <= MAX_SLICE_ENTRIES < 12 * 455
+    assert ring.quotient_basis(13).dimension == 0
+    message = _refused_in_time(lambda: ring.quotient_basis(14))
+    assert message == ("slice 14 of HypersurfaceRing(d=3, nvars=4, general) "
+                       "has 5460 ideal row entries, more than 5000")
+    assert sorted(ring._slices) == [13]
+
+
+def test_pairings_are_bounded_before_any_normal_form(monkeypatch):
+    ring = fermat(3, 10)
+    quartic = HomogeneousPolynomial.monomial(10, (1, 1, 1, 1) + (0,) * 6)
+    cubic = HomogeneousPolynomial.monomial(10, (1, 1, 1) + (0,) * 7)
+    # 120 x 120 products are accepted, 120 x 210 are past the bound
+    assert 120 * 120 <= MAX_SLICE_MONOMIALS < 120 * 210
+    pairing = pairing_matrix(ring, quartic, 3, 3)
+    assert (pairing.nrows, pairing.ncols) == (120, 120)
+    calls = []
+    normal_form = ring.normal_form
+    monkeypatch.setattr(ring, "normal_form",
+                        lambda p: calls.append(p) or normal_form(p))
+    message = _refused_in_time(lambda: pairing_matrix(ring, cubic, 3, 4))
+    assert calls == []
+    assert message == ("the pairing of slices 3 and 4 of HypersurfaceRing("
+                       "d=3, nvars=10, fermat) has 25200 monomial products, "
+                       "more than 20000")

@@ -240,6 +240,27 @@ def test_verify_certificate_cases():
                                               {bad.indices: ONE}, {}))
 
 
+def test_a_negative_index_raises_instead_of_wrapping():
+    # -1 used to wrap to the last variable: x0*x1*x3 on the left of a
+    # generator that is no kernel shape, and in_kernel() True
+    gen = RankOneGenerator("monomial_pair", ((-1, 0, 1), (0, 2, 3)))
+    assert not gen.shape_ok()
+    for side in (lambda: gen.left, gen.in_kernel):
+        with pytest.raises(ValueError) as info:
+            side()
+        assert str(info.value) == "negative variable index in (-1, 0, 1)"
+    assert gen.right == index_monomial(4, (0, 2, 3))
+    swap = RankOneGenerator("swap_binomial", ((0, 1), (2, 3), -1, 5))
+    with pytest.raises(ValueError):
+        swap.left
+    with pytest.raises(ValueError):
+        index_monomial(3, (-1,))
+    # the replay checks the shape first and answers False
+    for bad in (gen, swap):
+        assert not verify_certificate(Certificate(((bad, ONE),),
+                                                  {bad.indices: ONE}, {}))
+
+
 def _mutated(cert, moves=None, standard=None):
     return Certificate(cert.moves if moves is None else tuple(moves),
                        cert.terms,

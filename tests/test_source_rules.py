@@ -357,3 +357,25 @@ def test_only_record_sets_fields_past_a_refusing_setattr():
                 found.append("%s:%s" % (path.name,
                                         owner.get(node, "<module>")))
     assert set(found) == {"errors.py:Record"}, found
+
+
+def test_only_jacobian_counts_and_lists_slice_monomials():
+    # jacobian builds the graded slices and bounds their size where it
+    # builds them; a module that counts or lists slice monomials itself
+    # re-derives what jacobian would build (hodge defines the count)
+    allowed = {"bounded_slice_dimension": {"hodge.py", "jacobian.py"},
+               "reduced_monomials": {"jacobian.py"}}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in allowed:
+                found.add((name, path.name))
+    assert ("bounded_slice_dimension", "jacobian.py") in found
+    assert ("reduced_monomials", "jacobian.py") in found
+    assert sorted(found - {(name, module) for name, modules in allowed.items()
+                           for module in modules}) == []
