@@ -44,28 +44,37 @@ MAX_SLICE_ENTRIES = 5_000
 
 
 def reduced_monomials(nvars, k, cap):
-    """Degree-k exponent tuples with every entry <= cap, descending grlex."""
+    """Degree-k exponent tuples with every entry <= cap, descending grlex.
+    A loop, not a recursion, so that no variable count reaches Python's
+    recursion limit."""
     if k < 0 or k > nvars * cap:
         return ()
-    if nvars == 0:
-        return ((),)
-    out = []
-    exps = [0] * nvars
-
-    def fill(i, left):
-        # entries i.. share the degree left, and the entries after i can
-        # hold at most room of it
-        if left == 0 or i == nvars - 1:
-            exps[i:] = [left] + [0] * (nvars - 1 - i)
-            out.append(tuple(exps))
-            return
-        room = (nvars - 1 - i) * cap
-        for e in range(min(left, cap), max(left - room, 0) - 1, -1):
-            exps[i] = e
-            fill(i + 1, left - e)
-
-    fill(0, k)
-    return tuple(out)
+    if k == 0:
+        return ((0,) * nvars,)
+    last = nvars - 1
+    exps, out = [0] * nvars, []
+    i, tail = -1, k - 1  # the first tuple: all entries refilled with k
+    while True:
+        # take one unit off entry i and refill the entries after it with
+        # tail + 1, largest first: cap while it lasts, the rest, then zeros
+        if i >= 0:
+            exps[i] -= 1
+        if i == last - 1:
+            exps[last] = tail + 1
+        else:
+            room = last - i
+            full, rest = divmod(tail + 1, cap)
+            exps[i + 1:] = ([cap] * full + [rest] * (full < room)
+                            + [0] * (room - full - 1))
+        out.append(tuple(exps))
+        # the next i is the rightmost nonzero entry whose successors,
+        # holding tail, can take one unit more
+        tail, i = exps[last], last - 1
+        while i >= 0 and (not exps[i] or tail == (last - i) * cap):
+            tail += exps[i]
+            i -= 1
+        if i < 0:
+            return tuple(out)
 
 
 def monomials_of_degree(nvars, k):
@@ -341,10 +350,9 @@ class HypersurfaceRing:
         return p.terms == _fermat_terms(p.degree, p.nvars)
 
     @classmethod
-    @lru_cache(maxsize=None)
     def fermat(cls, d, nvars):
-        """The Jacobian ring of sum x_i^d, one shared instance per (d, nvars)
-        so that its graded slices are built once per process."""
+        """The Jacobian ring of sum x_i^d: a new ring on each call, whose
+        graded slices are built once per ring and freed with it."""
         return cls(HomogeneousPolynomial(nvars, d, _fermat_terms(d, nvars)))
 
     def quotient_basis(self, k):

@@ -253,6 +253,17 @@ def test_census_is_bounded_as_its_slice():
             count, MAX_SLICE_MONOMIALS) in str(info.value)
 
 
+def test_a_huge_census_is_refused_before_anything_is_counted():
+    # type (0, 0) of degree 10^8 on 2 variables has 10^8 - 1 characters,
+    # and counting them is a closed form
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange) as info:
+        enumerate_type(10 ** 8, 2, (0, 0))
+    assert time.perf_counter() - start < 1.0
+    assert "has 99999999 monomials, more than %d" % MAX_SLICE_MONOMIALS \
+        in str(info.value)
+
+
 def oracle_orbit_partition(chars):
     """orbit_partition before it skipped covered characters: one Galois
     orbit per character."""

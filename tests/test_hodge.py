@@ -104,6 +104,15 @@ def test_bounded_slice_dimension_matches_the_oracle():
                         == oracle_bounded_slice_dimension(nvars, k, cap))
 
 
+def test_bounded_slice_dimension_takes_no_time_linear_in_k():
+    # inclusion-exclusion makes at most nvars + 1 pairs of binomials; the
+    # convolution it replaced took 0.16 s and 49 MB at this k
+    start = time.perf_counter()
+    count = bounded_slice_dimension(2, 10 ** 6 - 2, 10 ** 6 - 2)
+    assert time.perf_counter() - start < 0.02
+    assert count == 10 ** 6 - 1
+
+
 def test_hypersurface_size_is_bounded():
     top = MAX_HYPERSURFACE_SIZE
     hv = hypersurface_prim_hodge(top, top)

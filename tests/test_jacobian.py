@@ -1,8 +1,10 @@
 """Graded Jacobian ring: slice dimensions, normal forms, multiplication
 maps, socle pairings, and rank/kernel extraction."""
 
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,50 @@ def _recursive_monomials(nvars, k):
         return ((k,),)
     return tuple((e0,) + rest for e0 in range(k, -1, -1)
                  for rest in _recursive_monomials(nvars - 1, k - e0))
+
+
+def _recursive_reduced_monomials(nvars, k, cap):
+    # oracle: reduced_monomials as it was before it became a loop, one
+    # recursion level per variable
+    if k < 0 or k > nvars * cap:
+        return ()
+    if nvars == 0:
+        return ((),)
+    out = []
+    exps = [0] * nvars
+
+    def fill(i, left):
+        if left == 0 or i == nvars - 1:
+            exps[i:] = [left] + [0] * (nvars - 1 - i)
+            out.append(tuple(exps))
+            return
+        room = (nvars - 1 - i) * cap
+        for e in range(min(left, cap), max(left - room, 0) - 1, -1):
+            exps[i] = e
+            fill(i + 1, left - e)
+
+    fill(0, k)
+    return tuple(out)
+
+
+def test_reduced_monomials_match_the_recursion():
+    for nvars in range(8):
+        for cap in range(6):
+            for k in range(-1, nvars * cap + 2):
+                assert (reduced_monomials(nvars, k, cap)
+                        == _recursive_reduced_monomials(nvars, k, cap)), \
+                    (nvars, k, cap)
+
+
+def test_slices_list_past_the_recursion_limit():
+    # the recursion went one level per variable, past Python's default
+    # limit of 1,000: the socle monomial of the Fermat cubic in 5,000
+    # variables, and slice 1 of a Fermat and a generic cubic in 1,200
+    assert reduced_monomials(5000, 5000, 1) == ((1,) * 5000,)
+    assert fermat(3, 1200).quotient_basis(1).dimension == 1200
+    ring = _perturbed_fermat(1200, 3, {(1, 1, 1) + (0,) * 1197: 1})
+    assert not ring.fermat_flag
+    assert ring.quotient_basis(1).dimension == 1200
 
 
 def test_monomials_of_degree_match_the_recursion():
@@ -546,3 +592,23 @@ def test_pairings_are_bounded_before_any_normal_form(monkeypatch):
     assert message == ("the pairing of slices 3 and 4 of HypersurfaceRing("
                        "d=3, nvars=10, fermat) has 25200 monomial products, "
                        "more than 20000")
+
+
+def test_a_huge_fermat_slice_is_refused_before_anything_is_counted():
+    # the slice count is a closed form: slice d - 2 of the Fermat form of
+    # degree 10^8 in 2 variables has 10^8 - 1 monomials
+    message = _refused_in_time(
+        lambda: fermat(10 ** 8, 2).quotient_basis(10 ** 8 - 2))
+    assert message.endswith("has 99999999 monomials, more than 20000")
+
+
+def test_a_fermat_ring_is_freed_with_its_caller():
+    # fermat builds a new ring on each call: no process-wide memo keeps a
+    # ring or its slices alive once its caller drops it
+    ring = fermat(3, 17)
+    assert ring.quotient_basis(7).dimension == 19_448
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
+    assert fermat(3, 17) is not fermat(3, 17)

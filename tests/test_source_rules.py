@@ -379,3 +379,47 @@ def test_only_jacobian_counts_and_lists_slice_monomials():
     assert ("reduced_monomials", "jacobian.py") in found
     assert sorted(found - {(name, module) for name, modules in allowed.items()
                            for module in modules}) == []
+
+
+_MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def test_only_two_callables_are_memoised():
+    # a process-wide memo keeps every argument and result for the life of
+    # the process; the two kept answer from a small integer (a variable
+    # count) with a small tuple or a bool
+    found, loose = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "functools"
+                    for alias in node.names if alias.name in _MEMO_NAMES}
+
+        def is_memo(node):
+            return (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                    and node.attr in _MEMO_NAMES
+                    or isinstance(node, ast.Name) and node.id in imported)
+
+        decorating = set()
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    name = prefix + child.name
+                    for dec in child.decorator_list:
+                        memo = [n for n in ast.walk(dec) if is_memo(n)]
+                        decorating.update(map(id, memo))
+                        if memo:
+                            found.add("%s.%s" % (path.stem, name))
+                    visit(child, name + ".")
+
+        visit(tree, "")
+        loose += ["%s:%d" % (path.name, n.lineno) for n in ast.walk(tree)
+                  if is_memo(n) and id(n) not in decorating]
+    assert sorted(found) == ["jacobian._variable_names",
+                             "mulkernel.swap_identity_holds"]
+    assert loose == []
