@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, index
+from operator import add, index, le
 
 from .errors import DegreeMismatch, OutOfRange
 from .hodge import bounded_slice_dimension
@@ -35,11 +35,13 @@ from .scalar import (Scalar, exact, parse as parse_scalar, power_product,
 # may take normal forms of: 20,000 of either cost well under a second, and
 # a census (characters.enumerate_type) lists one character per monomial.
 MAX_SLICE_MONOMIALS = 20_000
-# The most nonzero entries in the rows x^m * dF/dx_i of a generic slice, as
-# columns alone do not measure the elimination: at 462 columns a dense cubic
-# in 6 variables takes 6.4 s, the jring-generic forms 0.03 s.  On one core,
-# dense forms in 3-7 variables of degree 3-10 and perturbed Fermat forms
-# took at most 0.54 s up to 5,000 entries, 1.4 s at 5,264, 6.7 s at 10,668.
+# The most nonzero entries in the rows x^m * dF/dx_i of a generic slice,
+# counted before the Koszul rows are left out, as columns alone do not
+# measure the elimination.  The worst accepted slice, in process time on
+# one core of an Intel Xeon under CPython 3.11, with seeded rational
+# coefficients: 1.5 s for a dense form in 3-7 variables of degree 3-10 (a
+# quintic in 4 variables, 4,900 entries), and 11.7 s for a Fermat form
+# with six more terms (a septic in 4 variables, 4,840 entries).
 MAX_SLICE_ENTRIES = 5_000
 
 
@@ -303,6 +305,11 @@ def _fermat_terms(d, nvars):
     return terms
 
 
+def _koszul_row(leads, m):
+    """Whether x^m is a multiple of one of the exponent tuples in leads."""
+    return any(all(map(le, lt, m)) for lt in leads)
+
+
 class GradedBasis:
     """Monomial basis of one graded slice of a Jacobian ring.
 
@@ -347,7 +354,10 @@ class HypersurfaceRing:
 
     @staticmethod
     def _is_fermat(p):
-        return p.terms == _fermat_terms(p.degree, p.nvars)
+        # nvars distinct pure d-th powers, one per variable, each with
+        # coefficient 1
+        return (len(p.terms) == p.nvars
+                and all(c == 1 and p.degree in e for e, c in p.terms.items()))
 
     @classmethod
     def fermat(cls, d, nvars):
@@ -363,7 +373,24 @@ class HypersurfaceRing:
         return gb
 
     def _build_slice(self, k):
-        """R^k; OutOfRange before anything is listed past the bounds."""
+        """R^k; OutOfRange before anything is listed past the bounds.
+
+        A generic slice is the quotient of the degree-k monomials by the
+        rows x^m * g_i, g_i = dF/dx_i, and its basis is the columns that
+        are no pivot of their column-order rref.  That rref depends only on
+        the rows' span, so the row x^m * g_i is left out when LT(g_j)
+        divides x^m for some j < i, LT being the term at the least column,
+        which is the largest exponent tuple.  Tuples of one degree compare
+        in lex order, a monomial order.  Each row left out lies in the span
+        of the rows kept, by induction on i and then on x^m, smallest
+        tuple first: with x^m = x^u LT(g_j) and tail_j = g_j - LT(g_j),
+            x^m g_i = x^u g_i g_j - x^u tail_j g_i.
+        x^u g_i g_j is a sum of multiples of the rows x^(u+t) g_j, t a term
+        of g_i, with j < i, and x^u tail_j g_i a sum of multiples of the
+        rows x^(u+t) g_i, t a term of tail_j, with x^(u+t) < x^m since
+        t < LT(g_j).  Each of these rows comes before (i, x^m), so it is
+        kept or, by induction, in the span of the rows kept.
+        """
         if k < 0:
             return GradedBasis(k, (), 0)
         nvars, cap, name = self.nvars, self.degree - 2, "slice %d" % k
@@ -380,16 +407,16 @@ class HypersurfaceRing:
                            * ambient_dimension(nvars, k - cap - 1))
         cols = monomials_of_degree(nvars, k)
         col_index = {m: i for i, m in enumerate(cols)}
-        rows = []
+        rows, leads = [], []  # leads: LT(g_j) of the nonzero g_j, j < i
         shifts = monomials_of_degree(nvars, k - cap - 1)
         for g in partials:
+            if not g.terms:
+                continue
             for m in shifts:
-                row = {}
-                for e, c in g.terms.items():
-                    ne = tuple(map(add, e, m))
-                    row[col_index[ne]] = c
-                if row:
-                    rows.append(row)
+                if not _koszul_row(leads, m):
+                    rows.append({col_index[tuple(map(add, e, m))]: c
+                                 for e, c in g.terms.items()})
+            leads.append(max(g.terms))
         pivots = dict(rref(rows, FRACTION_FIELD))
         basis = tuple(m for i, m in enumerate(cols) if i not in pivots)
         return GradedBasis(k, basis, len(cols), columns=col_index,

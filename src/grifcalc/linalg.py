@@ -7,10 +7,12 @@ RowReducer(field) take a field, and FRACTION_FIELD exists for them alone,
 because the benchmark tracer calls rref(rows, field) and wraps RowReducer.
 
 There is one elimination kernel with one pivot rule and one row update.
-The pivot is a Markowitz fill-in estimate with deterministic tie-breaking
-(Markowitz 1957); a column -> rows index and a heap of row keys let a
-pivot step visit only the rows holding its column and recompute only the
-keys it can change.  Rows are eliminated fraction-free over an integral
+The pivot is taken in column order: a row with the least leading column,
+the shorter row first, then the lower row index.  So the pivot columns are
+the first columns, left to right, that are independent of those before
+them, and the reduced rows are the unique RREF of the row space, whatever
+rows span it: the Macaulay-matrix view of a Groebner staircase (Lazard
+1983; Faugere 1999).  Rows are eliminated fraction-free over an integral
 domain D (Bareiss 1968; Geddes, Czapor and Labahn, Algorithms for
 Computer Algebra, ch. 9): Z when every entry is an int or a Fraction, and
 Z[params], the int-coefficient ParamPolynomials, once a Scalar occurs.
@@ -21,18 +23,17 @@ stays a nonzero multiple of the field update's row r - (coef/pv) prow, so
 the zero patterns, the pivots and the reduced rows are the field
 update's.  rref then back-substitutes in reverse: from the last pivot row
 to the first, it clears each row's later pivot columns with their
-already-reduced rows, one row update per such column.  Forward
-elimination leaves a pivot row no column of an earlier pivot and a
-reduced row holds no pivot column but its own, so no pivot column comes
-back; the reduced rows are the unique RREF for those pivots, and their
-entries come out in increasing column order.  rref builds its Fractions
-or Scalars once, at the end, and determinant one per pivot, from the row
-scales that the pass tracks.
+already-reduced rows, one row update per such column.  A pivot row holds
+no column before its pivot and a reduced row no pivot column but its
+own, so no pivot column comes back, and the entries come out in
+increasing column order.  rref builds its Fractions or Scalars once, at
+the end, and determinant one per pivot, from the row scales that the
+pass tracks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -121,10 +122,9 @@ def _cleared_rows(rows, domain):
     return out
 
 
-def _update(row, coef, pv, prow, domain, col_rows=None, ri=None):
+def _update(row, coef, pv, prow, domain):
     """row <- (pv/g) row - (coef/g) prow over D, g = gcd(pv, coef), then
-    row divided by its content, in place; given col_rows, it keeps listing
-    ri under exactly the columns of row.  Returns the factor pv/g and the
+    row divided by its content, in place.  Returns the factor pv/g and the
     content, whose quotient scales the row."""
     g = domain.gcd(pv, coef)
     a = pv // g
@@ -136,18 +136,14 @@ def _update(row, coef, pv, prow, domain, col_rows=None, ri=None):
     for c, v in prow.items():
         w = row.get(c, zero) - b * v
         if w:
-            if c not in row and col_rows is not None:
-                col_rows[c].add(ri)
             row[c] = w
         elif c in row:
             del row[c]
-            if col_rows is not None:
-                col_rows[c].remove(ri)
     return a, _divide_content(row, domain)
 
 
 def _eliminate(rows, domain):
-    """Markowitz forward elimination over the domain D.
+    """Column-order forward elimination over the domain D.
 
     Yields (row_index, pivot_col, pivot_row, scale) for each pivot in
     turn, row_index counting the input rows.  pivot_row is a row over D,
@@ -157,65 +153,29 @@ def _eliminate(rows, domain):
     pivot_row.  Rows that become empty drop out, and yielded rows are not
     touched again.
 
-    The pivot is the entry that minimizes (row_fill-1)*(col_fill-1), ties
-    broken by (col, row).  Each active row's best (cost, col, row) sits in
-    a heap; an entry is live while it is still its row's key.  A pivot
-    changes the fill of its own columns only: its row leaves them, and a
-    row update adds or drops entries only at them.  So only their (fill,
-    col) pairs are refreshed, and only the rows it updates and the rows
-    holding one of its columns get new keys.
+    The pivot is a row with the least leading column, ties broken by the
+    shorter row, then the lower row index.  No remaining row holds an
+    earlier pivot column, so every row holding the pivot column leads at
+    it, and a row's key changes only when the row is updated.  A heap of
+    (leading col, length, row index, row) thus holds one live entry per
+    remaining row, and the rows to update are the entries at its top.
     """
     prepared = _cleared_rows(rows, domain)
-    active = {i: r for i, (r, _) in enumerate(prepared) if r}
-    scales = [s for _, s in prepared]
-    col_rows = defaultdict(set)  # column -> ids of the active rows in it
-    for ri, row in active.items():
-        for c in row:
-            col_rows[c].add(ri)
-    fills = {c: (len(rs), c) for c, rs in col_rows.items()}
-    keys = {}
-
-    def key_of(ri):
-        # in a row of two or more entries the cost grows with the column
-        # fill, so the least (fill, col) is the least (cost, col)
-        row = active[ri]
-        fill, c = min(map(fills.__getitem__, row))
-        key = ((len(row) - 1) * (fill - 1), c, ri)
-        keys[ri] = key
-        return key
-
-    heap = [key_of(ri) for ri in active]
+    heap = [(min(r), len(r), ri, r) for ri, (r, _) in enumerate(prepared)
+            if r]
     heapify(heap)
-    while active:
-        key = heappop(heap)
-        _, pc, ri = key
-        if keys.get(ri) is not key:
-            continue
-        del keys[ri]
-        prow = active.pop(ri)
-        for c in prow:
-            col_rows[c].remove(ri)
+    while heap:
+        pc, _, ri, prow = heappop(heap)
         pv = prow[pc]
-        yield ri, pc, prow, scales[ri]
-        stale = set()
-        for rj in sorted(col_rows[pc]):
-            row = active[rj]
-            a, content = _update(row, row[pc], pv, prow, domain, col_rows,
-                                 rj)
-            scale = scales[rj]
+        yield ri, pc, prow, prepared[ri][1]
+        while heap and heap[0][0] == pc:
+            _, _, rj, row = heappop(heap)
+            a, content = _update(row, row[pc], pv, prow, domain)
+            scale = prepared[rj][1]
             scale[0] *= a
             scale[1] *= content
             if row:
-                stale.add(rj)
-            else:
-                del active[rj]
-                del keys[rj]
-        for c in prow:
-            rs = col_rows[c]
-            fills[c] = (len(rs), c)
-            stale.update(rs)
-        for rj in stale:
-            heappush(heap, key_of(rj))
+                heappush(heap, (min(row), len(row), rj, row))
 
 
 def rref(rows, field):
@@ -280,7 +240,7 @@ def _check_square(rows, n):
 
 def determinant(rows, n):
     """Determinant of an n x n sparse matrix: the product of the pivots of
-    the Markowitz elimination times the sign of the pivot permutation.
+    the column-order elimination times the sign of the pivot permutation.
     Each pivot row's pivot is divided by the row's scale."""
     _check_square(rows, n)
     domain = _domain(rows)
@@ -303,9 +263,8 @@ def solve(rows, n, rhs):
     rhs is a dense list of length n.  Returns a dense list.  Raises
     ValueError if A is singular, is not n x n or rhs is not of length n.
 
-    A is nonsingular exactly when [A | -rhs] has rank n and its one kernel
-    vector v has v[n] != 0; then x = v[:n] / v[n].  This holds whichever
-    columns the elimination picks as pivots, the rhs column included.
+    In column order the rref of [A | rhs] has the pivots 0..n-1 exactly
+    when A is nonsingular, and then it is [I | x].
     """
     _check_square(rows, n)
     if len(rhs) != n:
@@ -313,20 +272,14 @@ def solve(rows, n, rhs):
     aug = []
     for r, b in zip(rows, rhs):
         row = dict(r)
-        b = exact(b)  # before negating: -True is the int -1
+        b = exact(b)  # a float or a bool is refused, a string parsed
         if b:
-            row[n] = -b
+            row[n] = b
         aug.append(row)
-    r, kern = rank_and_kernel(aug, n + 1)
-    v = kern[0] if r == n else {}
-    scale = v.get(n)
-    if scale is None:
+    pr = rref(aug, FRACTION_FIELD)
+    if [pc for pc, _ in pr] != list(range(n)):
         raise ValueError("singular matrix in solve()")
-    x = [Fraction(0)] * n
-    for c, value in v.items():
-        if c < n:
-            x[c] = value if scale == 1 else value / scale
-    return x
+    return [prow.get(n, Fraction(0)) for _, prow in pr]
 
 
 class RowReducer:

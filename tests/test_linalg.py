@@ -377,13 +377,13 @@ def _clean(rows, field):
 
 
 def _pick(active, col_count):
-    """Markowitz pivot: minimize (row_fill-1)*(col_fill-1), ties by (col, row)."""
+    """Column-order pivot: the least column, ties by (row_fill, row)."""
     best = None
     best_key = None
     for ri, row in active.items():
         rfill = len(row)
         for c in row:
-            key = ((rfill - 1) * (col_count[c] - 1), c, ri)
+            key = (c, rfill, ri)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (ri, c)
@@ -681,6 +681,38 @@ def test_pivot_sequence_matches_the_full_rescan_on_scalar_rows():
     for rows in cases:
         assert any(isinstance(v, Scalar) for r in rows for v in r.values())
         _assert_matches_oracle_pivots(rows)
+
+
+def _shuffled_with_combinations(rng, rows):
+    # the rows in another order, with random combinations of them added:
+    # the same row space
+    out = [dict(r) for r in rows]
+    for _ in range(rng.randint(1, 3)):
+        combo = {}
+        for r in rng.sample(rows, rng.randint(1, len(rows))):
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for c, v in r.items():
+                combo[c] = combo.get(c, 0) + k * v
+        out.append({c: v for c, v in combo.items() if v})
+    rng.shuffle(out)
+    return out
+
+
+def test_rref_depends_only_on_the_row_space():
+    # a canonical pivot rule: any rows spanning the same space give the
+    # same rref, as a Markowitz rule would not
+    rng = random.Random(1983)
+    cases = [rows for rows, _ in _oracle_cases(rng) if rows]
+    for nvars, degree, count in ((5, 3, 12), (4, 4, 4)):
+        extra = _seeded_perturbation(rng, nvars, degree, count)
+        for k in range(degree - 1, nvars * (degree - 2) + 1):
+            cases.append(_slice_rows(nvars, degree, extra, k)[0])
+    a = Scalar.param("a")
+    cases.append(_slice_rows(4, 3, {(1, 1, 1, 0): a}, 3)[0])
+    for rows in cases:
+        want = rref(rows, FRACTION_FIELD)
+        assert rref(_shuffled_with_combinations(rng, rows),
+                    FRACTION_FIELD) == want
 
 
 def test_int_entries_divide_exactly_beside_a_scalar():
