@@ -41,7 +41,7 @@ from .mulkernel import check_nvars
 from .report import (CHECK_ORDER, DEFAULT_PAIRS, DETERMINANT_FACTORED,
                      ReportOptions, full_report, independence_payload,
                      kermu_payload)
-from .scalar import parse as parse_scalar, scalar_to_string
+from .scalar import exact, parse as parse_scalar, scalar_to_string
 
 
 class UsageError(Exception):
@@ -113,10 +113,7 @@ def _pair_list(text):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise argparse.ArgumentTypeError("expected a;-separated list of a,b pairs")
-        try:
-            pair = (Fraction(parts[0]), Fraction(parts[1]))
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError("pair entries must be rational numbers")
+        pair = (_fraction(parts[0]), _fraction(parts[1]))
         if not any(pair):
             raise argparse.ArgumentTypeError("a pair (0, 0) has no defined value")
         pairs.append(pair)
@@ -129,10 +126,11 @@ def _pair_list(text):
 
 
 def _fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected a rational number")
+    with contextlib.suppress(GrifcalcError):
+        value = exact(text)
+        if isinstance(value, Fraction):
+            return value
+    raise argparse.ArgumentTypeError("expected a rational number")
 
 
 def _polynomial(text):

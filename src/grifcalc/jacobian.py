@@ -28,8 +28,7 @@ from .linalg import (
     rank_and_kernel,
     rref,
 )
-from .scalar import (Scalar, exact, parse as parse_scalar, power_product,
-                     scalar_to_string, signed_sum)
+from .scalar import Scalar, exact, power_product, scalar_to_string, signed_sum
 
 # The most monomials a slice may list, and the most products u*v a pairing
 # may take normal forms of: 20,000 of either cost well under a second, and
@@ -105,12 +104,6 @@ def _json_int(value):
     if type(value) is not int:  # bool is a subclass of int
         raise TypeError("expected a JSON integer, got %r" % (value,))
     return value
-
-
-def _parse_coefficient(text):
-    """A JSON coefficient: a Fraction unless a parameter occurs."""
-    s = parse_scalar(str(text))
-    return s.constant_value() if s.is_constant() else s
 
 
 class HomogeneousPolynomial:
@@ -292,7 +285,7 @@ class HomogeneousPolynomial:
             coeff = t["coeff"]
             if not isinstance(coeff, str):
                 _json_int(coeff)  # a coefficient is a string or an integer
-            terms[exps] = terms.get(exps, 0) + _parse_coefficient(coeff)
+            terms[exps] = terms.get(exps, 0) + exact(str(coeff))
         return cls.from_terms(nvars, terms, degree=degree)
 
 

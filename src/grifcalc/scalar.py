@@ -412,8 +412,8 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, value):
-        """exact(value) as a Scalar: a Scalar as it is, and a rational such
-        as an int, a Fraction or the string "3/4" as a constant."""
+        """exact(value) as a Scalar: a Scalar or a string as exact reads
+        it, and a rational such as an int or a Fraction as a constant."""
         value = exact(value)
         if isinstance(value, Scalar):
             return value
@@ -565,11 +565,15 @@ class Scalar:
 
 
 def exact(x):
-    """x as an exact coefficient: a Scalar as it is, and an int, a Fraction,
-    a string such as "3/4" or another rational as a Fraction.  A float or a
-    bool is not taken as an exact value: TypeError."""
+    """x as an exact coefficient: a Scalar as it is; a string read by parse,
+    as a Fraction unless a parameter occurs ("3/4", "2^3", "a/(a+b)"); and
+    an int, a Fraction or another rational as a Fraction.  A float or a bool
+    is not taken as an exact value: TypeError."""
     if isinstance(x, Scalar):
         return x
+    if isinstance(x, str):
+        s = parse(x)
+        return s.constant_value() if s.is_constant() else s
     if isinstance(x, (float, bool)):
         raise TypeError("expected an exact value, got %r" % (x,))
     return Fraction(x)
@@ -646,17 +650,17 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             raise ParseError("bad character at position %d in %r" % (pos, text))
         if m.group(1) is not None:
-            try:
-                tokens.append(("int", int(m.group(1))))
-            except ValueError:  # past Python's int string conversion limit
+            # MAX_PARSE_BITS*log10(2) digits is the most that fit the bit bound
+            if len(m.group(1)) > MAX_PARSE_BITS * math.log10(2):
                 raise ParseError("integer literal of %d digits at position %d "
                                  "is too long" % (len(m.group(1)), m.start(1)))
+            tokens.append(("int", int(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
@@ -804,8 +808,12 @@ def parse(text):
     Grammar: + - * / ^ with the usual precedence, parentheses, nonnegative
     integer exponents.  Round-trips with scalar_to_string().  A power,
     product, quotient, sum or difference that could pass a MAX_PARSE_*
-    bound raises OutOfRange before it is taken.
+    bound raises OutOfRange before it is taken, and nesting past Python's
+    recursion limit raises ParseError.
     """
     if not isinstance(text, str):
         raise ParseError("expected a string, got %r" % (text,))
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("parentheses or signs nested too deeply in %r" % text)

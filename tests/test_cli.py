@@ -6,14 +6,17 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from grifcalc.cli import MAX_JRING_VARS, run_command
+from grifcalc.errors import ParseError
 from grifcalc.hodge import MAX_HYPERSURFACE_SIZE, bounded_slice_dimension
 from grifcalc.invariant import MAX_PAIRS
 from grifcalc.jacobian import MAX_SLICE_MONOMIALS as MAX_JRING_MONOMIALS
-from grifcalc.scalar import MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT, parse
+from grifcalc.scalar import (MAX_PARSE_DEGREE, MAX_PARSE_EXPONENT, Scalar,
+                             exact, parse, scalar_to_string)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -241,6 +244,80 @@ def test_values_starting_with_a_minus_sign_parse_when_separated(tmp_path):
     assert code == 2 and "expected one argument" in out
 
 
+def _cli_subprocess(*argv):
+    # the command line in a fresh interpreter, killed if it runs past 60 s
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["grifcalc.cli"].__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "grifcalc.cli"] + list(argv),
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_an_exponent_form_in_a_value_exits_2_at_once():
+    # fractions.Fraction read 1e1000000 as a million-digit integer and ran
+    # for minutes; parse stops at the "e"
+    argv = ["nl", "det", "--a", "1e1000000", "--b", "1"]
+    proc = _cli_subprocess(*argv)
+    assert (proc.returncode, proc.stdout) == (
+        2, "error: argument --a: expected a rational number\n")
+    start = time.perf_counter()
+    assert run_command(argv)[0] == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_an_exponent_form_in_a_pair_is_a_usage_error(tmp_path):
+    # 1e5000 once became a 5,001-digit Fraction that no check could print:
+    # report failed independence.rank, independence leaked Python's
+    # int-string conversion message
+    for argv in (["report", "--pairs", "1e5000,1;2,1"],
+                 ["independence", "--pairs", "1e5000,1"]):
+        code, out = run_command(argv + ["--cache", str(tmp_path / "c")])
+        assert (code, out) == (
+            2, "error: argument --pairs: expected a rational number"), argv
+
+
+def _coefficient_poly(coeff):
+    # the form coeff*x0 in two variables
+    return json.dumps({"nvars": 2, "degree": 1, "terms": [
+        {"exps": [1, 0], "coeff": coeff}]})
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/4", Fraction(3, 4)), ("-1/2", Fraction(-1, 2)), ("2^3", Fraction(8)),
+    (" 1/2 ", Fraction(1, 2)), ("a", Scalar.param("a")), ("0.5", None),
+    ("1e5", None), ("1_0", None), ("1/0", None), ("9" * 1234, None),
+], ids=["3/4", "-1/2", "2^3", "spaced", "a", "0.5", "1e5", "1_0", "1/0",
+        "1234-nines"])
+def test_every_number_typed_as_text_has_one_grammar(text, value):
+    # --a, a --pairs entry, a --poly coefficient and exact() read text with
+    # parse; --a and --pairs take only a value with no parameter
+    def nf(coeff):
+        return _jring("nf", 2, 3, "--poly", _coefficient_poly(coeff))
+
+    def deltanu(a):
+        return run_command(["nl", "deltanu", "--b", "1", "--a=" + a])
+
+    pairs = run_command(["independence", "--json", "--pairs=%s,1" % text])
+    if value is None:
+        with pytest.raises(ParseError):
+            exact(text)
+        code, out = nf(text)
+        assert code == 2 and out.startswith("error: ")
+    else:
+        shown = scalar_to_string(value)
+        assert exact(text) == value
+        assert nf(text) == nf(shown)
+    if isinstance(value, Fraction):
+        assert deltanu(text) == deltanu(shown)
+        assert pairs[0] == 0
+        assert json.loads(pairs[1])["pairs"] == [[shown, "1"]]
+    else:
+        refused = "error: argument --%s: expected a rational number"
+        assert deltanu(text) == (2, refused % "a")
+        assert pairs == (2, refused % "pairs")
+
+
 def test_kermu_verify_span_json():
     code, out = run_command(["kermu", "verify", "--vars", "6", "--method",
                              "span", "--json"])
@@ -400,15 +477,8 @@ def test_jring_poly_coefficient_powers_are_bounded():
 
 def _jring_nf_subprocess(coeff):
     # `jring nf` on the form coeff*x0 in a fresh interpreter
-    poly = json.dumps({"nvars": 2, "degree": 1, "terms": [
-        {"exps": [1, 0], "coeff": coeff}]})
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["grifcalc.cli"].__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "grifcalc.cli", "jring", "nf",
-                           "--vars", "2", "--degree", "3", "--poly", poly],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return _cli_subprocess("jring", "nf", "--vars", "2", "--degree", "3",
+                           "--poly", _coefficient_poly(coeff))
 
 
 def test_jring_poly_coefficient_products_are_bounded():
@@ -534,12 +604,7 @@ def test_kermu_default_modulus_verdict():
 
 
 def test_module_entry_point_runs_main():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["grifcalc.cli"].__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-m", "grifcalc.cli", "--version"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _cli_subprocess("--version")
     assert proc.returncode == 0
     assert proc.stdout == "0.1.0\n"
 
@@ -574,6 +639,8 @@ _BOUND_COEFFS = ("1^%d" % MAX_PARSE_EXPONENT,
                  "(a+b)^%d" % MAX_PARSE_DEGREE,
                  "(a+b)^%d" % (MAX_PARSE_DEGREE + 1),
                  "(a+b+c)^43", "(a+b+c)^44", "255^512", "255^513")
+# number forms on which fractions.Fraction and parse disagree
+_NUMBER_FORMS = ("1e1000000", "0.5", "2^3", "9" * 1234)
 
 
 def _fuzz_argv(rng):
@@ -585,6 +652,11 @@ def _fuzz_argv(rng):
             return str(rng.randint(lo, hi))
         return rng.choice(["-1", "0", "x", "", "2.5", "1e3", "1/0"])
 
+    def number():
+        if rng.random() < 0.2:
+            return rng.choice(_NUMBER_FORMS)
+        return small(-2, 2)
+
     def poly(nvars, degree):
         terms = []
         for _ in range(rng.randint(0, 3)):
@@ -593,7 +665,8 @@ def _fuzz_argv(rng):
                 exps[rng.randrange(nvars)] += 1
             terms.append({"exps": exps, "coeff": rng.choice(
                 ["1", "-2", "1/3", "a", "0", "1/0", "x^", "1" * 5000]
-                + [rng.choice(_BOUND_COEFFS)] * 3)})
+                + [rng.choice(_BOUND_COEFFS)] * 3
+                + [rng.choice(_NUMBER_FORMS)])})
         doc = {"nvars": nvars, "degree": degree, "terms": terms}
         return rng.choice([json.dumps(doc)] * 14 + [
             "{", "[]", "3", '{"nvars": 2}', json.dumps({"terms": terms}),
@@ -606,7 +679,8 @@ def _fuzz_argv(rng):
             return ";".join([pair] * rng.choice([MAX_PAIRS, MAX_PAIRS + 1]))
         return rng.choice(["1,1;2,1", "1,1;1,1", "0,0", "1/2,3", "a,b", "1;2",
                            "", ";", "1/0,1", "%d,%d" % (rng.randint(-3, 3),
-                                                        rng.randint(-3, 3))])
+                                                        rng.randint(-3, 3)),
+                           "%s,1;1,%s" % (number(), number())])
 
     nvars, degree = rng.randint(1, 4), rng.randint(2, 4)
     ring = ["--vars", small(nvars, nvars), "--degree", small(degree, degree)]
@@ -640,8 +714,8 @@ def _fuzz_argv(rng):
          "--type", rng.choice(["1,1", "2,1", "0,2", "3", "a,b", "1,1,1"])]
         + rng.choice([[], ["--orbits"]]),
         ["nl", rng.choice(["matrix", "det", "deltanu"])]
-        + rng.choice([[], ["--symbolic"], ["--a", small(-2, 2)],
-                      ["--a", small(-2, 2), "--b", small(-2, 2)]]),
+        + rng.choice([[], ["--symbolic"], ["--a", number()],
+                      ["--a", number(), "--b", number()]]),
         ["nl", "independence", "--pairs", pairs()],
         ["independence", "--pairs", pairs()],
         ["kermu", "verify", "--vars", rng.choice(["1", "3", "4", "12", "x"]),

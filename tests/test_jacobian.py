@@ -494,7 +494,8 @@ def test_two_parameter_pairing_determinant_answers_in_time():
     start = time.perf_counter()
     m = pairing_matrix(ring, unit, 2, 2)
     det = determinant(m)
-    # about 0.7 s here; the budget leaves room for a loaded machine
+    # about 4-5 s on two cores of an Intel Xeon under CPython 3.11; the
+    # budget leaves room for a loaded machine
     assert time.perf_counter() - start < 10.0
     for point in ({"a": 2, "b": 3}, {"a": Fraction(-1, 2), "b": 5}):
         rows = [{c: v.specialize(point) if isinstance(v, Scalar) else v

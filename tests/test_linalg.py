@@ -115,8 +115,8 @@ def test_solve_randomized_round_trip():
 
 
 def test_solve_accepts_a_system_whose_right_hand_side_is_a_pivot():
-    # Markowitz pivoting on [A | rhs] picks the rhs column here; that must
-    # not make a nonsingular system look inconsistent
+    # solve reads x off the rref of [A | rhs]; a pivot rule that took the
+    # rhs column first must not make a nonsingular system look inconsistent
     x = solve([{0: 1, 1: 1}, {0: 1, 1: -1}], 2, [1, 0])
     assert x == [Fraction(1, 2), Fraction(1, 2)]
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -287,6 +288,47 @@ def test_parse_refuses_an_integer_literal_past_the_conversion_limit():
         parse("1" * 5000)
     with pytest.raises(ParseError, match="5000 digits at position 2"):
         parse("a*" + "7" * 5000)
+
+
+def test_parse_bounds_an_integer_literal_by_the_coefficient_bits():
+    # 1,233 digits stay below 2^MAX_PARSE_BITS, and 1,234 nines do not
+    assert (10 ** 1233 - 1).bit_length() <= MAX_PARSE_BITS
+    assert (10 ** 1234 - 1).bit_length() > MAX_PARSE_BITS
+    assert parse("9" * 1233) == 10 ** 1233 - 1
+    with pytest.raises(ParseError, match="1234 digits at position 0"):
+        parse("9" * 1234)
+    with pytest.raises(ParseError, match="1234 digits at position 3"):
+        parse("1+(" + "1" * 1234 + ")")
+
+
+def test_parse_skips_whitespace_around_every_token():
+    assert parse("1 ") == parse(" 1") == parse("\t1\n") == 1
+    assert parse(" a * b  ") == parse("a*b")
+    with pytest.raises(ParseError, match="bad character at position 1"):
+        parse("1 . ")
+
+
+def test_parse_refuses_nesting_past_the_recursion_limit():
+    depth = sys.getrecursionlimit()
+    for text in ("(" * depth + "1" + ")" * depth, "-" * depth + "1"):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
+    assert parse("(" * 50 + "-" * 50 + "1" + ")" * 50) == 1
+
+
+def test_exact_reads_text_with_parse():
+    # one grammar for every number typed as text: a Fraction unless a
+    # parameter occurs, and what parse refuses exact refuses
+    for text, value in (("3/4", Fraction(3, 4)), ("-1/2", Fraction(-1, 2)),
+                        ("2^3", Fraction(8)), (" 1/2 ", Fraction(1, 2)),
+                        ("(1+2)/3", Fraction(1))):
+        assert type(exact(text)) is Fraction and exact(text) == value
+    assert exact("a") == Scalar.param("a")
+    assert exact("a/(a+b)") == parse("a/(a+b)")
+    assert Scalar.from_fraction("a") == Scalar.param("a")
+    for text in ("0.5", "1e5", "1_0", "+1", "1/0", "9" * 1234, ""):
+        with pytest.raises(ParseError):
+            exact(text)
 
 
 def test_poly_gcd_basic():
